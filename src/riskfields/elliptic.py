@@ -93,11 +93,26 @@ def _target(cfg, grid):
     return cfg.tol * 2.0 / (n * n)
 
 
-def _rb_masks(unknown):
-    inter = unknown[1:-1, 1:-1]
-    a = np.arange(inter.shape[0])[:, None] + np.arange(inter.shape[1])[None, :]
-    red = inter & (a % 2 == 0)
-    black = inter & (a % 2 == 1)
+def _sublattices(w, unknown, rhs):
+    """Strided views of the four checkerboard classes of interior cells.
+
+    A class holds the cells (i, j), 1 <= i <= nx-2, 1 <= j <= ny-2, of one
+    parity pair (i mod 2, j mod 2).  Each entry is (centre, i+1, i-1, j+1,
+    j-1, rhs, unknown) as views of the same shape, plus two scratch arrays
+    of that shape; the four neighbours of a class all lie in the classes of
+    the other colour.  Returns the red classes (i + j even) and the black
+    ones.
+    """
+    nx, ny = w.shape
+    red, black = [], []
+    for pi in (1, 2):
+        for pj in (1, 2):
+            def at(a, si, sj):
+                return a[pi + si:nx - 1 + si:2, pj + sj:ny - 1 + sj:2]
+            views = (at(w, 0, 0), at(w, 1, 0), at(w, -1, 0), at(w, 0, 1),
+                     at(w, 0, -1), at(rhs, 0, 0), at(unknown, 0, 0))
+            views += (np.empty(views[0].shape), np.empty(views[0].shape))
+            (red if (pi + pj) % 2 == 0 else black).append(views)
     return red, black
 
 
@@ -106,6 +121,7 @@ def _sweep_solve(grid, unknown, fixed, rhs, cfg):
 
     fixed supplies values for every non-unknown cell referenced by the stencil.
     rhs is d^2 * f on unknowns (zero for Laplace).  Returns (values, stats).
+    Each half-sweep updates the strided sub-lattices of one colour in place.
     """
     n = max(grid.nx, grid.ny)
     omega = 1.0 if cfg.method == GAUSS_SEIDEL else cfg.resolved_omega(n)
@@ -114,8 +130,8 @@ def _sweep_solve(grid, unknown, fixed, rhs, cfg):
 
     w = fixed.copy()
     w[unknown] = 0.0
-    red, black = _rb_masks(unknown)
-    both = red | black
+    colours = _sublattices(w, unknown, rhs)
+    inner = unknown[1:-1, 1:-1]
     core = w[1:-1, 1:-1]
     rc = rhs[1:-1, 1:-1]
 
@@ -123,14 +139,23 @@ def _sweep_solve(grid, unknown, fixed, rhs, cfg):
     it = 0
     check_every = 8
     while it < max_sweeps:
-        for m in (red, black):
-            nb = w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:] + w[1:-1, :-2]
-            core[m] = (1.0 - omega) * core[m] + (omega * 0.25) * (nb[m] - rc[m])
+        for lattices in colours:
+            for c, ip, im, jp, jm, r, m, t1, t2 in lattices:
+                # (1.0 - omega) * c + (omega * 0.25) * (ip + im + jp + jm - r),
+                # same operations in the same order, so bit for bit the same
+                np.add(ip, im, out=t1)
+                t1 += jp
+                t1 += jm
+                t1 -= r
+                t1 *= omega * 0.25
+                np.multiply(c, 1.0 - omega, out=t2)
+                t2 += t1
+                np.copyto(c, t2, where=m)
         it += 1
         if it % check_every == 0 or it == max_sweeps:
             nb = w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:] + w[1:-1, :-2]
             gap = np.abs(0.25 * (nb - rc) - core)
-            res = float(gap[both].max()) if both.any() else 0.0
+            res = float(gap[inner].max()) if inner.any() else 0.0
             if res <= target:
                 break
     stats = SolveStats(cfg.method, it, res, target, int(unknown.sum()),

@@ -103,7 +103,6 @@ class OccupancyGrid:
         self.band2 = near2
         self.band1.flags.writeable = False
         self.band2.flags.writeable = False
-        self._nearest_node_cache = None
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -402,31 +401,39 @@ def sample_gradient(field, y):
                      _bilinear(g.y.values, field.grid, p[0], p[1])])
 
 
-def _nearest_node_map(grid, boundary):
-    """For each ghost-band cell, the index of the nearest boundary node."""
-    out = {}
-    cell_idx = boundary._index
-    band = np.nonzero(grid.band1 | grid.band2)
-    for i, j in zip(*band):
-        best = None
-        best_d2 = None
-        for di in range(-3, 4):
-            for dj in range(-3, 4):
-                k = cell_idx.get((i + di, j + dj))
-                if k is None:
-                    continue
-                d2 = di * di + dj * dj
-                if best is None or d2 < best_d2:
-                    best, best_d2 = k, d2
-        if best is not None:
-            out[(i, j)] = best
-    return out
+def _nearest_hits(cells, target, radius):
+    """Nearest target cell within a (2*radius+1)^2 window of each cell.
+
+    cells is (ii, jj); target a boolean lattice mask.  Offsets are visited by
+    squared distance and, within one distance, in scan order (di, then dj,
+    ascending), so each cell gets the first hit that a strict-< scan of the
+    window would keep.  Returns (hit, ti, tj); ti, tj are valid where hit.
+    """
+    ii, jj = cells
+    padded = np.pad(target, radius, constant_values=False)
+    ti = np.zeros_like(ii)
+    tj = np.zeros_like(jj)
+    hit = np.zeros(len(ii), dtype=bool)
+    offsets = sorted((di * di + dj * dj, di, dj)
+                     for di in range(-radius, radius + 1)
+                     for dj in range(-radius, radius + 1))
+    for _, di, dj in offsets:
+        new = ~hit & padded[ii + radius + di, jj + radius + dj]
+        ti[new] = ii[new] + di
+        tj[new] = jj[new] + dj
+        hit |= new
+    return hit, ti, tj
 
 
 def nearest_node_map(grid, boundary):
-    if grid._nearest_node_cache is None:
-        grid._nearest_node_cache = _nearest_node_map(grid, boundary)
-    return grid._nearest_node_cache
+    """For each ghost-band cell, the index of the nearest boundary node
+    within three cells (ties go to the first offset in scan order)."""
+    nodes = np.full((grid.nx, grid.ny), -1)
+    nodes[boundary.cells[:, 0], boundary.cells[:, 1]] = np.arange(boundary.n)
+    band = np.nonzero(grid.band1 | grid.band2)
+    hit, ti, tj = _nearest_hits(band, nodes >= 0, 3)
+    keys = zip(band[0][hit].tolist(), band[1][hit].tolist())
+    return dict(zip(keys, nodes[ti[hit], tj[hit]].tolist()))
 
 
 def fill_band(grid, values, band_value=0.0, per_cell=None):
@@ -480,20 +487,10 @@ def gradient_field(field):
 
     # copy free-side gradients into the ghost bands
     band = np.nonzero(grid.band1 | grid.band2)
-    free = grid.free
-    for i, j in zip(*band):
-        best = None
-        best_d2 = None
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < grid.nx and 0 <= jj < grid.ny and free[ii, jj]:
-                    d2 = di * di + dj * dj
-                    if best is None or d2 < best_d2:
-                        best, best_d2 = (ii, jj), d2
-        if best is not None and np.isfinite(gx[best]) and np.isfinite(gy[best]):
-            gx[i, j] = gx[best]
-            gy[i, j] = gy[best]
+    hit, ti, tj = _nearest_hits(band, grid.free, 2)
+    hit &= np.isfinite(gx[ti, tj]) & np.isfinite(gy[ti, tj])
+    gx[band[0][hit], band[1][hit]] = gx[ti[hit], tj[hit]]
+    gy[band[0][hit], band[1][hit]] = gy[ti[hit], tj[hit]]
 
     return VectorField(ScalarField(grid, gx, mask=field.mask),
                        ScalarField(grid, gy, mask=field.mask))

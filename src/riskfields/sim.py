@@ -450,6 +450,8 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
             rec.add(t, y, u_nom, u, sfk.value(y),
                     activation_dynamic(y, t, u_nom, sfk, dh, gfk, cfg),
                     activation_dynamic(y, t, u, sfk, dh, gfk, cfg))
-        except (VanishingGuidance, OutOfDomain):
+        except VanishingGuidance:
             term = DEGENERATE
+        except OutOfDomain:
+            term = LEFT_DOMAIN
     return DynamicResult(rec.build(dt_sim, term), frames)
