@@ -8,13 +8,15 @@ safety filter, activation zones, and closed-loop simulation.
 __version__ = "0.1.0"
 
 from .errors import (DegenerateCoefficient, DegenerateNormal,
-                     DisconnectedFreeSpace, GridMismatch, MalformedDocument,
-                     MalformedGrid, NegativeForcingViolation, NonConvergence,
-                     OpenWorkspace, OutOfDomain, RiskFieldsError, StartUnsafe,
-                     UnmappedLabel, UnorderedBoundary, VanishingGuidance)
-from .grid import (FREE, OCCUPIED, BoundarySet, OccupancyGrid, ScalarField,
-                   VectorField, estimate_normals, extract_boundary, load_grid,
-                   sample_gradient, sample_scalar, sample_vector)
+                     DisconnectedFreeSpace, GridMismatch, InvalidTimeStep,
+                     MalformedDocument, MalformedGrid,
+                     NegativeForcingViolation, NonConvergence, OpenWorkspace,
+                     OutOfDomain, RiskFieldsError, StartUnsafe, UnmappedLabel,
+                     UnorderedBoundary, VanishingGuidance)
+from .grid import (FREE, OCCUPIED, BoundarySet, FieldSampler, OccupancyGrid,
+                   ScalarField, VectorField, estimate_normals,
+                   extract_boundary, load_grid, sample_gradient,
+                   sample_scalar, sample_vector)
 from .elliptic import (DENSE_DIRECT, GAUSS_SEIDEL, SOR, ForcingSpec,
                        SolverConfig, check_divergence_identity,
                        solve_guidance, solve_laplace_component, solve_poisson)

@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
+import yaml
 
 from . import __version__, backstep, elliptic, sim
 from .errors import RiskFieldsError
@@ -31,6 +34,8 @@ def _manifest(args, scenario_path, outputs):
         "scenario_sha256": digest,
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "pyyaml_version": yaml.__version__,
         "python_version": sys.version.split()[0],
         "seed": args.seed,
         "outputs": sorted(outputs),
@@ -228,6 +233,10 @@ def cmd_sweep(args, scenario):
     scales = [float(s) for s in args.scales.split(",")]
     gammas = [float(s) for s in args.gammas.split(",")] if args.gammas \
         else [scenario.filter_cfg.gamma]
+    for gm in gammas:
+        # _sweep_one sets gamma after the filter config is validated
+        if not 0 < gm < math.inf:
+            raise RiskFieldsError(f"--gammas: {gm} is not positive and finite")
     jobs = [(args.scenario, s, gm) for gm in gammas for s in scales]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:

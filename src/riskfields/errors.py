@@ -59,3 +59,7 @@ class StartUnsafe(RiskFieldsError):
 
 class GridMismatch(RiskFieldsError):
     """Two fields do not share the same lattice geometry."""
+
+
+class InvalidTimeStep(RiskFieldsError, ValueError):
+    """Time step above the CFL bound, or not dividing the frame period."""

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import GridMismatch, VanishingGuidance
-from .grid import fill_band, sample_gradient, sample_scalar, sample_vector
+from .grid import (FieldSampler, fill_band, sample_gradient, sample_scalar,
+                   sample_vector)
 
 
 @dataclass
@@ -28,8 +29,10 @@ class FilterConfig:
     eta_v: float = 1e-6     # ||v|| floor before we refuse to divide
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.eps <= 0 or self.eta_v <= 0:
-            raise ValueError("gamma, eps, eta_v must all be positive")
+        if not all(0 < x < math.inf for x in (self.gamma, self.eps,
+                                               self.eta_v)):
+            raise ValueError("gamma, eps, eta_v must all be positive and "
+                             "finite")
 
     def sigma(self, s):
         # smooth transition: sigma(0)=0, monotone, -> eps
@@ -43,12 +46,25 @@ class SafetyFunction:
         self.h = h
         self.grid = h.grid
         self.grad = h.gradient()
+        self._grad_rows = None
 
     def value(self, y):
         return sample_scalar(self.h, y)
 
     def grad_at(self, y):
-        return sample_gradient(self.h, y)
+        """Dh at y, or at each row of an (n, 2) block.
+
+        One point is read from nested-list copies of the cached gradient,
+        made on first use: same bits as sample_gradient, at about a quarter
+        of the cost.
+        """
+        p = np.asarray(y, dtype=float)
+        if p.ndim == 2:
+            return sample_gradient(self.h, p)
+        if self._grad_rows is None:
+            self._grad_rows = (self.grad.x.values.tolist(),
+                               self.grad.y.values.tolist())
+        return gridmod.sample_pair(*self._grad_rows, self.grid, p)
 
 
 class GuidanceFieldBundle:
@@ -64,39 +80,70 @@ class GuidanceFieldBundle:
         return sample_vector(self.v, y)
 
 
+def _dh_term(s, cfg):
+    """(||v||/(||Dh||+sigma(h))) dh/dt from a sample s = fs.at(y, grad=True),
+    or None for a sample without dh/dt (the static constraint)."""
+    if len(s) == 3 or s[5] is None:
+        return None
+    h, vx, vy, gx, gy, dh = s
+    gn = math.hypot(gx, gy)
+    denom = gn + float(cfg.sigma(h))
+    nv = math.hypot(vx, vy)
+    coeff = nv / denom if denom > 0.0 else 0.0
+    return coeff * dh
+
+
+def _activation(s, tv, kx, ky, gamma):
+    vk = s[1] * kx + s[2] * ky
+    if tv is None:
+        return vk + gamma * s[0]
+    return (vk + tv) + gamma * s[0]
+
+
+def min_norm(y, k_nom_value, s, cfg):
+    """Closed-form filter at y from one sample s of the fields there.
+
+    Returns (u, a, audit): the filtered input, the activation at k_nom and
+    the activation at u.  s comes from FieldSampler.at; with a dh/dt channel
+    (grad=True) this is the time-varying filter, without it the static one,
+    which is the same arithmetic less the dh/dt term.  k_nom is returned as
+    a copy when a >= 0.
+    """
+    k = np.array(k_nom_value, dtype=float)
+    kx, ky = k.tolist()
+    tv = _dh_term(s, cfg)
+    a = _activation(s, tv, kx, ky, cfg.gamma)
+    if a >= 0.0:
+        return k, a, a
+    vx, vy = s[1], s[2]
+    nv2 = vx * vx + vy * vy
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance(
+            f"a={a:.3e} < 0 with ||v||={math.sqrt(nv2):.3e} at {tuple(y)}")
+    c = -a / nv2
+    ux = kx + c * vx
+    uy = ky + c * vy
+    return np.array([ux, uy]), a, _activation(s, tv, ux, uy, cfg.gamma)
+
+
+def _sample(y, sf, gf, dh_dt=None):
+    fs = FieldSampler(sf, gf, dh_dt, snapshot=False)
+    return fs.at(y, grad=dh_dt is not None)
+
+
+def _activation_at(y, k_nom_value, s, cfg):
+    kx, ky = np.asarray(k_nom_value, dtype=float).tolist()
+    return _activation(s, _dh_term(s, cfg), kx, ky, cfg.gamma)
+
+
 def activation(y, k_nom_value, sf, gf, cfg):
     """a(y) = v(y).k_nom + gamma h(y)."""
-    v = gf.value(y)
-    k = np.asarray(k_nom_value, dtype=float)
-    vk = float(v[0] * k[0] + v[1] * k[1])
-    return vk + cfg.gamma * sf.value(y)
+    return _activation_at(y, k_nom_value, _sample(y, sf, gf), cfg)
 
 
 def filter_control(y, k_nom_value, sf, gf, cfg):
     """Closed-form filtered input; k_nom untouched when a >= 0."""
-    v = gf.value(y)
-    k = np.array(k_nom_value, dtype=float)
-    vk = float(v[0] * k[0] + v[1] * k[1])
-    a = vk + cfg.gamma * sf.value(y)
-    if a >= 0.0:
-        return k
-    nv2 = float(v[0] * v[0] + v[1] * v[1])
-    if nv2 < cfg.eta_v * cfg.eta_v:
-        raise VanishingGuidance(
-            f"a={a:.3e} < 0 with ||v||={math.sqrt(nv2):.3e} at {tuple(y)}")
-    return k + (-a / nv2) * v
-
-
-def _dyn_terms(y, sf_t, dh_dt, gf, cfg):
-    v = gf.value(y)
-    h = sf_t.value(y)
-    g = sf_t.grad_at(y)
-    gn = math.hypot(g[0], g[1])
-    denom = gn + float(cfg.sigma(h))
-    nv = math.hypot(v[0], v[1])
-    coeff = nv / denom if denom > 0.0 else 0.0
-    tv = coeff * sample_scalar(dh_dt, y)
-    return v, h, tv
+    return min_norm(y, k_nom_value, _sample(y, sf, gf), cfg)[0]
 
 
 def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
@@ -104,24 +151,11 @@ def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
 
     With dh/dt identically zero this reproduces activation() bit for bit.
     """
-    v, h, tv = _dyn_terms(y, sf_t, dh_dt, gf, cfg)
-    k = np.asarray(k_nom_value, dtype=float)
-    vk = float(v[0] * k[0] + v[1] * k[1])
-    return (vk + tv) + cfg.gamma * h
+    return _activation_at(y, k_nom_value, _sample(y, sf_t, gf, dh_dt), cfg)
 
 
 def filter_control_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
-    v, h, tv = _dyn_terms(y, sf_t, dh_dt, gf, cfg)
-    k = np.array(k_nom_value, dtype=float)
-    vk = float(v[0] * k[0] + v[1] * k[1])
-    a = (vk + tv) + cfg.gamma * h
-    if a >= 0.0:
-        return k
-    nv2 = float(v[0] * v[0] + v[1] * v[1])
-    if nv2 < cfg.eta_v * cfg.eta_v:
-        raise VanishingGuidance(
-            f"a={a:.3e} < 0 with ||v||={math.sqrt(nv2):.3e} at {tuple(y)}")
-    return k + (-a / nv2) * v
+    return min_norm(y, k_nom_value, _sample(y, sf_t, gf, dh_dt), cfg)[0]
 
 
 def eval_controller(k_nom, pts):

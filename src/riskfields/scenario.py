@@ -9,6 +9,7 @@ returns everything downstream code needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ def _num(x, path, positive=False):
         v = float(x)
     except (TypeError, ValueError):
         raise MalformedDocument(f"{path}: expected a number, got {x!r}")
-    if positive and v <= 0:
-        raise MalformedDocument(f"{path}: must be positive")
+    if positive and not 0 < v < math.inf:
+        raise MalformedDocument(f"{path}: must be positive and finite")
     return v
 
 

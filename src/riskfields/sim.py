@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backstep as bs
-from .errors import (DegenerateCoefficient, GridMismatch, OutOfDomain,
-                     StartUnsafe, VanishingGuidance)
-from .grid import ScalarField, fill_band, sample_gradient
-from .safety import (activation, activation_dynamic, activation_zone,
-                     eval_controller, filter_control, filter_control_dynamic)
+from .errors import (DegenerateCoefficient, GridMismatch, InvalidTimeStep,
+                     OutOfDomain, StartUnsafe, VanishingGuidance)
+from .grid import FieldSampler, ScalarField, fill_band
+# activation and filter_control are not called here; they stay importable
+# from this module, where perfbench's tracer wraps them.
+from .safety import (activation, activation_dynamic, activation_zone,  # noqa: F401
+                     eval_controller, filter_control, filter_control_dynamic,
+                     min_norm)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -128,14 +131,11 @@ def nominal_goal(y, mu, goal):
 
 
 def nominal_adversarial(y, mu, sf):
-    """-mu Dh(y): straight at the nearest obstacle, the worst case."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return -mu * sf.grad_at(y)
-    out = np.empty_like(y)
-    for i in range(y.shape[0]):
-        out[i] = -mu * sf.grad_at(y[i])
-    return out
+    """-mu Dh(y): straight at the nearest obstacle, the worst case.
+
+    y is one point or an (n,2) block, sampled in one vectorized pass.
+    """
+    return -mu * sf.grad_at(np.asarray(y, dtype=float))
 
 
 def goal_controller(mu, goal):
@@ -173,7 +173,7 @@ def _u_max_estimate(grid, controller, sf, gf, cfg):
 
 def _check_cfl(grid, dt, umax):
     if umax > 0 and dt > grid.d / (4.0 * umax):
-        raise ValueError(
+        raise InvalidTimeStep(
             f"dt={dt} too coarse: need <= {grid.d / (4.0 * umax):.3e}"
             f" (d={grid.d}, u_max~{umax:.3g})")
 
@@ -232,8 +232,10 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     if goal is None:
         goal = getattr(controller, "goal", None)
 
+    fs = FieldSampler(sf, gf)
+
     def f(q):
-        return filter_control(q, controller(q), sf, gf, cfg)
+        return min_norm(q, controller(q), fs.at(q), cfg)[0]
 
     n = int(math.floor(T / dt + 1e-9))
     rec = _Recorder()
@@ -242,17 +244,15 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
         t = k * dt
         try:
             u_nom = np.asarray(controller(y), dtype=float)
-            u = filter_control(y, u_nom, sf, gf, cfg)
-            hv = sf.value(y)
-            a = activation(y, u_nom, sf, gf, cfg)
-            audit = activation(y, u, sf, gf, cfg)
+            s = fs.at(y)
+            u, a, audit = min_norm(y, u_nom, s, cfg)
         except VanishingGuidance:
             term = DEGENERATE
             break
         except OutOfDomain:
             term = LEFT_DOMAIN
             break
-        rec.add(t, y, u_nom, u, hv, a, audit)
+        rec.add(t, y, u_nom, u, s[0], a, audit)
         if goal is not None and np.linalg.norm(y - goal) < grid.d:
             term = GOAL_REACHED
             break
@@ -280,9 +280,12 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
 
+    fs = FieldSampler(sf, gf)
+
     def f(z):
         q = bs.ExtendedState(z[:2], z[2:])
-        w = bs.filter_accel(q, accel_nom(q.y, q.ydot), sf, gf, bcfg)
+        w_nom = accel_nom(q.y, q.ydot)
+        w, _ = bs.accel_terms(q, sf, gf, bcfg, fs).filter(w_nom, bcfg)
         return np.concatenate([q.ydot, w])
 
     n = int(math.floor(T / dt + 1e-9))
@@ -294,18 +297,17 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
         st = bs.ExtendedState(z[:2], z[2:])
         try:
             w_nom = np.asarray(accel_nom(st.y, st.ydot), dtype=float)
-            w = bs.filter_accel(st, w_nom, sf, gf, bcfg)
-            hv = sf.value(st.y)
-            hb = bs.h_B(st, sf, gf, bcfg)
-            resid_nom = bs.hdot_B(st, w_nom, sf, gf, bcfg) + bcfg.gamma * hb
-            resid = bs.hdot_B(st, w, sf, gf, bcfg) + bcfg.gamma * hb
+            terms = bs.accel_terms(st, sf, gf, bcfg, fs)
+            w, resid_nom = terms.filter(w_nom, bcfg)
+            resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
         except (VanishingGuidance, DegenerateCoefficient):
             term = DEGENERATE
             break
         except OutOfDomain:
             term = LEFT_DOMAIN
             break
-        rec.add(t, st.y, w_nom, w, hv, resid_nom, resid, ydot=st.ydot, h_B=hb)
+        rec.add(t, st.y, w_nom, w, terms.h, resid_nom, resid, ydot=st.ydot,
+                h_B=terms.h_B)
         if goal is not None and np.linalg.norm(st.y - goal) < grid.d:
             term = GOAL_REACHED
             break
@@ -371,11 +373,11 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
     """
     m = dt_frame / dt_sim
     if abs(m - round(m)) > 1e-9:
-        raise ValueError("dt_sim must divide dt_frame")
+        raise InvalidTimeStep("dt_sim must divide dt_frame")
     m = int(round(m))
     nf = T / dt_frame
     if abs(nf - round(nf)) > 1e-9:
-        raise ValueError("dt_frame must divide T")
+        raise InvalidTimeStep("dt_frame must divide T")
     nf = int(round(nf))
 
     builds = [scenario.build(t=k * dt_frame) for k in range(nf + 1)]
@@ -405,24 +407,24 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
         frames.append(Frame(k * dt_frame, scenario.speed_at(k * dt_frame),
                             bk, dh, zone))
 
-        def f(q, t=0.0, s=sfk, d=dh, g=gfk, c=controller):
-            return filter_control_dynamic(q, t, c(q), s, d, g, cfg)
+        fs = FieldSampler(sfk, gfk, dh)
+
+        def f(q, fs=fs, c=controller):
+            return min_norm(q, c(q), fs.at(q, grad=True), cfg)[0]
 
         for _ in range(m):
             t = step * dt_sim
             try:
                 u_nom = np.asarray(controller(y), dtype=float)
-                u = filter_control_dynamic(y, t, u_nom, sfk, dh, gfk, cfg)
-                hv = sfk.value(y)
-                a = activation_dynamic(y, t, u_nom, sfk, dh, gfk, cfg)
-                audit = activation_dynamic(y, t, u, sfk, dh, gfk, cfg)
+                s = fs.at(y, grad=True)
+                u, a, audit = min_norm(y, u_nom, s, cfg)
             except VanishingGuidance:
                 term, done = DEGENERATE, True
                 break
             except OutOfDomain:
                 term, done = LEFT_DOMAIN, True
                 break
-            rec.add(t, y, u_nom, u, hv, a, audit)
+            rec.add(t, y, u_nom, u, s[0], a, audit)
             if goal is not None and np.linalg.norm(y - goal) < b0.grid.d:
                 term, done = GOAL_REACHED, True
                 break

@@ -49,6 +49,13 @@ def test_backstep_config_validation():
         cfg.nominal([0.0, 0.0])
 
 
+@pytest.mark.parametrize("name", ["mu", "gamma", "sigma_s", "eta_c", "eta_v"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_backstep_config_rejects_nonfinite(name, value):
+    with pytest.raises(ValueError):
+        BackstepConfig(**{name: value})
+
+
 # -- smooth margin ---------------------------------------------------------------
 
 def test_smooth_margin_matches_naive_form():

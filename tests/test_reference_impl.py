@@ -1,9 +1,12 @@
-"""Vectorized solver and ghost-band code against straightforward references.
+"""Fast paths against straightforward references.
 
 The red-black sweep runs on strided sub-lattices and the nearest-cell maps
 are built offset by offset.  Both do the same arithmetic and make the same
-tie-breaks as the boolean-mask sweep and the per-cell loops kept below, so
-every comparison here is exact (NaN-aware), not within a tolerance.
+tie-breaks as the boolean-mask sweep and the per-cell loops kept below.
+The rollout loops sample each point once, from nested-list snapshots of the
+fields, and derive every recorded quantity from that one sample; the
+references sample every quantity on its own, from the arrays.  Every
+comparison here is exact (NaN-aware), not within a tolerance.
 """
 
 import math
@@ -11,13 +14,23 @@ import math
 import numpy as np
 import pytest
 
+from riskfields import sim
+from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
+                                 k_v_jacobian, k_v_smooth)
 from riskfields.elliptic import (GAUSS_SEIDEL, SOR, SolveStats, SolverConfig,
                                  _sweep_solve, _target)
-from riskfields.errors import NonConvergence
+from riskfields.errors import (DegenerateCoefficient, NonConvergence,
+                               OutOfDomain, VanishingGuidance)
 from riskfields.grid import (FREE, OCCUPIED, BoundarySet, OccupancyGrid,
-                             ScalarField, extract_boundary, fill_band,
-                             gradient_field, nearest_node_map)
+                             ScalarField, VectorField, extract_boundary,
+                             fill_band, gradient_field, nearest_node_map,
+                             sample_gradient, sample_scalar, sample_vector)
+from riskfields.safety import (GuidanceFieldBundle, activation,
+                               activation_dynamic, filter_control,
+                               filter_control_dynamic)
+from riskfields.sim import _Recorder, _rk4, time_derivative
 
+from conftest import build_scenario
 from test_elliptic import disk_grid
 from test_grid import box_state
 
@@ -286,3 +299,490 @@ def test_gradient_band_copy_matches_loop(name, ghosts):
     want_x, want_y = reference_gradient(f)
     assert np.array_equal(got.x.values, want_x, equal_nan=True)
     assert np.array_equal(got.y.values, want_y, equal_nan=True)
+
+
+# -- point sampling, filters and rollout loops --------------------------------
+# References: every point sampled on its own, with numpy scalars indexed out
+# of the arrays, and every recorded quantity re-derived by its own call.
+
+def ref_bilinear(values, grid, px, py):
+    gx = (px - grid.origin[0]) / grid.d
+    gy = (py - grid.origin[1]) / grid.d
+    i0 = math.floor(gx)
+    j0 = math.floor(gy)
+    if i0 < 0 or j0 < 0 or i0 + 1 >= grid.nx or j0 + 1 >= grid.ny:
+        raise OutOfDomain("outside the lattice hull")
+    fx = gx - i0
+    fy = gy - j0
+    v00 = values[i0, j0]
+    v10 = values[i0 + 1, j0]
+    v01 = values[i0, j0 + 1]
+    v11 = values[i0 + 1, j0 + 1]
+    s = (v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy)
+         + v01 * (1.0 - fx) * fy + v11 * fx * fy)
+    if math.isnan(s):
+        raise OutOfDomain("deeper than one cell into occupied space")
+    return s
+
+
+def ref_scalar(field, y):
+    p = np.asarray(y, dtype=float)
+    return ref_bilinear(field.values, field.grid, p[0], p[1])
+
+
+def ref_vector(field, y):
+    p = np.asarray(y, dtype=float)
+    return np.array([ref_bilinear(field.x.values, field.grid, p[0], p[1]),
+                     ref_bilinear(field.y.values, field.grid, p[0], p[1])])
+
+
+def ref_gradient(field, y):
+    return ref_vector(field.gradient(), y)
+
+
+def ref_activation(y, k_nom_value, sf, gf, cfg):
+    v = ref_vector(gf.v, y)
+    k = np.asarray(k_nom_value, dtype=float)
+    vk = float(v[0] * k[0] + v[1] * k[1])
+    return vk + cfg.gamma * ref_scalar(sf.h, y)
+
+
+def ref_filter_control(y, k_nom_value, sf, gf, cfg):
+    v = ref_vector(gf.v, y)
+    k = np.array(k_nom_value, dtype=float)
+    vk = float(v[0] * k[0] + v[1] * k[1])
+    a = vk + cfg.gamma * ref_scalar(sf.h, y)
+    if a >= 0.0:
+        return k
+    nv2 = float(v[0] * v[0] + v[1] * v[1])
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance("a < 0 where v vanishes")
+    return k + (-a / nv2) * v
+
+
+def _ref_dyn_terms(y, sf_t, dh_dt, gf, cfg):
+    v = ref_vector(gf.v, y)
+    h = ref_scalar(sf_t.h, y)
+    g = ref_gradient(sf_t.h, y)
+    gn = math.hypot(g[0], g[1])
+    denom = gn + float(cfg.sigma(h))
+    nv = math.hypot(v[0], v[1])
+    coeff = nv / denom if denom > 0.0 else 0.0
+    return v, h, coeff * ref_scalar(dh_dt, y)
+
+
+def ref_activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
+    v, h, tv = _ref_dyn_terms(y, sf_t, dh_dt, gf, cfg)
+    k = np.asarray(k_nom_value, dtype=float)
+    vk = float(v[0] * k[0] + v[1] * k[1])
+    return (vk + tv) + cfg.gamma * h
+
+
+def ref_filter_control_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
+    v, h, tv = _ref_dyn_terms(y, sf_t, dh_dt, gf, cfg)
+    k = np.array(k_nom_value, dtype=float)
+    vk = float(v[0] * k[0] + v[1] * k[1])
+    a = (vk + tv) + cfg.gamma * h
+    if a >= 0.0:
+        return k
+    nv2 = float(v[0] * v[0] + v[1] * v[1])
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance("a < 0 where v vanishes")
+    return k + (-a / nv2) * v
+
+
+def ref_k_v_smooth(y, k_nom_value, sf, gf, cfg):
+    v = ref_vector(gf.v, y)
+    k = np.array(k_nom_value, dtype=float)
+    nv2 = float(v[0] * v[0] + v[1] * v[1])
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance("||v|| below eta_v")
+    a = float(v[0] * k[0] + v[1] * k[1]) + cfg.gamma * ref_scalar(sf.h, y)
+    lam = 0.5 * (-a + math.hypot(a, cfg.sigma_s))
+    return k + (lam / nv2) * v
+
+
+def _ref_k_v_at(y, sf, gf, cfg):
+    return ref_k_v_smooth(y, cfg.nominal(y), sf, gf, cfg)
+
+
+def ref_h_B(state, sf, gf, cfg):
+    e = state.ydot - _ref_k_v_at(state.y, sf, gf, cfg)
+    return ref_scalar(sf.h, state.y) - float(e @ e) / (2.0 * cfg.mu)
+
+
+def ref_k_v_jacobian(y, sf, gf, cfg):
+    y = np.asarray(y, dtype=float)
+    step = 0.5 * sf.grid.d
+    cols = []
+    for axis in range(2):
+        off = np.zeros(2)
+        off[axis] = step
+        hi = lo = None
+        try:
+            hi = _ref_k_v_at(y + off, sf, gf, cfg)
+        except OutOfDomain:
+            pass
+        try:
+            lo = _ref_k_v_at(y - off, sf, gf, cfg)
+        except OutOfDomain:
+            pass
+        if hi is not None and lo is not None:
+            cols.append((hi - lo) / (2.0 * step))
+        elif hi is not None:
+            cols.append((hi - _ref_k_v_at(y, sf, gf, cfg)) / step)
+        elif lo is not None:
+            cols.append((_ref_k_v_at(y, sf, gf, cfg) - lo) / step)
+        else:
+            raise OutOfDomain("no valid probes")
+    return np.column_stack(cols)
+
+
+def ref_hdot_B(state, w, sf, gf, cfg):
+    e = state.ydot - _ref_k_v_at(state.y, sf, gf, cfg)
+    Dh = ref_gradient(sf.h, state.y)
+    J = ref_k_v_jacobian(state.y, sf, gf, cfg)
+    return float(Dh @ state.ydot) - float(e @ (np.asarray(w, dtype=float)
+                                               - J @ state.ydot)) / cfg.mu
+
+
+def ref_filter_accel(state, w_nom, sf, gf, cfg):
+    w_nom = np.array(w_nom, dtype=float)
+    kv = _ref_k_v_at(state.y, sf, gf, cfg)
+    e = state.ydot - kv
+    Dh = ref_gradient(sf.h, state.y)
+    J = ref_k_v_jacobian(state.y, sf, gf, cfg)
+    hb = ref_scalar(sf.h, state.y) - float(e @ e) / (2.0 * cfg.mu)
+    hdot = float(Dh @ state.ydot) - float(e @ (w_nom - J @ state.ydot)) \
+        / cfg.mu
+    resid = hdot + cfg.gamma * hb
+    if resid >= 0.0:
+        return w_nom
+    c = -e / cfg.mu
+    nc2 = float(c @ c)
+    if nc2 < cfg.eta_c * cfg.eta_c:
+        if resid < -1e-9:
+            raise DegenerateCoefficient("violated with vanishing c")
+        return w_nom
+    return w_nom + (-resid / nc2) * c
+
+
+def ref_adversarial(mu, sf):
+    return lambda y: -mu * ref_gradient(sf.h, y)
+
+
+def _ref_steps(z, stage, record, dt, T, at_goal, degenerate):
+    """The record/step loop of the integrators, step by step."""
+    n = int(math.floor(T / dt + 1e-9))
+    rec = _Recorder(with_ydot=len(z) == 4, with_hb=len(z) == 4)
+    term = sim.TIME_LIMIT
+    for k in range(n + 1):
+        try:
+            record(rec, k * dt, z)
+        except degenerate:
+            term = sim.DEGENERATE
+            break
+        except OutOfDomain:
+            term = sim.LEFT_DOMAIN
+            break
+        if at_goal(z):
+            term = sim.GOAL_REACHED
+            break
+        if k == n:
+            break
+        try:
+            z = _rk4(z, stage, dt)
+        except degenerate:
+            term = sim.DEGENERATE
+            break
+        except OutOfDomain:
+            term = sim.LEFT_DOMAIN
+            break
+    return rec.build(dt, term)
+
+
+def ref_integrate_single(y0, controller, sf, gf, cfg, dt, T, goal):
+    def stage(q):
+        return ref_filter_control(q, controller(q), sf, gf, cfg)
+
+    def record(rec, t, y):
+        u_nom = np.asarray(controller(y), dtype=float)
+        u = ref_filter_control(y, u_nom, sf, gf, cfg)
+        hv = ref_scalar(sf.h, y)
+        a = ref_activation(y, u_nom, sf, gf, cfg)
+        audit = ref_activation(y, u, sf, gf, cfg)
+        rec.add(t, y, u_nom, u, hv, a, audit)
+
+    def at_goal(y):
+        return goal is not None and np.linalg.norm(y - goal) < sf.grid.d
+
+    return _ref_steps(np.array(y0, dtype=float), stage, record, dt, T,
+                      at_goal, VanishingGuidance)
+
+
+def ref_integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T):
+    def stage(z):
+        q = ExtendedState(z[:2], z[2:])
+        w = ref_filter_accel(q, accel_nom(q.y, q.ydot), sf, gf, bcfg)
+        return np.concatenate([q.ydot, w])
+
+    def record(rec, t, z):
+        st = ExtendedState(z[:2], z[2:])
+        w_nom = np.asarray(accel_nom(st.y, st.ydot), dtype=float)
+        w = ref_filter_accel(st, w_nom, sf, gf, bcfg)
+        hv = ref_scalar(sf.h, st.y)
+        hb = ref_h_B(st, sf, gf, bcfg)
+        resid_nom = ref_hdot_B(st, w_nom, sf, gf, bcfg) + bcfg.gamma * hb
+        resid = ref_hdot_B(st, w, sf, gf, bcfg) + bcfg.gamma * hb
+        rec.add(t, st.y, w_nom, w, hv, resid_nom, resid, ydot=st.ydot,
+                h_B=hb)
+
+    z0 = np.concatenate([state0.y, state0.ydot])
+    return _ref_steps(z0, stage, record, dt, T, lambda z: False,
+                      (VanishingGuidance, DegenerateCoefficient))
+
+
+def ref_run_dynamic(scenario, dt_frame, dt_sim, T):
+    m = int(round(dt_frame / dt_sim))
+    nf = int(round(T / dt_frame))
+    builds = [scenario.build(t=k * dt_frame) for k in range(nf + 1)]
+    cfg = builds[0].filter_cfg
+    y = np.array(scenario.sim_cfg["y0"], dtype=float)
+    goal = np.asarray(scenario.sim_cfg["goal"], dtype=float)
+    rec = _Recorder()
+    term = sim.TIME_LIMIT
+    step = 0
+    done = False
+
+    def record(t, y, sfk, dh, gfk, controller):
+        u_nom = np.asarray(controller(y), dtype=float)
+        u = ref_filter_control_dynamic(y, t, u_nom, sfk, dh, gfk, cfg)
+        hv = ref_scalar(sfk.h, y)
+        a = ref_activation_dynamic(y, t, u_nom, sfk, dh, gfk, cfg)
+        audit = ref_activation_dynamic(y, t, u, sfk, dh, gfk, cfg)
+        rec.add(t, y, u_nom, u, hv, a, audit)
+
+    for k in range(nf):
+        bk = builds[k]
+        sfk, gfk = bk.sf, bk.gf
+        dh = time_derivative(bk.sf.h, builds[k + 1].sf.h, dt_frame)
+        controller = scenario.controller(bk)
+
+        def f(q, s=sfk, d=dh, g=gfk, c=controller):
+            return ref_filter_control_dynamic(q, 0.0, c(q), s, d, g, cfg)
+
+        for _ in range(m):
+            t = step * dt_sim
+            try:
+                record(t, y, sfk, dh, gfk, controller)
+            except VanishingGuidance:
+                term, done = sim.DEGENERATE, True
+                break
+            except OutOfDomain:
+                term, done = sim.LEFT_DOMAIN, True
+                break
+            if np.linalg.norm(y - goal) < builds[0].grid.d:
+                term, done = sim.GOAL_REACHED, True
+                break
+            try:
+                y = _rk4(y, f, dt_sim)
+            except VanishingGuidance:
+                term, done = sim.DEGENERATE, True
+                break
+            except OutOfDomain:
+                term, done = sim.LEFT_DOMAIN, True
+                break
+            step += 1
+        if done:
+            break
+    if not done:
+        bk = builds[nf - 1]
+        try:
+            record(step * dt_sim, y, bk.sf, dh, bk.gf,
+                   scenario.controller(bk))
+        except VanishingGuidance:
+            term = sim.DEGENERATE
+        except OutOfDomain:
+            term = sim.LEFT_DOMAIN
+    return rec.build(dt_sim, term)
+
+
+def _same_trajectory(got, want):
+    assert got.termination == want.termination
+    assert got.dt == want.dt
+    for name in ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot",
+                 "h_B"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.shape == w.shape, name
+            assert np.array_equal(g, w, equal_nan=True), name
+
+
+@pytest.mark.parametrize("name", ["semantic_room", "single_obstacle"])
+def test_integrate_single_matches_reference(name):
+    sc, b = build_scenario(name)
+    c = sc.sim_cfg
+    ctrl = sc.controller(b)
+    ref_ctrl = (ref_adversarial(sc.nominal_mu, b.sf)
+                if sc.nominal_kind == "adversarial" else ctrl)
+    goal = c.get("goal", getattr(ctrl, "goal", None))
+    got = sim.integrate_single(c["y0"], ctrl, b.sf, b.gf, b.filter_cfg,
+                               c["dt"], c["T"], goal=goal)
+    want = ref_integrate_single(c["y0"], ref_ctrl, b.sf, b.gf, b.filter_cfg,
+                                c["dt"], c["T"], goal)
+    _same_trajectory(got, want)
+
+
+# y0 and ydot0 = mu (goal - y0) of three benchmark rollout starts; the last
+# one leaves the domain
+DOUBLE_STARTS = [([0.796, 1.9144], [2.104, -0.1644]),
+                 ([0.8255, 1.1961], [2.0745, 0.5539]),
+                 ([0.2654, 1.9953], [2.6346, -0.2453])]
+
+
+@pytest.mark.parametrize("start", [None] + DOUBLE_STARTS,
+                         ids=["smoke", "rollout0", "rollout1", "rollout2"])
+def test_integrate_double_matches_reference(single_build, start):
+    sc, b = single_build
+    bcfg = b.backstep_cfg
+
+    def accel_nom(y, ydot):
+        return bcfg.mu * (bcfg.nominal(y) - ydot)
+
+    if start is None:       # the test_integrate_double_smoke run
+        y0 = np.array(sc.sim_cfg["y0"], dtype=float)
+        st, T = ExtendedState(y0, k_v_smooth(y0, bcfg.nominal(y0), b.sf,
+                                             b.gf, bcfg)), 2.0
+    else:
+        st, T = ExtendedState(*start), 1.5
+    got = sim.integrate_double(st, accel_nom, b.sf, b.gf, bcfg,
+                               sc.sim_cfg["dt"], T)
+    want = ref_integrate_double(st, accel_nom, b.sf, b.gf, bcfg,
+                                sc.sim_cfg["dt"], T)
+    _same_trajectory(got, want)
+    if start is DOUBLE_STARTS[-1]:
+        assert got.termination == sim.LEFT_DOMAIN
+
+
+def test_run_dynamic_matches_reference():
+    sc, _ = build_scenario("moving_block")
+    builds = {}
+    build = sc.build
+
+    def shared_build(t=0.0):        # both runs see the same frames
+        if t not in builds:
+            builds[t] = build(t=t)
+        return builds[t]
+
+    sc.build = shared_build
+    c = sc.sim_cfg
+    got = sim.run_dynamic(sc, c["dt_frame"], c["dt"], 2.0).trajectory
+    want = ref_run_dynamic(sc, c["dt_frame"], c["dt"], 2.0)
+    _same_trajectory(got, want)
+
+
+def test_adversarial_batch_matches_point_loop(semantic_build):
+    sc, b = semantic_build
+    pts = b.grid.free_centers()
+    pts = np.concatenate([pts, pts[::7] + 0.3 * b.grid.d])
+    want = np.array([-sc.nominal_mu * ref_gradient(b.sf.h, p) for p in pts])
+    got = sim.nominal_adversarial(pts, sc.nominal_mu, b.sf)
+    assert np.array_equal(got, want)
+    with pytest.raises(OutOfDomain):
+        sim.nominal_adversarial(np.vstack([pts[:3], [[-1.0, 0.5]]]),
+                                sc.nominal_mu, b.sf)
+
+
+# -- point cases --------------------------------------------------------------
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:          # the exception type is the outcome
+        return type(e)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+def _point_cases(g, sf):
+    """Free, ghost-band, past-the-band and outside-the-hull points."""
+    h = sf.h.values
+    fin = np.isfinite(h)
+    block = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
+    band = np.zeros_like(fin)
+    band[:-1, :-1] = g.band1[:-1, :-1] & block
+    bi, bj = np.nonzero(band)
+    deep = ~g.free & ~g.band1 & ~g.band2
+    ki, kj = np.nonzero(fin[:-1, :-1] & ~block)     # block reaches a NaN
+    di, dj = np.nonzero(deep)
+    d = g.d
+    pts = {
+        "free": g.cell_center(12, 20) + [0.3 * d, 0.6 * d],
+        "band_center": g.cell_center(bi[0], bj[0]),
+        "band_inside": g.cell_center(bi[len(bi) // 2], bj[len(bj) // 2])
+        + [0.4 * d, 0.7 * d],
+        "past_band": g.cell_center(ki[0], kj[0]) + [0.5 * d, 0.5 * d],
+        "deep": g.cell_center(di[len(di) // 2], dj[len(dj) // 2]),
+        "hull_low": np.array([-0.2 * d, 1.0]),
+        "hull_high": g.cell_center(g.nx - 1, 10) + [0.1 * d, 0.0],
+    }
+    assert sf.value(pts["band_center"]) == 0.0
+    return pts
+
+
+def _scaled(gf, s):
+    v = gf.v
+    return GuidanceFieldBundle(VectorField(
+        ScalarField(v.grid, s * v.x.values, mask=v.mask),
+        ScalarField(v.grid, s * v.y.values, mask=v.mask)))
+
+
+@pytest.mark.parametrize("guidance", ["solved", "tiny", "zero"])
+def test_point_functions_match_reference(single_build, guidance):
+    # tiny: ||v|| below eta_v, so an active constraint cannot be corrected;
+    # zero: v vanishes outright, so k_v is undefined everywhere
+    sc, b = single_build
+    g, sf, cfg, bcfg = b.grid, b.sf, b.filter_cfg, b.backstep_cfg
+    gf = {"solved": b.gf, "tiny": _scaled(b.gf, 1e-9),
+          "zero": _scaled(b.gf, 0.0)}[guidance]
+    rng = np.random.default_rng(5)
+    dh = ScalarField(g, fill_band(g, rng.uniform(-2.0, 2.0, (g.nx, g.ny))))
+    for name, y in _point_cases(g, sf).items():
+        k = np.array([0.7, -0.4])
+        try:                        # steer against v where v is known
+            k = -3.0 * ref_vector(b.gf.v, y) / 1e-3
+        except OutOfDomain:
+            pass
+        st = ExtendedState(y, [0.4, -0.3])
+        w = np.array([-2.0, 1.5])
+        pairs = [
+            (sample_scalar, ref_scalar, (sf.h, y)),
+            (sample_vector, ref_vector, (gf.v, y)),
+            (sample_gradient, ref_gradient, (sf.h, y)),
+            (activation, ref_activation, (y, k, sf, gf, cfg)),
+            (filter_control, ref_filter_control, (y, k, sf, gf, cfg)),
+            (activation_dynamic, ref_activation_dynamic,
+             (y, 0.0, k, sf, dh, gf, cfg)),
+            (filter_control_dynamic, ref_filter_control_dynamic,
+             (y, 0.0, k, sf, dh, gf, cfg)),
+            (k_v_smooth, ref_k_v_smooth, (y, k, sf, gf, bcfg)),
+            (k_v_jacobian, ref_k_v_jacobian, (y, sf, gf, bcfg)),
+            (h_B, ref_h_B, (st, sf, gf, bcfg)),
+            (hdot_B, ref_hdot_B, (st, w, sf, gf, bcfg)),
+            (filter_accel, ref_filter_accel, (st, w, sf, gf, bcfg)),
+        ]
+        for fn, ref, args in pairs:
+            got, want = _outcome(fn, *args), _outcome(ref, *args)
+            try:
+                _same_outcome(got, want)
+            except AssertionError as e:
+                raise AssertionError(f"{fn.__name__} at {name}: got {got!r}, "
+                                     f"want {want!r}") from e

@@ -39,6 +39,13 @@ def test_filter_config_validation():
             FilterConfig(**kw)
 
 
+@pytest.mark.parametrize("name", ["gamma", "eps", "eta_v"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_filter_config_rejects_nonfinite(name, value):
+    with pytest.raises(ValueError):
+        FilterConfig(**{name: value})
+
+
 def test_sigma_shape():
     cfg = FilterConfig(eps=0.25)
     assert cfg.sigma(0.0) == 0.0

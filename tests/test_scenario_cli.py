@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from riskfields.cli import main
@@ -279,6 +280,8 @@ def test_cli_solve_disk(tmp_path):
         (SCENARIOS / "disk_oracle.yaml").read_bytes()).hexdigest()
     assert man["scenario_sha256"] == digest
     assert man["seed"] == 0
+    assert man["scipy_version"] == scipy.__version__
+    assert man["pyyaml_version"] == yaml.__version__
     assert man["outputs"] == sorted(man["outputs"])
     h = np.loadtxt(out / "h.csv", delimiter=",")
     assert h.shape == (101, 101)
@@ -369,6 +372,43 @@ def test_cli_sweep(tmp_path):
     # flux up, caution up: the restricted zone grows with the scale
     assert int(rows[1][2]) > int(rows[0][2])
     assert all(np.isfinite(float(r[5])) for r in rows)
+
+
+@pytest.mark.parametrize("command, sim_over", [
+    ("simulate", {"dt": 0.5}),                       # above the CFL bound
+    ("dynamic", {"dt": 0.003, "dt_frame": 0.2}),     # 0.003 does not divide 0.2
+    ("dynamic", {"dt_frame": 0.3, "T": 1.0}),        # 0.3 does not divide T
+])
+def test_cli_time_step_errors_write_failed_marker(tmp_path, command,
+                                                 sim_over):
+    doc = load_doc("moving_block" if command == "dynamic"
+                   else "single_obstacle")
+    doc["sim"].update(sim_over)
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    rc = run_cli(command, "--scenario", str(path), "--out", str(out))
+    assert rc == 2
+    assert (out / "FAILED.txt").read_text().startswith("InvalidTimeStep")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("gammas", ["nan", "inf", "1,-2"])
+def test_cli_sweep_rejects_bad_gammas(tmp_path, gammas):
+    out = tmp_path / "sweep_bad"
+    rc = run_cli("sweep", "--scenario",
+                 str(SCENARIOS / "single_obstacle.yaml"), "--out", str(out),
+                 "--scales", "1", "--gammas", gammas)
+    assert rc == 2
+    assert "--gammas" in (out / "FAILED.txt").read_text()
+
+
+def test_nonfinite_filter_parameters_rejected_at_parse():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(MalformedDocument):
+            Scenario(minimal_doc(filter={"gamma": value}))
+        with pytest.raises(MalformedDocument):
+            Scenario(minimal_doc(backstep={"mu": value})).build()
 
 
 def test_cli_rejects_malformed_scenario(tmp_path):
