@@ -471,7 +471,7 @@ class FieldSampler:
     and dh_dt an optional ScalarField, all on one lattice geometry.  By
     default the channels are copied once into nested lists (about 0.1 ms per
     64x64 channel): Python-float arithmetic on list entries costs about a
-    quarter of the same arithmetic on numpy scalars and gives the same bits.
+    fifth of the same arithmetic on numpy scalars and gives the same bits.
     snapshot=False reads the arrays in place, for callers that sample only
     a few points.
     """

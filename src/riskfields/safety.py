@@ -55,7 +55,7 @@ class SafetyFunction:
         """Dh at y, or at each row of an (n, 2) block.
 
         One point is read from nested-list copies of the cached gradient,
-        made on first use: same bits as sample_gradient, at about a quarter
+        made on first use: same bits as sample_gradient, at about a fifth
         of the cost.
         """
         p = np.asarray(y, dtype=float)
