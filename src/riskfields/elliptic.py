@@ -93,56 +93,75 @@ def _target(cfg, grid):
     return cfg.tol * 2.0 / (n * n)
 
 
-def _sublattices(w, unknown, rhs):
-    """Strided views of the four checkerboard classes of interior cells.
+def _sweep_solve(grid, systems, cfg):
+    """Red-black SOR / Gauss-Seidel on k systems of one grid at once.
 
-    A class holds the cells (i, j), 1 <= i <= nx-2, 1 <= j <= ny-2, of one
-    parity pair (i mod 2, j mod 2).  Each entry is (centre, i+1, i-1, j+1,
-    j-1, rhs, unknown) as views of the same shape, plus two scratch arrays
-    of that shape; the four neighbours of a class all lie in the classes of
-    the other colour.  Returns the red classes (i + j even) and the black
-    ones.
+    systems lists (unknown, fixed, rhs) per system: fixed supplies values
+    for every non-unknown cell referenced by the stencil, rhs is d^2 * f on
+    unknowns (zero for Laplace).  Returns one (values, stats) per system.
+
+    The stack lives in four contiguous parity planes, one per class
+    (i mod 2, j mod 2), each flattened per system: row p, column q of plane
+    (a, b) is cell (2p + a, 2q + b) at flat index p*C + q.  Its i+1, i-1
+    neighbours sit at that index plus a*C, (a-1)*C in plane (1-a, b) and
+    its j+1, j-1 neighbours at plus b, b-1 in plane (a, 1-b), so a
+    half-sweep updates each class of one colour as one unit-stride run
+    from its first interior cell to its last; the mask keeps the values of
+    the run's other cells.  Each system stops on its own residual check: a
+    converged system's mask is cleared, so its values and stats are those
+    of a solve on its own.
     """
-    nx, ny = w.shape
-    red, black = [], []
-    for pi in (1, 2):
-        for pj in (1, 2):
-            def at(a, si, sj):
-                return a[pi + si:nx - 1 + si:2, pj + sj:ny - 1 + sj:2]
-            views = (at(w, 0, 0), at(w, 1, 0), at(w, -1, 0), at(w, 0, 1),
-                     at(w, 0, -1), at(rhs, 0, 0), at(unknown, 0, 0))
-            views += (np.empty(views[0].shape), np.empty(views[0].shape))
-            (red if (pi + pj) % 2 == 0 else black).append(views)
-    return red, black
-
-
-def _sweep_solve(grid, unknown, fixed, rhs, cfg):
-    """Red-black SOR / Gauss-Seidel on the unknown mask.
-
-    fixed supplies values for every non-unknown cell referenced by the stencil.
-    rhs is d^2 * f on unknowns (zero for Laplace).  Returns (values, stats).
-    Each half-sweep updates the strided sub-lattices of one colour in place.
-    """
-    n = max(grid.nx, grid.ny)
+    nx, ny = grid.nx, grid.ny
+    n = max(nx, ny)
     omega = 1.0 if cfg.method == GAUSS_SEIDEL else cfg.resolved_omega(n)
     max_sweeps = cfg.resolved_max_iters(n)
     target = _target(cfg, grid)
 
-    w = fixed.copy()
-    w[unknown] = 0.0
-    colours = _sublattices(w, unknown, rhs)
-    inner = unknown[1:-1, 1:-1]
-    core = w[1:-1, 1:-1]
-    rc = rhs[1:-1, 1:-1]
+    k = len(systems)
+    unknown = np.stack([s[0] for s in systems])
+    # every plane has R x C cells, with a spare row and column past the
+    # lattice, so the shifted runs stay inside the plane
+    R, C = nx // 2 + 1, ny // 2 + 1
+    w = np.zeros((k, 2 * R, 2 * C))
+    w[:, :nx, :ny] = [s[1] for s in systems]
+    w[:, :nx, :ny][unknown] = 0.0
+    rhs = np.zeros_like(w)
+    rhs[:, :nx, :ny] = [s[2] for s in systems]
+    inner = np.zeros(w.shape, dtype=bool)
+    inner[:, 1:nx - 1, 1:ny - 1] = unknown[:, 1:-1, 1:-1]
 
-    res = math.inf
+    def planes(x):
+        return {(a, b): np.ascontiguousarray(x[:, a::2, b::2]).reshape(k, -1)
+                for a in (0, 1) for b in (0, 1)}
+
+    W, RHS, M = planes(w), planes(rhs), planes(inner)
+    colours = ([], [])
+    for a, b in W:
+        # interior cells 1 <= i <= nx-2, 1 <= j <= ny-2 of the class
+        li, lj = (nx - 2 + a) // 2, (ny - 2 + b) // 2
+        if not (li and lj):
+            continue
+        lo, hi = (1 - a) * C + 1 - b, (li - a) * C + lj - b + 1
+        shifts = ((1 - a, b, a * C), (1 - a, b, (a - 1) * C),
+                  (a, 1 - b, b), (a, 1 - b, b - 1))
+        views = ((W[a, b][:, lo:hi],)
+                 + tuple(W[p, q][:, lo + s:hi + s] for p, q, s in shifts)
+                 + (RHS[a, b][:, lo:hi], M[a, b][:, lo:hi]))
+        views += (np.empty(views[0].shape), np.empty(views[0].shape))
+        colours[(a + b) % 2].append(views)
+    lattices = colours[0] + colours[1]
+
+    res = np.full(k, math.inf)
+    iters = np.zeros(k, dtype=int)
+    running = np.ones(k, dtype=bool)
     it = 0
     check_every = 8
-    while it < max_sweeps:
-        for lattices in colours:
-            for c, ip, im, jp, jm, r, m, t1, t2 in lattices:
+    while it < max_sweeps and running.any():
+        for colour in colours:
+            for c, ip, im, jp, jm, r, m, t1, t2 in colour:
                 # (1.0 - omega) * c + (omega * 0.25) * (ip + im + jp + jm - r),
-                # same operations in the same order, so bit for bit the same
+                # the neighbours summed in the order i+1, i-1, j+1, j-1, which
+                # fixes every bit of the iterates
                 np.add(ip, im, out=t1)
                 t1 += jp
                 t1 += jm
@@ -153,16 +172,32 @@ def _sweep_solve(grid, unknown, fixed, rhs, cfg):
                 np.copyto(c, t2, where=m)
         it += 1
         if it % check_every == 0 or it == max_sweeps:
-            nb = w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:] + w[1:-1, :-2]
-            gap = np.abs(0.25 * (nb - rc) - core)
-            res = float(gap[inner].max()) if inner.any() else 0.0
-            if res <= target:
-                break
-    stats = SolveStats(cfg.method, it, res, target, int(unknown.sum()),
-                       res <= target)
-    if not stats.converged:
-        raise NonConvergence(stats.to_text())
-    return w, stats
+            # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
+            gap = np.zeros(k)
+            for c, ip, im, jp, jm, r, m, t1, _ in lattices:
+                np.add(ip, im, out=t1)
+                t1 += jp
+                t1 += jm
+                t1 -= r
+                t1 *= 0.25
+                t1 -= c
+                np.abs(t1, out=t1)
+                np.maximum(gap, t1.max(axis=1, where=m, initial=0.0),
+                           out=gap)
+            res[running] = gap[running]
+            for s in np.flatnonzero(running & (res <= target)):
+                running[s] = False
+                iters[s] = it
+                for plane in M.values():
+                    plane[s] = False
+    iters[running] = it
+    for (a, b), plane in W.items():
+        w[:, a::2, b::2] = plane.reshape(k, R, C)
+    w = w[:, :nx, :ny]
+    return [(w[s], SolveStats(cfg.method, int(iters[s]), float(res[s]),
+                              target, int(unknown[s].sum()),
+                              bool(res[s] <= target)))
+            for s in range(k)]
 
 
 def _dense_solve(grid, unknown, fixed, rhs, cfg):
@@ -196,12 +231,82 @@ def _dense_solve(grid, unknown, fixed, rhs, cfg):
     return w, SolveStats(DENSE_DIRECT, 1, res, cfg.tol, m, True)
 
 
-def _dispatch(grid, unknown, fixed, rhs, cfg):
+def _solve(grid, systems, cfg):
+    """Fields of the systems [(unknown, fixed, rhs, finish)], solved in one
+    pass.  Each system's convergence and finish(values) checks run in list
+    order, so the first system that fails raises."""
+    cfg = cfg or SolverConfig()
     if cfg.method in (SOR, GAUSS_SEIDEL):
-        return _sweep_solve(grid, unknown, fixed, rhs, cfg)
-    if cfg.method == DENSE_DIRECT:
-        return _dense_solve(grid, unknown, fixed, rhs, cfg)
-    raise MalformedGrid(f"unknown solver method {cfg.method!r}")
+        solved = _sweep_solve(grid, [s[:3] for s in systems], cfg)
+    elif cfg.method == DENSE_DIRECT:
+        solved = [_dense_solve(grid, *s[:3], cfg) for s in systems]
+    else:
+        raise MalformedGrid(f"unknown solver method {cfg.method!r}")
+    fields = []
+    for (w, stats), system in zip(solved, systems):
+        if not stats.converged:
+            raise NonConvergence(stats.to_text())
+        field = system[3](w)
+        field.stats = stats
+        fields.append(field)
+    return fields
+
+
+def _poisson(grid, boundary, forcing):
+    """Poisson system for h: every free cell is an unknown and occupied
+    neighbours are ghost zeros."""
+    f_arr = forcing.evaluate(grid)
+    if (f_arr[grid.free] >= 0).any():
+        raise NegativeForcingViolation(
+            "forcing must be strictly negative on every free cell")
+    rhs = np.zeros_like(f_arr)
+    rhs[grid.free] = f_arr[grid.free] * grid.d * grid.d
+
+    def finish(w):
+        if float(w[grid.free].min()) <= 0.0:
+            raise NonConvergence("positivity lost on the free mask; solve did "
+                                 "not reach a usable iterate")
+        field = ScalarField(grid, fill_band(grid, w, band_value=0.0))
+        field.boundary = boundary
+        return field
+
+    return grid.free, np.zeros((grid.nx, grid.ny)), rhs, finish
+
+
+def _laplace(grid, boundary, dirichlet_values, nodes):
+    """Laplace system for one component: node cells are pinned to their
+    values and interior free cells are the unknowns.  nodes is the
+    boundary's nearest-node map, which fills the ghost bands."""
+    vals = np.asarray(dirichlet_values, dtype=float)
+    if vals.shape != (boundary.n,):
+        raise MalformedGrid("need one Dirichlet value per boundary node")
+    fixed = np.zeros((grid.nx, grid.ny))
+    node_mask = np.zeros((grid.nx, grid.ny), dtype=bool)
+    ci, cj = boundary.cells[:, 0], boundary.cells[:, 1]
+    node_mask[ci, cj] = True
+    fixed[ci, cj] = vals
+
+    def finish(w):
+        per_cell = {cell: vals[k] for cell, k in nodes.items()}
+        return ScalarField(grid, fill_band(grid, w, band_value=0.0,
+                                           per_cell=per_cell))
+
+    return grid.free & ~node_mask, fixed, np.zeros_like(fixed), finish
+
+
+def _guidance(grid, boundary):
+    """The two Laplace systems of v = -beta * n_hat."""
+    if boundary.flux is None:
+        raise MalformedGrid("boundary flux magnitudes must be assigned first")
+    nodes = nearest_node_map(grid, boundary)
+    return [_laplace(grid, boundary, -boundary.flux * boundary.normals[:, c],
+                     nodes) for c in (0, 1)]
+
+
+def _vector(fx, fy, boundary):
+    field = VectorField(fx, fy)
+    field.boundary = boundary
+    return field
 
 
 def solve_poisson(grid, boundary, forcing, cfg=None):
@@ -211,22 +316,8 @@ def solve_poisson(grid, boundary, forcing, cfg=None):
     whole free mask (discrete maximum principle with f < 0) and the residual
     |lap h - f| stays below tol*(4/d^2) everywhere.
     """
-    cfg = cfg or SolverConfig()
-    f_arr = forcing.evaluate(grid)
-    if (f_arr[grid.free] >= 0).any():
-        raise NegativeForcingViolation(
-            "forcing must be strictly negative on every free cell")
-    rhs = np.zeros_like(f_arr)
-    rhs[grid.free] = f_arr[grid.free] * grid.d * grid.d
-    fixed = np.zeros((grid.nx, grid.ny))
-    w, stats = _dispatch(grid, grid.free, fixed, rhs, cfg)
-    if float(w[grid.free].min()) <= 0.0:
-        raise NonConvergence("positivity lost on the free mask; solve did "
-                             "not reach a usable iterate")
-    field = ScalarField(grid, fill_band(grid, w, band_value=0.0))
-    field.stats = stats
-    field.boundary = boundary
-    return field
+    h, = _solve(grid, [_poisson(grid, boundary, forcing)], cfg)
+    return h
 
 
 def solve_laplace_component(grid, boundary, dirichlet_values, cfg=None):
@@ -235,37 +326,25 @@ def solve_laplace_component(grid, boundary, dirichlet_values, cfg=None):
     Node cells are pinned to their values (reproduced exactly); interior free
     cells are the unknowns.
     """
-    cfg = cfg or SolverConfig()
-    vals = np.asarray(dirichlet_values, dtype=float)
-    if vals.shape != (boundary.n,):
-        raise MalformedGrid("need one Dirichlet value per boundary node")
-    fixed = np.zeros((grid.nx, grid.ny))
-    node_mask = np.zeros((grid.nx, grid.ny), dtype=bool)
-    ci, cj = boundary.cells[:, 0], boundary.cells[:, 1]
-    node_mask[ci, cj] = True
-    fixed[ci, cj] = vals
-    unknown = grid.free & ~node_mask
-    w, stats = _dispatch(grid, unknown, fixed, np.zeros_like(fixed), cfg)
-    per_cell = {}
-    for cell, k in nearest_node_map(grid, boundary).items():
-        per_cell[cell] = vals[k]
-    field = ScalarField(grid, fill_band(grid, w, band_value=0.0,
-                                        per_cell=per_cell))
-    field.stats = stats
+    system = _laplace(grid, boundary, dirichlet_values,
+                      nearest_node_map(grid, boundary))
+    field, = _solve(grid, [system], cfg)
     return field
 
 
 def solve_guidance(grid, boundary, cfg=None):
     """Guidance field: componentwise harmonic extension of v = -beta * n_hat."""
-    if boundary.flux is None:
-        raise MalformedGrid("boundary flux magnitudes must be assigned first")
-    data_x = -boundary.flux * boundary.normals[:, 0]
-    data_y = -boundary.flux * boundary.normals[:, 1]
-    fx = solve_laplace_component(grid, boundary, data_x, cfg)
-    fy = solve_laplace_component(grid, boundary, data_y, cfg)
-    field = VectorField(fx, fy)
-    field.boundary = boundary
-    return field
+    fx, fy = _solve(grid, _guidance(grid, boundary), cfg)
+    return _vector(fx, fy, boundary)
+
+
+def solve_fields(grid, boundary, forcing, cfg=None):
+    """(h, v): the safety function and the guidance field from one solve
+    of all three systems, with the values and stats of the separate
+    solve_poisson and solve_guidance."""
+    h, fx, fy = _solve(grid, [_poisson(grid, boundary, forcing)]
+                       + _guidance(grid, boundary), cfg)
+    return h, _vector(fx, fy, boundary)
 
 
 def check_divergence_identity(h_field, forcing, boundary):

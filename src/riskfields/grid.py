@@ -184,6 +184,13 @@ class BoundarySet:
         return np.nonzero(self.comp == comp_id)[0]
 
 
+def nb4_of(cells):
+    """Row and column indices, each of shape (n, 4), of the NB4 neighbours
+    of every (i, j) row of cells, in NB4 order."""
+    nb = np.asarray(cells, dtype=int).reshape(-1, 1, 2) + np.array(NB4)
+    return nb[..., 0], nb[..., 1]
+
+
 def estimate_normals(grid, cells):
     """Outward unit normals at interface cells.
 
@@ -311,10 +318,8 @@ def extract_boundary(grid):
     cells_arr = np.array(cells, dtype=int).reshape(-1, 2)
     normals = estimate_normals(grid, cells_arr) if len(cells) else \
         np.zeros((0, 2))
-    arcw = np.empty(len(cells))
-    for k, (i, j) in enumerate(cells):
-        cnt = sum(1 for di, dj in NB4 if not grid.free[i + di, j + dj])
-        arcw[k] = grid.d * cnt
+    ni, nj = nb4_of(cells_arr)
+    arcw = grid.d * (~grid.free[ni, nj]).sum(axis=1)
     return BoundarySet(grid, cells_arr, normals, arcw, comp_of, chains)
 
 

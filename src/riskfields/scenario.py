@@ -10,14 +10,15 @@ returns everything downstream code needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
 
 from . import elliptic, riskmap, sim
-from .errors import MalformedDocument
-from .grid import (FREE, NB4, OCCUPIED, OccupancyGrid, extract_boundary)
+from .errors import MalformedDocument, MalformedGrid
+from .grid import FREE, OCCUPIED, OccupancyGrid, extract_boundary, nb4_of
 from .safety import FilterConfig, GuidanceFieldBundle, SafetyFunction
 from .backstep import BackstepConfig
 
@@ -36,6 +37,12 @@ def _num(x, path, positive=False):
     if positive and not 0 < v < math.inf:
         raise MalformedDocument(f"{path}: must be positive and finite")
     return v
+
+
+def _mapping(x, path):
+    if not isinstance(x, dict):
+        raise MalformedDocument(f"{path}: expected a mapping, got {x!r}")
+    return x
 
 
 def _point(x, path):
@@ -93,12 +100,13 @@ class Scenario:
             self.domain_radius = _num(_req(dom, "radius", "domain"),
                                       "domain.radius", positive=True)
 
-        risk = doc.get("risk", {})
+        risk = _mapping(doc.get("risk", {}), "risk")
         self.feature = risk.get("feature", "probability")
         if self.feature not in (riskmap.PROBABILITY, riskmap.SPEED,
                                 riskmap.LABEL):
             raise MalformedDocument(f"risk.feature: unknown {self.feature!r}")
-        assign = risk.get("assign", {"kind": "identity"})
+        assign = _mapping(risk.get("assign", {"kind": "identity"}),
+                          "risk.assign")
         kind = assign.get("kind", "identity")
         if kind not in (riskmap.IDENTITY, riskmap.SATURATING,
                         riskmap.EXPONENTIAL):
@@ -106,11 +114,17 @@ class Scenario:
         self.assign = riskmap.RiskAssign(
             kind, v_ref=_num(assign.get("v_ref", 1.0), "risk.assign.v_ref"),
             alpha=_num(assign.get("alpha", 1.0), "risk.assign.alpha"))
-        fx = risk.get("flux", {})
+        fx = _mapping(risk.get("flux", {}), "risk.flux")
         self.flux_map = riskmap.FluxMap(
             _num(fx.get("beta_min", 1.0), "risk.flux.beta_min"),
             _num(fx.get("beta_max", 6.0), "risk.flux.beta_max"))
-        self.smooth_window = int(risk.get("smooth_window", 5))
+        win = risk.get("smooth_window", 5)
+        if (isinstance(win, bool) or not isinstance(win, (int, np.integer))
+                or not (win == 0 or (win > 0 and win % 2 == 1))):
+            raise MalformedDocument(
+                f"risk.smooth_window: expected 0, 1 or a positive odd "
+                f"integer, got {win!r}")
+        self.smooth_window = int(win)
 
         # label names get small ids in declaration order, starting at 1
         prio = risk.get("priorities", {"wall": 1.0, "chair": 3.0,
@@ -328,31 +342,39 @@ class Scenario:
     # -- features and the full build ----------------------------------------
 
     def node_features(self, grid, boundary):
-        """One reading per node from the occupied 4-neighbors' channels."""
-        out = []
-        for k in range(boundary.n):
-            i, j = boundary.cells[k]
-            probs, labels, speeds = [], [], []
-            for di, dj in NB4:
-                ii, jj = i + di, j + dj
-                if grid.state[ii, jj] == OCCUPIED:
-                    if grid.prob is not None:
-                        probs.append(grid.prob[ii, jj])
-                    if grid.label is not None:
-                        labels.append(int(grid.label[ii, jj]))
-                    if grid.vel is not None:
-                        speeds.append(float(np.hypot(*grid.vel[ii, jj])))
-            if self.feature == riskmap.PROBABILITY:
-                out.append(riskmap.FeatureReading(
-                    riskmap.PROBABILITY, float(np.mean(probs))))
-            elif self.feature == riskmap.SPEED:
-                out.append(riskmap.FeatureReading(
-                    riskmap.SPEED, float(np.mean(speeds)) if speeds else 0.0))
-            else:
-                ids, counts = np.unique(labels, return_counts=True)
-                best = ids[counts == counts.max()].min()
-                out.append(riskmap.FeatureReading(riskmap.LABEL, int(best)))
-        return out
+        """One reading per node from the occupied 4-neighbors' channels.
+
+        Probability and speed are the mean over the occupied neighbours, a
+        label is their most common one with ties to the smallest id.  A grid
+        without a vel channel reads speed 0.
+        """
+        ni, nj = nb4_of(boundary.cells)
+        occ = grid.state[ni, nj] == OCCUPIED
+        if self.feature == riskmap.LABEL:
+            if grid.label is None:
+                raise MalformedGrid("the label feature needs a label channel")
+            lab = grid.label[ni, nj]
+            same = (lab[:, :, None] == lab[:, None, :]) & occ[:, None, :]
+            counts = np.where(occ, same.sum(axis=2), 0)
+            top = counts == counts.max(axis=1, keepdims=True)
+            best = np.where(top, lab, np.iinfo(lab.dtype).max).min(axis=1)
+            return [riskmap.FeatureReading(riskmap.LABEL, int(x))
+                    for x in best]
+        if self.feature == riskmap.PROBABILITY:
+            if grid.prob is None:
+                raise MalformedGrid("the probability feature needs a prob "
+                                    "channel")
+            vals = grid.prob[ni, nj]
+        elif grid.vel is None:
+            vals = np.zeros(ni.shape)
+        else:
+            vals = np.hypot(grid.vel[ni, nj, 0], grid.vel[ni, nj, 1])
+        # np.mean of the occupied values: a sum from 0.0 in NB4 order
+        total = np.zeros(boundary.n)
+        for o, v in zip(occ.T, vals.T):
+            total += np.where(o, v, 0.0)
+        mean = total / occ.sum(axis=1)
+        return [riskmap.FeatureReading(self.feature, float(x)) for x in mean]
 
     def priority_rule(self):
         if self.feature == riskmap.LABEL:
@@ -361,24 +383,28 @@ class Scenario:
 
     def obstacle_components(self, grid, boundary):
         """Maps obstacle index -> set of boundary component ids it owns."""
-        out = {}
-        for idx, m in enumerate(self._masks):
-            comps = set()
-            for k in range(boundary.n):
-                i, j = boundary.cells[k]
-                for di, dj in NB4:
-                    ii, jj = i + di, j + dj
-                    if grid.state[ii, jj] == OCCUPIED and m[ii, jj]:
-                        comps.add(int(boundary.comp[k]))
-            out[idx] = comps
-        return out
+        ni, nj = nb4_of(boundary.cells)
+        occ = grid.state[ni, nj] == OCCUPIED
+        return {idx: set(boundary.comp[(occ & m[ni, nj]).any(axis=1)].tolist())
+                for idx, m in enumerate(self._masks)}
 
     def build(self, t=0.0, flux_scale=None):
         """Full chain at time t; flux_scale is a factor (all nodes) or a
         {obstacle_index: factor} map applied after smoothing."""
         report = {"stages": [], "scenario": self.name, "t": t}
+        timings = report["timings_ms"] = {}
+        last = time.perf_counter()
+
+        def lap(stage):
+            nonlocal last
+            now = time.perf_counter()
+            timings[stage] = 1e3 * (now - last)
+            last = now
+
         grid = self.rasterize(t)
+        lap("rasterize")
         boundary = extract_boundary(grid)
+        lap("boundary")
         report["stages"].append("discretize")
         report["nodes"] = boundary.n
         report["components"] = [int(c) for c in boundary.components()]
@@ -403,14 +429,14 @@ class Scenario:
         report["flux"] = {"min": float(boundary.flux.min()),
                           "max": float(boundary.flux.max()),
                           "mean": float(boundary.flux.mean())}
+        lap("risk")
 
-        h = elliptic.solve_poisson(grid, boundary, elliptic.ForcingSpec(),
-                                   self.solver_cfg)
-        report["stages"].append("poisson")
-        report["poisson"] = h.stats.to_text()
-        v = elliptic.solve_guidance(grid, boundary, self.solver_cfg)
-        report["stages"].append("laplace")
-        report["laplace"] = [v.x.stats.to_text(), v.y.stats.to_text()]
+        h, v = elliptic.solve_fields(grid, boundary, elliptic.ForcingSpec(),
+                                     self.solver_cfg)
+        report["stages"] += ["poisson", "laplace"]
+        report["poisson"] = asdict(h.stats)
+        report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
+        lap("solve")
 
         sf = SafetyFunction(h)
         gf = GuidanceFieldBundle(v, boundary)
@@ -430,6 +456,7 @@ class Scenario:
                           report)
         if bcfg is not None:
             bcfg.k_nom_v = self.controller(res)
+        lap("filter")
         self.last_build = res
         return res
 

@@ -1,8 +1,11 @@
 """Fast paths against straightforward references.
 
-The red-black sweep runs on strided sub-lattices and the nearest-cell maps
-are built offset by offset.  Both do the same arithmetic and make the same
-tie-breaks as the boolean-mask sweep and the per-cell loops kept below.
+The red-black sweep solves a stack of systems at once on contiguous parity
+planes, the nearest-cell maps are built offset by offset, and the per-node
+features, obstacle owners and arc weights come from one (n, 4) gather of
+each node's neighbours.  They do the same arithmetic and make the same
+tie-breaks as the boolean-mask sweep, run once per system, and the per-cell
+and per-node loops kept below.
 The rollout loops sample each point once, from nested-list snapshots of the
 fields, and derive every recorded quantity from that one sample; the
 references sample every quantity on its own, from the arrays.  Every
@@ -14,17 +17,19 @@ import math
 import numpy as np
 import pytest
 
-from riskfields import sim
+from riskfields import riskmap, sim
 from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
                                  k_v_jacobian, k_v_smooth)
-from riskfields.elliptic import (GAUSS_SEIDEL, SOR, SolveStats, SolverConfig,
-                                 _sweep_solve, _target)
+from riskfields.elliptic import (GAUSS_SEIDEL, SOR, ForcingSpec, SolveStats,
+                                 SolverConfig, _sweep_solve, _target,
+                                 solve_fields)
 from riskfields.errors import (DegenerateCoefficient, NonConvergence,
                                OutOfDomain, VanishingGuidance)
-from riskfields.grid import (FREE, OCCUPIED, BoundarySet, OccupancyGrid,
+from riskfields.grid import (FREE, NB4, OCCUPIED, BoundarySet, OccupancyGrid,
                              ScalarField, VectorField, extract_boundary,
                              fill_band, gradient_field, nearest_node_map,
                              sample_gradient, sample_scalar, sample_vector)
+from riskfields.scenario import Scenario
 from riskfields.safety import (GuidanceFieldBundle, activation,
                                activation_dynamic, filter_control,
                                filter_control_dynamic)
@@ -147,6 +152,53 @@ def reference_gradient(field):
     return gx, gy
 
 
+def ref_node_features(sc, grid, boundary):
+    """Per-node loop over the occupied 4-neighbours, np.mean and np.unique."""
+    out = []
+    for k in range(boundary.n):
+        i, j = boundary.cells[k]
+        probs, labels, speeds = [], [], []
+        for di, dj in NB4:
+            ii, jj = i + di, j + dj
+            if grid.state[ii, jj] == OCCUPIED:
+                probs.append(grid.prob[ii, jj])
+                labels.append(int(grid.label[ii, jj]))
+                speeds.append(float(np.hypot(*grid.vel[ii, jj])))
+        if sc.feature == riskmap.PROBABILITY:
+            out.append(riskmap.FeatureReading(
+                riskmap.PROBABILITY, float(np.mean(probs))))
+        elif sc.feature == riskmap.SPEED:
+            out.append(riskmap.FeatureReading(
+                riskmap.SPEED, float(np.mean(speeds)) if speeds else 0.0))
+        else:
+            ids, counts = np.unique(labels, return_counts=True)
+            best = ids[counts == counts.max()].min()
+            out.append(riskmap.FeatureReading(riskmap.LABEL, int(best)))
+    return out
+
+
+def ref_obstacle_components(sc, grid, boundary):
+    out = {}
+    for idx, m in enumerate(sc._masks):
+        comps = set()
+        for k in range(boundary.n):
+            i, j = boundary.cells[k]
+            for di, dj in NB4:
+                ii, jj = i + di, j + dj
+                if grid.state[ii, jj] == OCCUPIED and m[ii, jj]:
+                    comps.add(int(boundary.comp[k]))
+        out[idx] = comps
+    return out
+
+
+def ref_arc_weights(grid, cells):
+    arcw = np.empty(len(cells))
+    for k, (i, j) in enumerate(cells):
+        cnt = sum(1 for di, dj in NB4 if not grid.free[i + di, j + dj])
+        arcw[k] = grid.d * cnt
+    return arcw
+
+
 # -- lattices -----------------------------------------------------------------
 
 def _grid(nx, ny, block=True):
@@ -197,53 +249,157 @@ CONFIGS = {
 }
 
 
+# one-cell corridors and the single cell have nodes and no interior free
+# cells, so their Laplace systems have no unknowns
+NO_LAPLACE_UNKNOWNS = ("corridor_x", "corridor_y", "single_unknown")
+
+
 def _poisson_system(g):
     rhs = np.where(g.free, -4.0 * g.d * g.d, 0.0)
     return g.free, np.zeros((g.nx, g.ny)), rhs
 
 
-def _laplace_system(g, b):
+def _laplace_system(g, cells, vals):
     fixed = np.zeros((g.nx, g.ny))
-    rng = np.random.default_rng(3)
-    ci, cj = b.cells[:, 0], b.cells[:, 1]
-    fixed[ci, cj] = rng.uniform(-2.0, 3.0, b.n)
+    ci, cj = cells[:, 0], cells[:, 1]
+    fixed[ci, cj] = vals
     pinned = np.zeros_like(g.free)
     pinned[ci, cj] = True
     return g.free & ~pinned, fixed, np.zeros_like(fixed)
 
 
-def _same_solve(g, system, cfg):
-    want_w, want_stats = reference_sweep_solve(g, *system, cfg)
-    got_w, got_stats = _sweep_solve(g, *system, cfg)
-    assert np.array_equal(got_w, want_w, equal_nan=True)
-    assert got_stats == want_stats
+def _guidance_systems(g):
+    """Two Laplace systems with different node data, as for vx and vy.  The
+    nodes are the free cells next to an occupied one (extract_boundary finds
+    no normal in a one-cell corridor)."""
+    occ = ~g.free
+    touch = np.zeros_like(g.free)
+    touch[1:-1, 1:-1] = (occ[2:, 1:-1] | occ[:-2, 1:-1] | occ[1:-1, 2:]
+                         | occ[1:-1, :-2])
+    cells = np.argwhere(g.free & touch)
+    rng = np.random.default_rng(3)
+    return [_laplace_system(g, cells, rng.uniform(-2.0, 3.0, len(cells)))
+            for _ in range(2)]
+
+
+def _same_solve(g, systems, cfg):
+    """One stacked solve against a separate reference solve per system."""
+    got = _sweep_solve(g, systems, cfg)
+    assert len(got) == len(systems)
+    for (got_w, got_stats), system in zip(got, systems):
+        want_w, want_stats = reference_sweep_solve(g, *system, cfg)
+        assert np.array_equal(got_w, want_w, equal_nan=True)
+        assert got_stats == want_stats
 
 
 # -- sweeps -------------------------------------------------------------------
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-@pytest.mark.parametrize("make", GRIDS.values(), ids=GRIDS.keys())
-def test_strided_sweep_matches_mask_sweep_on_poisson(make, cfg):
-    g = make()
-    _same_solve(g, _poisson_system(g), cfg)
+@pytest.mark.parametrize("name", GRIDS.keys())
+def test_strided_sweep_matches_mask_sweep_on_poisson(name, cfg):
+    # h, vx and vy in one k = 3 solve, and h alone
+    g = GRIDS[name]()
+    systems = [_poisson_system(g)] + _guidance_systems(g)
+    if name in NO_LAPLACE_UNKNOWNS:
+        assert not systems[1][0].any() and not systems[2][0].any()
+    _same_solve(g, systems, cfg)
+    _same_solve(g, systems[:1], cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 @pytest.mark.parametrize("name", ["even_even", "odd_odd", "even_odd",
                                   "odd_even", "disk", "two_blocks"])
 def test_strided_sweep_matches_mask_sweep_on_laplace(name, cfg):
+    # the guidance pair in one k = 2 solve
     g = GRIDS[name]()
-    _same_solve(g, _laplace_system(g, extract_boundary(g)), cfg)
+    _same_solve(g, _guidance_systems(g), cfg)
+
+
+def _reference_failure(g, system, cfg):
+    with pytest.raises(NonConvergence) as err:
+        reference_sweep_solve(g, *system, cfg)
+    return str(err.value)
 
 
 def test_strided_sweep_matches_mask_sweep_when_not_converged():
     g = GRIDS["odd_even"]()
-    cfg = SolverConfig(method=SOR, omega="auto", tol=1e-8, max_iters=5)
-    with pytest.raises(NonConvergence) as want:
-        reference_sweep_solve(g, *_poisson_system(g), cfg)
-    with pytest.raises(NonConvergence) as got:
-        _sweep_solve(g, *_poisson_system(g), cfg)
-    assert str(got.value) == str(want.value)
+    b = extract_boundary(g)
+    b = b.with_flux(np.random.default_rng(5).uniform(1.0, 6.0, b.n))
+    systems = [_poisson_system(g)] + [
+        _laplace_system(g, b.cells, -b.flux * b.normals[:, c])
+        for c in (0, 1)]
+    converged = SolverConfig(method=SOR, omega="auto", tol=1e-8)
+    h_iters = reference_sweep_solve(g, *systems[0], converged)[1].iterations
+    vx_iters = reference_sweep_solve(g, *systems[1], converged)[1].iterations
+    assert h_iters < vx_iters
+    # every system fails, then h converges and the guidance pair fails: the
+    # first failing system in the order (h, vx, vy) names the error
+    for max_iters, first in ((5, 0), (h_iters + 1, 1)):
+        cfg = SolverConfig(method=SOR, omega="auto", tol=1e-8,
+                           max_iters=max_iters)
+        for (_, stats), system in zip(_sweep_solve(g, systems, cfg), systems):
+            if stats.converged:
+                assert stats == reference_sweep_solve(g, *system, cfg)[1]
+            else:
+                assert stats.to_text() == _reference_failure(g, system, cfg)
+        with pytest.raises(NonConvergence) as got:
+            solve_fields(g, b, ForcingSpec(), cfg)
+        assert str(got.value) == _reference_failure(g, systems[first], cfg)
+
+
+# -- per-node features -------------------------------------------------------
+
+def _feature_doc():
+    # a moving ramped rect one cell off the wall, a static disk, and a U of
+    # two labels whose inner cells see three occupied neighbours (9, 9),
+    # whose mean depends on the order of the sum, or a tie of one 'chair'
+    # and one 'person' (9, 10)
+    return {
+        "name": "features",
+        "grid": {"nx": 22, "ny": 18, "d": 0.1},
+        "risk": {"priorities": {"wall": 1.0, "chair": 3.0, "person": 6.0}},
+        "obstacles": [
+            {"kind": "rect", "min": [0.12, 0.3], "max": [0.45, 0.62],
+             "label": "person", "prob": {"axis": "y", "from": 0.3,
+                                         "to": 0.9}},
+            {"kind": "disk", "center": [1.6, 0.5], "radius": 0.22,
+             "label": "chair", "prob": 0.7},
+            {"kind": "cells", "cells": [[8, 8], [8, 9], [8, 10]],
+             "label": "chair", "prob": 0.3},
+            {"kind": "cells", "cells": [[9, 8], [10, 8], [10, 9], [10, 10]],
+             "label": "person", "prob": {"axis": "x", "from": 0.1,
+                                         "to": 0.7}},
+        ],
+        "motion": [{"obstacle": 0, "heading": [0.25, 1.0],
+                    "profile": {"kind": "constant", "speed": 0.37}}],
+        "nominal": {"kind": "goal", "mu": 1.0, "goal": [1.9, 1.5]},
+    }
+
+
+def _repr(feats):
+    # repr tells -0.0 from 0.0 and an int from a float
+    return [(f.kind, repr(f.value)) for f in feats]
+
+
+def test_node_features_match_loop():
+    sc = Scenario(_feature_doc())
+    g = sc.rasterize(t=0.4)
+    b = extract_boundary(g)
+    occupied = np.array([sum(not g.free[i + di, j + dj] for di, dj in NB4)
+                         for i, j in b.cells])
+    assert set(occupied) == {1, 2, 3}
+    p = [g.prob[10, 9], g.prob[8, 9], g.prob[9, 8]]     # NB4 order at (9, 9)
+    assert (p[0] + p[1]) + p[2] != (p[2] + p[1]) + p[0]
+    for feature in (riskmap.PROBABILITY, riskmap.SPEED, riskmap.LABEL):
+        sc.feature = feature
+        want = ref_node_features(sc, g, b)
+        assert _repr(sc.node_features(g, b)) == _repr(want)
+    k = b.node_at_cell(9, 10)
+    assert sorted({int(g.label[8, 10]), int(g.label[10, 10])}) == [2, 3]
+    assert want[k].value == 2          # the tie goes to the smaller id
+    assert len({f.value for f in want}) >= 3
+    assert sc.obstacle_components(g, b) == ref_obstacle_components(sc, g, b)
+    assert np.array_equal(b.arcw, ref_arc_weights(g, b.cells))
 
 
 # -- ghost-band maps ----------------------------------------------------------

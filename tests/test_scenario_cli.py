@@ -1,6 +1,7 @@
 """Scenario documents, the build chain, and the command-line surface."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -95,6 +96,33 @@ def test_motion_validation():
 def test_sweep_obstacle_range_checked():
     with pytest.raises(MalformedDocument):
         Scenario(minimal_doc(sweep_obstacle=5))
+
+
+def test_risk_block_must_be_mapping():
+    with pytest.raises(MalformedDocument, match="risk: expected a mapping"):
+        Scenario(minimal_doc(risk=None))
+
+
+def test_risk_assign_must_be_mapping():
+    with pytest.raises(MalformedDocument, match="risk.assign: expected"):
+        Scenario(minimal_doc(risk={"assign": "identity"}))
+
+
+def test_risk_flux_must_be_mapping():
+    with pytest.raises(MalformedDocument, match="risk.flux: expected"):
+        Scenario(minimal_doc(risk={"flux": [1.0, 6.0]}))
+
+
+@pytest.mark.parametrize("window", ["a", 2.7, 3.0, 4, -1, -3, True, None])
+def test_smooth_window_rejected_at_parse(window):
+    with pytest.raises(MalformedDocument, match="risk.smooth_window"):
+        Scenario(minimal_doc(risk={"smooth_window": window}))
+
+
+@pytest.mark.parametrize("window", [0, 1, 3, 7])
+def test_smooth_window_accepted(window):
+    assert Scenario(minimal_doc(
+        risk={"smooth_window": window})).smooth_window == window
 
 
 def test_label_ids_follow_declaration_order():
@@ -199,8 +227,14 @@ def test_build_report_contents(single_build):
     assert rep["components"] == res.boundary.components()
     fl = rep["flux"]
     assert fl["min"] <= fl["mean"] <= fl["max"]
-    assert "converged=True" in rep["poisson"]
+    assert rep["poisson"]["converged"] is True
     assert len(rep["laplace"]) == 2
+    assert rep["poisson"] == dataclasses.asdict(res.sf.h.stats)
+    assert rep["laplace"] == [dataclasses.asdict(res.gf.v.x.stats),
+                              dataclasses.asdict(res.gf.v.y.stats)]
+    assert set(rep["timings_ms"]) == {"rasterize", "boundary", "risk",
+                                      "solve", "filter"}
+    assert all(v >= 0.0 for v in rep["timings_ms"].values())
 
 
 def test_build_deterministic(single_build):
