@@ -32,4 +32,4 @@ from .backstep import (BackstepConfig, ExtendedState, filter_accel, h_B,
 from .sim import (MotionProfile, Trajectory, integrate_double,
                   integrate_single, nominal_adversarial, nominal_goal,
                   run_dynamic, time_derivative)
-from .scenario import BuildResult, Scenario, build_filter, load_scenario
+from .scenario import BuildResult, Scenario, load_scenario

@@ -1,6 +1,6 @@
 """Command-line entry point: solve | zones | simulate | dynamic | sweep.
 
-Every run writes a manifest (scenario hash, package/library versions, seed)
+Every run writes a manifest (scenario hash, package and library versions)
 so results can be reproduced bit for bit.
 """
 
@@ -25,7 +25,7 @@ from .safety import activation_zone
 from .scenario import Scenario
 
 
-def _manifest(args, scenario_path, outputs):
+def _manifest(scenario_path, outputs):
     with open(scenario_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return {
@@ -37,7 +37,6 @@ def _manifest(args, scenario_path, outputs):
         "scipy_version": scipy.__version__,
         "pyyaml_version": yaml.__version__,
         "python_version": sys.version.split()[0],
-        "seed": args.seed,
         "outputs": sorted(outputs),
     }
 
@@ -271,7 +270,6 @@ def main(argv=None):
     ap.add_argument("--dump-fields", action="store_true")
     ap.add_argument("--frames", type=int, default=0,
                     help="dynamic: number of frames to run (default: full T)")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--scales", default="1,2,3",
                     help="sweep: comma-separated flux scales")
     ap.add_argument("--gammas", default="",
@@ -292,7 +290,7 @@ def main(argv=None):
         print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
     mp = os.path.join(args.out, "manifest.json")
-    _write_json(mp, _manifest(args, args.scenario, outputs))
+    _write_json(mp, _manifest(args.scenario, outputs))
     return 0
 
 

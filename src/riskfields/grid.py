@@ -8,6 +8,7 @@ so a diagonal obstacle chain cannot leak free space through itself).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -163,7 +164,10 @@ class BoundarySet:
         self.comp = np.asarray(comp, dtype=int)
         self.chains = chains
         self.flux = None if flux is None else np.asarray(flux, dtype=float)
-        self._index = {(int(i), int(j)): k for k, (i, j) in enumerate(self.cells)}
+
+    @functools.cached_property
+    def _index(self):
+        return {(int(i), int(j)): k for k, (i, j) in enumerate(self.cells)}
 
     def with_flux(self, flux):
         flux = np.asarray(flux, dtype=float)

@@ -276,18 +276,18 @@ class ActivationZone:
                     fh.write(f"{li},{x:.9g},{y:.9g}\n")
 
 
-def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
-    """Evaluates a on every free cell center and traces its zero contour.
+def lattice_activation(grid, k_nom, sf, gf, cfg, dh_dt=None):
+    """(kx, ky, v.k_nom, a) at every cell center, with the controller k_nom
+    evaluated on the free cells and 0 elsewhere; with dh_dt given, a is the
+    time-varying activation.
 
-    k_nom is a controller over points.  With dh_dt given, uses the
-    time-varying activation instead; the arithmetic mirrors the pointwise
-    ops so lattice and sampled values agree where it matters.
+    The arithmetic mirrors the pointwise ops so lattice and sampled values
+    agree where it matters.
     """
     if not grid.same_geometry(sf.grid):
         raise GridMismatch("safety function solved on a different lattice")
     free = grid.free
-    pts = grid.free_centers()
-    ks = eval_controller(k_nom, pts)
+    ks = eval_controller(k_nom, grid.free_centers())
     kx = np.zeros(grid.state.shape)
     ky = np.zeros(grid.state.shape)
     kx[free] = ks[:, 0]
@@ -298,17 +298,24 @@ def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
     vy = gf.v.y.values
     vk = vx * kx + vy * ky
     if dh_dt is None:
-        a = vk + cfg.gamma * h
-    else:
-        if not grid.same_geometry(dh_dt.grid):
-            raise GridMismatch("dh/dt field lives on a different lattice")
-        gn = np.hypot(sf.grad.x.values, sf.grad.y.values)
-        denom = gn + cfg.sigma(h)
-        nv = np.hypot(vx, vy)
-        coeff = np.where(denom > 0.0, nv / np.where(denom > 0.0, denom, 1.0),
-                         0.0)
-        a = (vk + coeff * dh_dt.values) + cfg.gamma * h
+        return kx, ky, vk, vk + cfg.gamma * h
+    if not grid.same_geometry(dh_dt.grid):
+        raise GridMismatch("dh/dt field lives on a different lattice")
+    gn = np.hypot(sf.grad.x.values, sf.grad.y.values)
+    denom = gn + cfg.sigma(h)
+    nv = np.hypot(vx, vy)
+    coeff = np.where(denom > 0.0, nv / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return kx, ky, vk, (vk + coeff * dh_dt.values) + cfg.gamma * h
 
+
+def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
+    """Evaluates a on every free cell center and traces its zero contour.
+
+    k_nom is a controller over points.  With dh_dt given, uses the
+    time-varying activation instead.
+    """
+    _, _, vk, a = lattice_activation(grid, k_nom, sf, gf, cfg, dh_dt)
+    free = grid.free
     a_free = np.where(free, a, np.nan)
     active = free & (a_free <= 0.0)
     restricted = active & (vk <= 0.0)

@@ -22,6 +22,9 @@ from .grid import FREE, OCCUPIED, OccupancyGrid, extract_boundary, nb4_of
 from .safety import FilterConfig, GuidanceFieldBundle, SafetyFunction
 from .backstep import BackstepConfig
 
+# Largest lattice a document may ask for, in cells (2^22 = 2048^2).
+MAX_CELLS = 1 << 22
+
 
 def _req(doc, key, path):
     if key not in doc:
@@ -36,6 +39,20 @@ def _num(x, path, positive=False):
         raise MalformedDocument(f"{path}: expected a number, got {x!r}")
     if positive and not 0 < v < math.inf:
         raise MalformedDocument(f"{path}: must be positive and finite")
+    return v
+
+
+def _int(x, path, lo=0):
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < lo:
+        raise MalformedDocument(
+            f"{path}: expected an integer >= {lo}, got {x!r}")
+    return int(x)
+
+
+def _unit(x, path):
+    v = _num(x, path)
+    if not 0.0 <= v <= 1.0:
+        raise MalformedDocument(f"{path}: must lie in [0, 1], got {x!r}")
     return v
 
 
@@ -85,8 +102,11 @@ class Scenario:
     def _parse(self):
         doc = self.doc
         g = _req(doc, "grid", self.name)
-        self.nx = int(_num(_req(g, "nx", "grid"), "grid.nx", positive=True))
-        self.ny = int(_num(_req(g, "ny", "grid"), "grid.ny", positive=True))
+        self.nx = _int(_req(g, "nx", "grid"), "grid.nx", lo=3)
+        self.ny = _int(_req(g, "ny", "grid"), "grid.ny", lo=3)
+        if self.nx * self.ny > MAX_CELLS:
+            raise MalformedDocument(
+                f"grid: nx*ny = {self.nx * self.ny} exceeds {MAX_CELLS}")
         self.d = _num(_req(g, "d", "grid"), "grid.d", positive=True)
         self.origin = _point(g.get("origin", [0.0, 0.0]), "grid.origin")
 
@@ -118,13 +138,12 @@ class Scenario:
         self.flux_map = riskmap.FluxMap(
             _num(fx.get("beta_min", 1.0), "risk.flux.beta_min"),
             _num(fx.get("beta_max", 6.0), "risk.flux.beta_max"))
-        win = risk.get("smooth_window", 5)
-        if (isinstance(win, bool) or not isinstance(win, (int, np.integer))
-                or not (win == 0 or (win > 0 and win % 2 == 1))):
+        win = _int(risk.get("smooth_window", 5), "risk.smooth_window")
+        if win % 2 == 0 and win != 0:
             raise MalformedDocument(
                 f"risk.smooth_window: expected 0, 1 or a positive odd "
                 f"integer, got {win!r}")
-        self.smooth_window = int(win)
+        self.smooth_window = win
 
         # label names get small ids in declaration order, starting at 1
         prio = risk.get("priorities", {"wall": 1.0, "chair": 3.0,
@@ -146,7 +165,20 @@ class Scenario:
             if lab not in self.label_ids:
                 raise MalformedDocument(
                     f"{path}.label: {lab!r} not in the priority table")
-            self.obstacles.append(dict(ob, label=lab, _path=path))
+            prob = ob.get("prob", 1.0)
+            if isinstance(prob, dict):
+                axis = prob.get("axis", "x")
+                if axis not in ("x", "y"):
+                    raise MalformedDocument(
+                        f"{path}.prob.axis: expected x or y, got {axis!r}")
+                prob = (axis,
+                        _unit(_req(prob, "from", f"{path}.prob"),
+                              f"{path}.prob.from"),
+                        _unit(_req(prob, "to", f"{path}.prob"),
+                              f"{path}.prob.to"))
+            else:
+                prob = _unit(prob, f"{path}.prob")
+            self.obstacles.append(dict(ob, label=lab, prob=prob, _path=path))
 
         flt = doc.get("filter", {})
         self.filter_cfg = FilterConfig(
@@ -173,10 +205,15 @@ class Scenario:
         if method not in (elliptic.SOR, elliptic.GAUSS_SEIDEL,
                           elliptic.DENSE_DIRECT):
             raise MalformedDocument(f"solver.method: unknown {method!r}")
+        omega = sol.get("omega", 1.9)
+        if omega != "auto" and not 0.0 < _num(omega, "solver.omega") < 2.0:
+            raise MalformedDocument(
+                f"solver.omega: expected 'auto' or a number in (0, 2), "
+                f"got {omega!r}")
         self.solver_cfg = elliptic.SolverConfig(
-            method=method, omega=sol.get("omega", 1.9),
+            method=method, omega=omega,
             tol=_num(sol.get("tol", 1e-8), "solver.tol", positive=True),
-            max_iters=int(sol.get("max_iters", 0)))
+            max_iters=_int(sol.get("max_iters", 0), "solver.max_iters"))
 
         sc = doc.get("sim", {})
         self.sim_cfg = {}
@@ -284,16 +321,15 @@ class Scenario:
         return np.zeros(2)
 
     def _prob_values(self, ob, X, Y, mask):
-        spec = ob.get("prob", 1.0)
-        if isinstance(spec, dict):
-            axis = spec.get("axis", "x")
-            lo = _num(_req(spec, "from", ob["_path"]), "prob.from")
-            hi = _num(_req(spec, "to", ob["_path"]), "prob.to")
-            coord = X if axis == "x" else Y
-            cmin, cmax = coord[mask].min(), coord[mask].max()
-            span = max(cmax - cmin, self.d)
-            return lo + (hi - lo) * (coord - cmin) / span
-        return np.full(X.shape, _num(spec, f"{ob['_path']}.prob"))
+        """Occupancy probability per cell: a constant, or a linear ramp
+        (axis, from, to) across the obstacle's extent on that axis."""
+        if not isinstance(ob["prob"], tuple):
+            return np.full(X.shape, ob["prob"])
+        axis, lo, hi = ob["prob"]
+        coord = X if axis == "x" else Y
+        cmin, cmax = coord[mask].min(), coord[mask].max()
+        span = max(cmax - cmin, self.d)
+        return lo + (hi - lo) * (coord - cmin) / span
 
     def rasterize(self, t=0.0):
         """OccupancyGrid at time t (moving obstacles shifted and re-covered)."""
@@ -318,6 +354,7 @@ class Scenario:
             m = self._obstacle_mask(ob, X, Y, shift)
             self._masks.append(m)
             state[m] = OCCUPIED
+            # the clip guards a ramp's round-off; ends lie in [0, 1]
             pv = np.clip(self._prob_values(ob, X, Y, m), 0.0, 1.0)
             prob[m] = pv[m]
             label[m] = self.label_ids[ob["label"]]
@@ -457,7 +494,6 @@ class Scenario:
         if bcfg is not None:
             bcfg.k_nom_v = self.controller(res)
         lap("filter")
-        self.last_build = res
         return res
 
     def controller(self, build):
@@ -468,12 +504,3 @@ class Scenario:
 
 def load_scenario(path):
     return Scenario(path)
-
-
-def build_filter(scenario):
-    """(SafetyFunction, GuidanceFieldBundle, FilterConfig) from one build
-    pass; the full build result stays on scenario.last_build."""
-    if not isinstance(scenario, Scenario):
-        scenario = Scenario(scenario)
-    res = scenario.build()
-    return res.sf, res.gf, res.filter_cfg

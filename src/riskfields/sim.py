@@ -17,11 +17,11 @@ from . import backstep as bs
 from .errors import (DegenerateCoefficient, GridMismatch, InvalidTimeStep,
                      OutOfDomain, StartUnsafe, VanishingGuidance)
 from .grid import FieldSampler, ScalarField, fill_band
-# activation and filter_control are not called here; they stay importable
-# from this module, where perfbench's tracer wraps them.
+# activation, filter_control and their dynamic forms are not called here;
+# they stay importable from this module, where perfbench's tracer wraps them.
 from .safety import (activation, activation_dynamic, activation_zone,  # noqa: F401
-                     eval_controller, filter_control, filter_control_dynamic,
-                     min_norm)
+                     filter_control, filter_control_dynamic,
+                     lattice_activation, min_norm)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -155,27 +155,28 @@ def adversarial_controller(mu, sf):
     return k_nom
 
 
-def _u_max_estimate(grid, controller, sf, gf, cfg):
-    """Max filtered-input magnitude over the free lattice, for a CFL guard."""
-    pts = grid.free_centers()
-    ks = eval_controller(controller, pts)
-    vx = gf.v.x.values[grid.free]
-    vy = gf.v.y.values[grid.free]
-    h = sf.h.values[grid.free]
-    vk = vx * ks[:, 0] + vy * ks[:, 1]
-    a = vk + cfg.gamma * h
-    nv2 = vx * vx + vy * vy
-    corr = np.where((a < 0.0) & (nv2 >= cfg.eta_v ** 2),
-                    -a / np.where(nv2 > 0, nv2, 1.0), 0.0)
-    u = np.hypot(ks[:, 0] + corr * vx, ks[:, 1] + corr * vy)
-    return float(u.max()) if len(u) else 0.0
-
-
-def _check_cfl(grid, dt, umax):
+def _check_start(y, controller, sf, gf, cfg, dt, where=""):
+    """Refuses a start with h(y) <= 0 and a dt above the CFL bound."""
+    if sf.value(y) <= 0.0:
+        raise StartUnsafe(f"h({tuple(y)}) <= 0{where}")
+    grid = sf.grid
+    umax = _u_max_estimate(grid, controller, sf, gf, cfg)
     if umax > 0 and dt > grid.d / (4.0 * umax):
         raise InvalidTimeStep(
             f"dt={dt} too coarse: need <= {grid.d / (4.0 * umax):.3e}"
             f" (d={grid.d}, u_max~{umax:.3g})")
+
+
+def _u_max_estimate(grid, controller, sf, gf, cfg):
+    """Max filtered-input magnitude over the free lattice, for a CFL guard."""
+    kx, ky, _, a = lattice_activation(grid, controller, sf, gf, cfg)
+    free = grid.free
+    vx, vy, a = gf.v.x.values[free], gf.v.y.values[free], a[free]
+    nv2 = vx * vx + vy * vy
+    corr = np.where((a < 0.0) & (nv2 >= cfg.eta_v ** 2),
+                    -a / np.where(nv2 > 0, nv2, 1.0), 0.0)
+    u = np.hypot(kx[free] + corr * vx, ky[free] + corr * vy)
+    return float(u.max()) if len(u) else 0.0
 
 
 def _rk4(y, f, dt):
@@ -186,36 +187,82 @@ def _rk4(y, f, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+_COLUMNS = ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B")
+
+
 class _Recorder:
-    def __init__(self, with_ydot=False, with_hb=False):
-        self.rows = {k: [] for k in
-                     ("t", "y", "u_nom", "u_filt", "h", "a", "audit")}
-        self.ydot = [] if with_ydot else None
-        self.h_B = [] if with_hb else None
+    """Trajectory rows; a double-integrator row adds ydot and h_B."""
+
+    def __init__(self, double=False):
+        self.width = 9 if double else 7
+        self.rows = []
 
     def add(self, t, y, u_nom, u_filt, h, a, audit, ydot=None, h_B=None):
-        r = self.rows
-        r["t"].append(t)
-        r["y"].append(np.array(y))
-        r["u_nom"].append(np.array(u_nom))
-        r["u_filt"].append(np.array(u_filt))
-        r["h"].append(h)
-        r["a"].append(a)
-        r["audit"].append(audit)
-        if self.ydot is not None:
-            self.ydot.append(np.array(ydot))
-        if self.h_B is not None:
-            self.h_B.append(h_B)
+        row = (t, np.array(y), np.array(u_nom), np.array(u_filt), h, a, audit)
+        if self.width == 9:
+            row += (np.array(ydot), h_B)
+        self.rows.append(row)
 
     def build(self, dt, termination):
-        r = self.rows
-        return Trajectory(
-            t=np.array(r["t"]), y=np.array(r["y"]),
-            u_nom=np.array(r["u_nom"]), u_filt=np.array(r["u_filt"]),
-            h=np.array(r["h"]), a=np.array(r["a"]),
-            audit=np.array(r["audit"]), dt=dt, termination=termination,
-            ydot=None if self.ydot is None else np.array(self.ydot),
-            h_B=None if self.h_B is None else np.array(self.h_B))
+        cols = list(zip(*self.rows)) or [()] * self.width
+        return Trajectory(dt=dt, termination=termination,
+                          **{k: np.array(c) for k, c in zip(_COLUMNS, cols)})
+
+
+def _samples(segments):
+    """(record, stage) for every step of every segment, then the last
+    segment's (record, None) for the closing sample."""
+    record = None
+    for record, stage, steps in segments:
+        for _ in range(steps):
+            yield record, stage
+    yield record, None
+
+
+def _rollout(z, segments, dt, goal, d):
+    """The record, goal check and RK4 step loop of every closed-loop run.
+
+    segments yields (record, stage, steps): record(z) returns the row that
+    _Recorder.add takes after t, stage(z) is the RK4 right-hand side, and
+    the segment runs for steps steps.  After the last segment its record
+    takes the closing sample.  Any sample with z[:2] within d of goal ends
+    the run; a degenerate filter ends it as DEGENERATE and a point off the
+    lattice as LEFT_DOMAIN.
+    """
+    rec = _Recorder(double=len(z) == 4)
+    term = TIME_LIMIT
+    try:
+        for k, (record, stage) in enumerate(_samples(segments)):
+            rec.add(k * dt, *record(z))
+            if goal is not None and np.linalg.norm(z[:2] - goal) < d:
+                term = GOAL_REACHED
+                break
+            if stage is not None:
+                z = _rk4(z, stage, dt)
+    except (VanishingGuidance, DegenerateCoefficient):
+        term = DEGENERATE
+    except OutOfDomain:
+        term = LEFT_DOMAIN
+    return rec.build(dt, term)
+
+
+def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
+    """(record, stage, steps) of ydot = the closed-form filter of
+    controller(y), sampled once per point; with dh_dt the time-varying
+    filter."""
+    fs = FieldSampler(sf, gf, dh_dt)
+    grad = dh_dt is not None
+
+    def record(y):
+        u_nom = np.asarray(controller(y), dtype=float)
+        s = fs.at(y, grad)
+        u, a, audit = min_norm(y, u_nom, s, cfg)
+        return y, u_nom, u, s[0], a, audit
+
+    def stage(y):
+        return min_norm(y, controller(y), fs.at(y, grad), cfg)[0]
+
+    return record, stage, steps
 
 
 def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
@@ -224,49 +271,13 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     Records every step; stops early on goal capture (within one cell),
     domain exit, or a degenerate filter evaluation.
     """
-    grid = sf.grid
     y = np.array(y0, dtype=float)
-    if sf.value(y) <= 0.0:
-        raise StartUnsafe(f"h({tuple(y)}) <= 0")
-    _check_cfl(grid, dt, _u_max_estimate(grid, controller, sf, gf, cfg))
+    _check_start(y, controller, sf, gf, cfg, dt)
     if goal is None:
         goal = getattr(controller, "goal", None)
-
-    fs = FieldSampler(sf, gf)
-
-    def f(q):
-        return min_norm(q, controller(q), fs.at(q), cfg)[0]
-
     n = int(math.floor(T / dt + 1e-9))
-    rec = _Recorder()
-    term = TIME_LIMIT
-    for k in range(n + 1):
-        t = k * dt
-        try:
-            u_nom = np.asarray(controller(y), dtype=float)
-            s = fs.at(y)
-            u, a, audit = min_norm(y, u_nom, s, cfg)
-        except VanishingGuidance:
-            term = DEGENERATE
-            break
-        except OutOfDomain:
-            term = LEFT_DOMAIN
-            break
-        rec.add(t, y, u_nom, u, s[0], a, audit)
-        if goal is not None and np.linalg.norm(y - goal) < grid.d:
-            term = GOAL_REACHED
-            break
-        if k == n:
-            break
-        try:
-            y = _rk4(y, f, dt)
-        except VanishingGuidance:
-            term = DEGENERATE
-            break
-        except OutOfDomain:
-            term = LEFT_DOMAIN
-            break
-    return rec.build(dt, term)
+    return _rollout(y, [_filtered(controller, sf, gf, cfg, n)], dt, goal,
+                    sf.grid.d)
 
 
 def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
@@ -275,53 +286,28 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     accel_nom(y, ydot) is the nominal acceleration; the velocity-level
     nominal used inside k_v comes from bcfg.k_nom_v.
     """
-    grid = sf.grid
     st = bs.ExtendedState(np.array(state0.y), np.array(state0.ydot))
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
-
     fs = FieldSampler(sf, gf)
 
-    def f(z):
+    def record(z):
+        q = bs.ExtendedState(z[:2], z[2:])
+        w_nom = np.asarray(accel_nom(q.y, q.ydot), dtype=float)
+        terms = bs.accel_terms(q, sf, gf, bcfg, fs)
+        w, resid_nom = terms.filter(w_nom, bcfg)
+        resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
+        return q.y, w_nom, w, terms.h, resid_nom, resid, q.ydot, terms.h_B
+
+    def stage(z):
         q = bs.ExtendedState(z[:2], z[2:])
         w_nom = accel_nom(q.y, q.ydot)
         w, _ = bs.accel_terms(q, sf, gf, bcfg, fs).filter(w_nom, bcfg)
         return np.concatenate([q.ydot, w])
 
     n = int(math.floor(T / dt + 1e-9))
-    rec = _Recorder(with_ydot=True, with_hb=True)
-    term = TIME_LIMIT
-    z = np.concatenate([st.y, st.ydot])
-    for k in range(n + 1):
-        t = k * dt
-        st = bs.ExtendedState(z[:2], z[2:])
-        try:
-            w_nom = np.asarray(accel_nom(st.y, st.ydot), dtype=float)
-            terms = bs.accel_terms(st, sf, gf, bcfg, fs)
-            w, resid_nom = terms.filter(w_nom, bcfg)
-            resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
-        except (VanishingGuidance, DegenerateCoefficient):
-            term = DEGENERATE
-            break
-        except OutOfDomain:
-            term = LEFT_DOMAIN
-            break
-        rec.add(t, st.y, w_nom, w, terms.h, resid_nom, resid, ydot=st.ydot,
-                h_B=terms.h_B)
-        if goal is not None and np.linalg.norm(st.y - goal) < grid.d:
-            term = GOAL_REACHED
-            break
-        if k == n:
-            break
-        try:
-            z = _rk4(z, f, dt)
-        except (VanishingGuidance, DegenerateCoefficient):
-            term = DEGENERATE
-            break
-        except OutOfDomain:
-            term = LEFT_DOMAIN
-            break
-    return rec.build(dt, term)
+    return _rollout(np.concatenate([st.y, st.ydot]), [(record, stage, n)],
+                    dt, goal, sf.grid.d)
 
 
 def time_derivative(h_prev, h_next, dt):
@@ -368,92 +354,38 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
 
     Per frame: re-rasterize, re-solve h and v, difference consecutive h for
     dh/dt, extract the dynamic activation zone, then integrate with the
-    time-varying filter while the fields stay frozen.  With all obstacle
-    speeds zero every step reduces bit for bit to the static pipeline.
+    time-varying filter while the fields stay frozen.  The closing sample
+    at t = T uses the last frame's fields.  With all obstacle speeds zero
+    every step reduces bit for bit to the static pipeline.
     """
     m = dt_frame / dt_sim
     if abs(m - round(m)) > 1e-9:
         raise InvalidTimeStep("dt_sim must divide dt_frame")
     m = int(round(m))
     nf = T / dt_frame
-    if abs(nf - round(nf)) > 1e-9:
-        raise InvalidTimeStep("dt_frame must divide T")
+    if abs(nf - round(nf)) > 1e-9 or round(nf) < 1:
+        raise InvalidTimeStep("dt_frame must divide T, T > 0")
     nf = int(round(nf))
 
     builds = [scenario.build(t=k * dt_frame) for k in range(nf + 1)]
     b0 = builds[0]
     cfg = b0.filter_cfg
     y = np.array(scenario.sim_cfg["y0"], dtype=float)
-    if b0.sf.value(y) <= 0.0:
-        raise StartUnsafe(f"h({tuple(y)}) <= 0 in the first frame")
-    controller0 = scenario.controller(b0)
-    _check_cfl(b0.grid, dt_sim,
-               _u_max_estimate(b0.grid, controller0, b0.sf, b0.gf, cfg))
-    goal = scenario.sim_cfg.get("goal")
-    if goal is not None:
-        goal = np.asarray(goal, dtype=float)
-
-    rec = _Recorder()
+    _check_start(y, scenario.controller(b0), b0.sf, b0.gf, cfg, dt_sim,
+                 " in the first frame")
     frames = []
-    term = TIME_LIMIT
-    step = 0
-    done = False
-    for k in range(nf):
-        bk = builds[k]
-        sfk, gfk = bk.sf, bk.gf
-        dh = time_derivative(bk.sf.h, builds[k + 1].sf.h, dt_frame)
-        controller = scenario.controller(bk)
-        zone = activation_zone(bk.grid, controller, sfk, gfk, cfg, dh_dt=dh)
-        frames.append(Frame(k * dt_frame, scenario.speed_at(k * dt_frame),
-                            bk, dh, zone))
 
-        fs = FieldSampler(sfk, gfk, dh)
+    def segments():             # built on demand: frames stop with the run
+        for k in range(nf):
+            bk = builds[k]
+            dh = time_derivative(bk.sf.h, builds[k + 1].sf.h, dt_frame)
+            controller = scenario.controller(bk)
+            zone = activation_zone(bk.grid, controller, bk.sf, bk.gf, cfg,
+                                   dh_dt=dh)
+            frames.append(Frame(k * dt_frame, scenario.speed_at(k * dt_frame),
+                                bk, dh, zone))
+            yield _filtered(controller, bk.sf, bk.gf, cfg, m, dh)
 
-        def f(q, fs=fs, c=controller):
-            return min_norm(q, c(q), fs.at(q, grad=True), cfg)[0]
-
-        for _ in range(m):
-            t = step * dt_sim
-            try:
-                u_nom = np.asarray(controller(y), dtype=float)
-                s = fs.at(y, grad=True)
-                u, a, audit = min_norm(y, u_nom, s, cfg)
-            except VanishingGuidance:
-                term, done = DEGENERATE, True
-                break
-            except OutOfDomain:
-                term, done = LEFT_DOMAIN, True
-                break
-            rec.add(t, y, u_nom, u, s[0], a, audit)
-            if goal is not None and np.linalg.norm(y - goal) < b0.grid.d:
-                term, done = GOAL_REACHED, True
-                break
-            try:
-                y = _rk4(y, f, dt_sim)
-            except VanishingGuidance:
-                term, done = DEGENERATE, True
-                break
-            except OutOfDomain:
-                term, done = LEFT_DOMAIN, True
-                break
-            step += 1
-        if done:
-            break
-    if not done:
-        # closing sample at t = T against the last frame's fields
-        bk = builds[nf - 1]
-        sfk, gfk = bk.sf, bk.gf
-        dh = frames[-1].dh_dt
-        controller = scenario.controller(bk)
-        t = step * dt_sim
-        try:
-            u_nom = np.asarray(controller(y), dtype=float)
-            u = filter_control_dynamic(y, t, u_nom, sfk, dh, gfk, cfg)
-            rec.add(t, y, u_nom, u, sfk.value(y),
-                    activation_dynamic(y, t, u_nom, sfk, dh, gfk, cfg),
-                    activation_dynamic(y, t, u, sfk, dh, gfk, cfg))
-        except VanishingGuidance:
-            term = DEGENERATE
-        except OutOfDomain:
-            term = LEFT_DOMAIN
-    return DynamicResult(rec.build(dt_sim, term), frames)
+    tr = _rollout(y, segments(), dt_sim, scenario.sim_cfg.get("goal"),
+                  b0.grid.d)
+    return DynamicResult(tr, frames)

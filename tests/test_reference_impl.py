@@ -630,7 +630,7 @@ def ref_adversarial(mu, sf):
 def _ref_steps(z, stage, record, dt, T, at_goal, degenerate):
     """The record/step loop of the integrators, step by step."""
     n = int(math.floor(T / dt + 1e-9))
-    rec = _Recorder(with_ydot=len(z) == 4, with_hb=len(z) == 4)
+    rec = _Recorder(double=len(z) == 4)
     term = sim.TIME_LIMIT
     for k in range(n + 1):
         try:
@@ -760,6 +760,9 @@ def ref_run_dynamic(scenario, dt_frame, dt_sim, T):
             term = sim.DEGENERATE
         except OutOfDomain:
             term = sim.LEFT_DOMAIN
+        else:
+            if np.linalg.norm(y - goal) < builds[0].grid.d:
+                term = sim.GOAL_REACHED
     return rec.build(dt_sim, term)
 
 

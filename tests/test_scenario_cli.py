@@ -12,7 +12,7 @@ import yaml
 
 from riskfields.cli import main
 from riskfields.errors import MalformedDocument
-from riskfields.scenario import Scenario, build_filter, load_scenario
+from riskfields.scenario import Scenario, load_scenario
 
 from conftest import SCENARIOS
 
@@ -123,6 +123,70 @@ def test_smooth_window_rejected_at_parse(window):
 def test_smooth_window_accepted(window):
     assert Scenario(minimal_doc(
         risk={"smooth_window": window})).smooth_window == window
+
+
+@pytest.mark.parametrize("nx", ["1e12", 1e12, 64.0, 2, -5, True, None])
+def test_grid_size_must_be_an_integer_of_at_least_3(nx):
+    with pytest.raises(MalformedDocument, match="grid.nx"):
+        Scenario(minimal_doc(grid={"nx": nx, "ny": 24, "d": 0.1}))
+
+
+def test_grid_cell_count_capped():
+    # 2^22 cells parse; one more row does not (and nothing is allocated)
+    Scenario(minimal_doc(grid={"nx": 2048, "ny": 2048, "d": 0.1}))
+    with pytest.raises(MalformedDocument, match="exceeds 4194304"):
+        Scenario(minimal_doc(grid={"nx": 2048, "ny": 2049, "d": 0.1}))
+
+
+def _with_prob(prob):
+    doc = minimal_doc()
+    doc["obstacles"][0]["prob"] = prob
+    return doc
+
+
+@pytest.mark.parametrize("prob", [3.0, -1, 1.0000001, float("nan"),
+                                  float("inf"), "high",
+                                  {"from": 1.5, "to": 0.2},
+                                  {"from": 0.2, "to": -0.1},
+                                  {"from": 0.2, "to": float("nan")},
+                                  {"from": 0.2}])
+def test_prob_outside_unit_interval_rejected_at_parse(prob):
+    with pytest.raises(MalformedDocument, match=r"obstacles\[0\]\.prob"):
+        Scenario(_with_prob(prob))
+
+
+def test_prob_ramp_axis_must_be_x_or_y():
+    with pytest.raises(MalformedDocument, match="prob.axis"):
+        Scenario(_with_prob({"axis": "z", "from": 0.2, "to": 0.8}))
+
+
+def test_prob_ramp_builds_along_its_axis():
+    sc = Scenario(_with_prob({"axis": "y", "from": 0.0, "to": 1.0}))
+    g = sc.rasterize()
+    m = sc._masks[0]
+    ii, jj = np.nonzero(m)
+    p = g.prob[ii, jj]
+    assert p.min() == 0.0 and p.max() == 1.0
+    assert np.all(np.diff(p[np.argsort(jj, kind="stable")]) >= 0.0)
+
+
+@pytest.mark.parametrize("iters", ["a", -1, 2.5, True])
+def test_solver_max_iters_must_be_a_nonnegative_integer(iters):
+    with pytest.raises(MalformedDocument, match="solver.max_iters"):
+        Scenario(minimal_doc(solver={"max_iters": iters}))
+
+
+@pytest.mark.parametrize("omega", ["x", 0, 2, 2.5, -1.0, float("nan"),
+                                   None])
+def test_solver_omega_must_be_auto_or_in_0_2(omega):
+    with pytest.raises(MalformedDocument, match="solver.omega"):
+        Scenario(minimal_doc(solver={"omega": omega}))
+
+
+@pytest.mark.parametrize("solver", [{"omega": "auto"}, {"omega": 1},
+                                    {"omega": 1.5, "max_iters": 40}])
+def test_solver_settings_accepted(solver):
+    Scenario(minimal_doc(solver=solver))
 
 
 def test_label_ids_follow_declaration_order():
@@ -284,14 +348,6 @@ def test_controller_kinds(single_build, semantic_build):
     assert np.allclose(ka(y), -sa.nominal_mu * ra.sf.grad_at(y))
 
 
-def test_build_filter_helper():
-    sc = load_scenario(str(SCENARIOS / "single_obstacle.yaml"))
-    sf, gf, cfg = build_filter(sc)
-    assert sf is sc.last_build.sf
-    assert gf is sc.last_build.gf
-    assert cfg is sc.last_build.filter_cfg
-
-
 # -- command line -----------------------------------------------------------------------
 
 def run_cli(*argv):
@@ -313,7 +369,7 @@ def test_cli_solve_disk(tmp_path):
     digest = hashlib.sha256(
         (SCENARIOS / "disk_oracle.yaml").read_bytes()).hexdigest()
     assert man["scenario_sha256"] == digest
-    assert man["seed"] == 0
+    assert "seed" not in man
     assert man["scipy_version"] == scipy.__version__
     assert man["pyyaml_version"] == yaml.__version__
     assert man["outputs"] == sorted(man["outputs"])
@@ -443,6 +499,28 @@ def test_nonfinite_filter_parameters_rejected_at_parse():
             Scenario(minimal_doc(filter={"gamma": value}))
         with pytest.raises(MalformedDocument):
             Scenario(minimal_doc(backstep={"mu": value})).build()
+
+
+@pytest.mark.parametrize("text", ["nx: 1e12", "omega: x", "max_iters: a",
+                                  "prob: 3.0", "axis: z"])
+def test_cli_rejects_bad_values_with_failed_marker(tmp_path, text):
+    doc = load_doc("single_obstacle")
+    key, value = text.split(": ")
+    if key == "nx":
+        doc["grid"]["nx"] = value
+    elif key in ("omega", "max_iters"):
+        doc["solver"][key] = value
+    elif key == "prob":
+        doc["obstacles"][0]["prob"] = float(value)
+    else:
+        doc["obstacles"][0]["prob"] = {"axis": value, "from": 0.2, "to": 0.8}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bad_out"
+    rc = run_cli("solve", "--scenario", str(bad), "--out", str(out))
+    assert rc == 2
+    assert (out / "FAILED.txt").read_text().startswith("MalformedDocument")
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_rejects_malformed_scenario(tmp_path):

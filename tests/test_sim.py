@@ -325,17 +325,42 @@ def test_run_dynamic_zero_speed_matches_static():
         assert fr.zone.cell_count >= fr.zone.cell_count_restricted
 
 
+def test_run_dynamic_goal_at_T_matches_static():
+    # T ends on the step where the static run reaches the goal: the
+    # closing sample at t = T must make the same goal check
+    doc = load_doc("moving_block")
+    doc["motion"][0]["profile"] = {"kind": "constant", "speed": 0.0}
+    sc = Scenario(doc)
+    res = sc.build()
+    k = sc.controller(res)
+    kw = dict(goal=sc.sim_cfg.get("goal"), dt=0.004)
+    first = integrate_single(sc.sim_cfg["y0"], k, res.sf, res.gf,
+                             res.filter_cfg, T=20.0, **kw)
+    assert first.termination == GOAL_REACHED
+    T = first.t[-1]
+    tr_s = integrate_single(sc.sim_cfg["y0"], k, res.sf, res.gf,
+                            res.filter_cfg, T=T, **kw)
+    tr_d = run_dynamic(sc, dt_frame=T, dt_sim=0.004, T=T).trajectory
+    assert tr_d.termination == tr_s.termination == GOAL_REACHED
+    assert tr_d.n == tr_s.n == first.n
+    for fld in ("t", "y", "u_nom", "u_filt", "h", "a", "audit"):
+        assert np.array_equal(getattr(tr_d, fld), getattr(tr_s, fld)), fld
+
+
 def test_run_dynamic_closing_sample_leaves_domain(monkeypatch):
     sc = Scenario(load_doc("moving_block"))
     T = 0.4
-    real = sim.filter_control_dynamic
+    full = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T).trajectory
+    assert full.termination == TIME_LIMIT and full.t[-1] == pytest.approx(T)
+    y_T = full.y[-1]
+    real = sim.min_norm
 
-    def out_at_T(y, t, *args):
-        if t >= T - 1e-9:
+    def out_at_T(y, *args):
+        if np.array_equal(y, y_T):
             raise OutOfDomain("forced at t = T")
-        return real(y, t, *args)
+        return real(y, *args)
 
-    monkeypatch.setattr(sim, "filter_control_dynamic", out_at_T)
+    monkeypatch.setattr(sim, "min_norm", out_at_T)
     tr = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T).trajectory
     assert tr.termination == LEFT_DOMAIN
     assert tr.t[-1] < T
