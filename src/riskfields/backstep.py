@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCoefficient, OutOfDomain, VanishingGuidance
-from .grid import FieldSampler
+from .grid import FieldSampler, point_xy
+from .safety import _point_form
 
 
 @dataclass
@@ -49,11 +50,18 @@ class BackstepConfig:
             raise ValueError("backstep parameters must all be positive and "
                              "finite")
 
-    def nominal(self, y):
+    def _k_nom(self):
         if self.k_nom_v is None:
             raise ValueError("BackstepConfig.k_nom_v is unset")
-        return np.asarray(self.k_nom_v(np.asarray(y, dtype=float)),
+        return self.k_nom_v
+
+    def nominal(self, y):
+        return np.asarray(self._k_nom()(np.asarray(y, dtype=float)),
                           dtype=float)
+
+    def nominal_at(self):
+        """k_nom_v in point form, (px, py) -> (kx, ky) on Python floats."""
+        return _point_form(self._k_nom())
 
 
 def smooth_margin(a, sigma_s):
@@ -68,24 +76,26 @@ def smooth_margin(a, sigma_s):
     return sigma_s * sigma_s / (2.0 * (r - a))
 
 
-def _k_v(y, k_nom_value, s, cfg):
-    """k_v at y from a sample s = (h, vx, vy, ...) of the fields there."""
+def _k_v(p, k, s, cfg):
+    """k_v at the point p as two floats, from k = k_nom there and a sample
+    s = (h, vx, vy, ...) of the fields; p and k are pairs of floats."""
     h, vx, vy = s[0], s[1], s[2]
-    kx, ky = np.asarray(k_nom_value, dtype=float).tolist()
+    kx, ky = k
     nv2 = vx * vx + vy * vy
     if nv2 < cfg.eta_v * cfg.eta_v:
         raise VanishingGuidance(
-            f"||v||={math.sqrt(nv2):.3e} below eta_v at {tuple(np.asarray(y))}")
+            f"||v||={math.sqrt(nv2):.3e} below eta_v at {tuple(p)}")
     a = (vx * kx + vy * ky) + cfg.gamma * h
     lam = 0.5 * (-a + math.hypot(a, cfg.sigma_s))
     c = lam / nv2
-    return np.array([kx + c * vx, ky + c * vy])
+    return kx + c * vx, ky + c * vy
 
 
 def k_v_smooth(y, k_nom_value, sf, gf, cfg):
     """Velocity controller k_nom + lambda/||v||^2 v, smooth in y."""
-    fs = FieldSampler(sf, gf, snapshot=False)
-    return _k_v(y, k_nom_value, fs.at(y), cfg)
+    p = point_xy(y)
+    s = FieldSampler(sf, gf, snapshot=False).at(*p)
+    return np.array(_k_v(p, point_xy(k_nom_value), s, cfg))
 
 
 def _h_B(h, e, mu):
@@ -94,43 +104,46 @@ def _h_B(h, e, mu):
 
 def h_B(state, sf, gf, cfg):
     """Shrunken barrier h - ||ydot - k_v||^2 / (2 mu); never above h."""
-    y = state.y
-    k = cfg.nominal(y)
-    s = FieldSampler(sf, gf, snapshot=False).at(y)
-    return _h_B(s[0], state.ydot - _k_v(y, k, s, cfg), cfg.mu)
+    p = point_xy(state.y)
+    k = point_xy(cfg.nominal(state.y))
+    s = FieldSampler(sf, gf, snapshot=False).at(*p)
+    return _h_B(s[0], state.ydot - np.array(_k_v(p, k, s, cfg)), cfg.mu)
 
 
-def _jacobian(y, kv, cfg, fs):
+def _jacobian(p, kv, k, cfg, fs):
     """Central differences of k_v with step d/2 per axis, one (h, v) lookup
-    per probe; one-sided against kv = k_v(y) (computed here when None) when
-    a probe leaves the sampleable region."""
+    per probe; one-sided against kv = k_v(p) (computed here when None) when
+    a probe leaves the sampleable region.  k is k_nom_v in point form; the
+    rows of J come back as pairs of floats."""
     step = 0.5 * fs.grid.d
+    px, py = p
 
-    def k_v_at(p):
-        return _k_v(p, cfg.nominal(p), fs.at(p), cfg)
+    def k_v_at(q):
+        return _k_v(q, k(*q), fs.at(*q), cfg)
 
     cols = []
-    for axis in range(2):
-        off = np.zeros(2)
-        off[axis] = step
+    for hi_p, lo_p in (((px + step, py), (px - step, py)),
+                       ((px, py + step), (px, py - step))):
         hi = lo = None
         try:
-            hi = k_v_at(y + off)
+            hi = k_v_at(hi_p)
         except OutOfDomain:
             pass
         try:
-            lo = k_v_at(y - off)
+            lo = k_v_at(lo_p)
         except OutOfDomain:
             pass
         if hi is not None and lo is not None:
-            cols.append((hi - lo) / (2.0 * step))
+            w = 2.0 * step
         elif hi is not None:
-            cols.append((hi - (k_v_at(y) if kv is None else kv)) / step)
+            lo, w = (k_v_at(p) if kv is None else kv), step
         elif lo is not None:
-            cols.append(((k_v_at(y) if kv is None else kv) - lo) / step)
+            hi, w = (k_v_at(p) if kv is None else kv), step
         else:
-            raise OutOfDomain(f"no valid probes around {tuple(y)}")
-    return np.column_stack(cols)
+            raise OutOfDomain(f"no valid probes around {tuple(p)}")
+        cols.append(((hi[0] - lo[0]) / w, (hi[1] - lo[1]) / w))
+    (j00, j10), (j01, j11) = cols
+    return (j00, j01), (j10, j11)
 
 
 def k_v_jacobian(y, sf, gf, cfg):
@@ -139,8 +152,8 @@ def k_v_jacobian(y, sf, gf, cfg):
     Falls back to one-sided differences when a probe point leaves the
     sampleable region.
     """
-    y = np.asarray(y, dtype=float)
-    return _jacobian(y, None, cfg, FieldSampler(sf, gf, snapshot=False))
+    fs = FieldSampler(sf, gf, snapshot=False)
+    return np.array(_jacobian(point_xy(y), None, cfg.nominal_at(), cfg, fs))
 
 
 class AccelTerms(NamedTuple):
@@ -185,32 +198,36 @@ class AccelTerms(NamedTuple):
         return w_nom + (-resid / nc2) * c, resid
 
 
-def accel_terms(state, sf, gf, cfg, fs=None):
-    """k_v, e, Dh, J and h_B at state, as AccelTerms.
+def accel_terms(y, ydot, k, cfg, fs):
+    """k_v, e, Dh, J and h_B at the extended state (y, ydot), as AccelTerms.
 
-    One (h, v, grad h) lookup at y plus one (h, v) lookup per Jacobian
-    probe.  fs is a FieldSampler over (sf, gf), built once per rollout;
-    without one the arrays are read in place.
+    y is the position as a pair of floats and ydot the velocity as a
+    length-2 array; k is k_nom_v in point form and fs a FieldSampler over
+    (sf, gf).  One (h, v, grad h) lookup at y plus one (h, v) lookup per
+    Jacobian probe, all on Python floats; e, Dh and J become arrays only
+    for the dot products, whose bits come from BLAS.
     """
-    if fs is None:
-        fs = FieldSampler(sf, gf, snapshot=False)
-    y, ydot = state.y, state.ydot
-    k = cfg.nominal(y)
-    s = fs.at(y, grad=True)
-    kv = _k_v(y, k, s, cfg)
-    e = ydot - kv
-    Dh = np.array([s[3], s[4]])
-    J = _jacobian(y, kv, cfg, fs)
+    kn = k(*y)
+    s = fs.at(*y, grad=True)
+    kv = _k_v(y, kn, s, cfg)
+    e = ydot - np.array(kv)
+    Dh = np.array((s[3], s[4]))
+    J = np.array(_jacobian(y, kv, k, cfg, fs))
     return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu), float(Dh @ ydot),
                       J @ ydot)
 
 
+def _terms(state, sf, gf, cfg):
+    return accel_terms(point_xy(state.y), state.ydot, cfg.nominal_at(), cfg,
+                       FieldSampler(sf, gf, snapshot=False))
+
+
 def hdot_B(state, w, sf, gf, cfg):
     """d/dt h_B under acceleration w (see AccelTerms.hdot_B)."""
-    return accel_terms(state, sf, gf, cfg).hdot_B(w, cfg.mu)
+    return _terms(state, sf, gf, cfg).hdot_B(w, cfg.mu)
 
 
 def filter_accel(state, w_nom, sf, gf, cfg):
     """Minimal correction of w_nom enforcing hdot_B >= -gamma h_B (see
     AccelTerms.filter)."""
-    return accel_terms(state, sf, gf, cfg).filter(w_nom, cfg)[0]
+    return _terms(state, sf, gf, cfg).filter(w_nom, cfg)[0]

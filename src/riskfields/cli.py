@@ -25,11 +25,11 @@ from .safety import activation_zone
 from .scenario import Scenario
 
 
-def _manifest(scenario_path, outputs):
+def _manifest(argv, scenario_path, outputs):
     with open(scenario_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(argv),
         "scenario": os.path.abspath(scenario_path),
         "scenario_sha256": digest,
         "package_version": __version__,
@@ -275,6 +275,8 @@ def main(argv=None):
     ap.add_argument("--gammas", default="",
                     help="sweep: comma-separated gamma values")
     ap.add_argument("--workers", type=int, default=1)
+    if argv is None:
+        argv = sys.argv[1:]
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
@@ -290,7 +292,7 @@ def main(argv=None):
         print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
     mp = os.path.join(args.out, "manifest.json")
-    _write_json(mp, _manifest(args.scenario, outputs))
+    _write_json(mp, _manifest(argv, args.scenario, outputs))
     return 0
 
 

@@ -367,45 +367,44 @@ class VectorField:
         self.mask = fx.mask
 
 
-def _cell(grid, px, py):
-    """Lower-left lattice cell (i0, j0) of the point and the fractions
-    (fx, fy) of the way to the next cell centers."""
+def _interp(channels, grid, px, py):
+    """Bilinear interpolation of each channel at the point (px, py) from one
+    cell lookup, as a list of floats.
+
+    A channel is a 2-D array or its nested-list snapshot; both give the same
+    bits, since the four samples around the cell are blended in a fixed
+    order.  Raises OutOfDomain outside the lattice hull or where a channel
+    is NaN (deeper than the ghost band).
+    """
     ox, oy = grid.origin_xy
     gx = (px - ox) / grid.d
     gy = (py - oy) / grid.d
     i0 = math.floor(gx)
     j0 = math.floor(gy)
-    if i0 < 0 or j0 < 0 or i0 + 1 >= grid.nx or j0 + 1 >= grid.ny:
+    i1 = i0 + 1
+    j1 = j0 + 1
+    if i0 < 0 or j0 < 0 or i1 >= grid.nx or j1 >= grid.ny:
         raise OutOfDomain(f"point ({px}, {py}) outside the lattice hull")
-    return i0, j0, gx - i0, gy - j0
-
-
-def _lerp(rows, i0, j0, fx, fy):
-    """Bilinear blend of the four samples around a cell, in a fixed order.
-
-    rows is a 2-D array or its nested-list snapshot; both give the same bits.
-    """
-    r0 = rows[i0]
-    r1 = rows[i0 + 1]
-    return (r0[j0] * (1.0 - fx) * (1.0 - fy) + r1[j0] * fx * (1.0 - fy)
-            + r0[j0 + 1] * (1.0 - fx) * fy + r1[j0 + 1] * fx * fy)
-
-
-def _too_deep(px, py):
-    return OutOfDomain(
-        f"point ({px}, {py}) deeper than one cell into occupied space")
-
-
-def _bilinear(values, grid, px, py):
-    s = _lerp(values, *_cell(grid, px, py))
-    if math.isnan(s):
-        raise _too_deep(px, py)
-    return s
+    fx = gx - i0
+    fy = gy - j0
+    ex = 1.0 - fx
+    ey = 1.0 - fy
+    out = []
+    for rows in channels:
+        r0 = rows[i0]
+        r1 = rows[i1]
+        s = (r0[j0] * ex * ey + r1[j0] * fx * ey + r0[j1] * ex * fy
+             + r1[j1] * fx * fy)
+        if s != s:
+            raise OutOfDomain(f"point ({px}, {py}) deeper than one cell "
+                              "into occupied space")
+        out.append(s)
+    return out
 
 
 def _bilinear_many(values, grid, px, py):
-    """_cell and _lerp elementwise over arrays of points, in the same order,
-    so each entry has the bits of the one-point call."""
+    """_interp elementwise over arrays of points, in the same order, so each
+    entry has the bits of the one-point call."""
     ox, oy = grid.origin_xy
     gx = (px - ox) / grid.d
     gy = (py - oy) / grid.d
@@ -429,7 +428,7 @@ def _bilinear_many(values, grid, px, py):
     return s
 
 
-def _point(y):
+def point_xy(y):
     """The coordinates of y as Python floats."""
     p = np.asarray(y, dtype=float)
     return float(p[0]), float(p[1])
@@ -437,19 +436,18 @@ def _point(y):
 
 def sample_scalar(field, y):
     """Bilinear interpolation of the four surrounding cell-center samples."""
-    return _bilinear(field.values, field.grid, *_point(y))
+    return _interp((field.values,), field.grid, *point_xy(y))[0]
+
+
+def pair_at(rows_x, rows_y, grid, px, py):
+    """Two channels (2-D arrays or their nested-list snapshots) at the point
+    (px, py) from one cell lookup, as two floats."""
+    return tuple(_interp((rows_x, rows_y), grid, px, py))
 
 
 def sample_pair(rows_x, rows_y, grid, y):
-    """Two channels (2-D arrays or their nested-list snapshots) at y from
-    one cell lookup, as a length-2 array."""
-    px, py = _point(y)
-    cell = _cell(grid, px, py)
-    sx = _lerp(rows_x, *cell)
-    sy = _lerp(rows_y, *cell)
-    if math.isnan(sx) or math.isnan(sy):
-        raise _too_deep(px, py)
-    return np.array([sx, sy])
+    """pair_at at y, as a length-2 array."""
+    return np.array(pair_at(rows_x, rows_y, grid, *point_xy(y)))
 
 
 def sample_vector(field, y):
@@ -477,10 +475,11 @@ class FieldSampler:
     """h, v and, on request, grad h and dh/dt at a point from one cell lookup.
 
     sf is a SafetyFunction (h and its cached gradient), gf a guidance bundle
-    and dh_dt an optional ScalarField, all on one lattice geometry.  By
-    default the channels are copied once into nested lists (about 0.1 ms per
-    64x64 channel): Python-float arithmetic on list entries costs about a
-    fifth of the same arithmetic on numpy scalars and gives the same bits.
+    and dh_dt an optional ScalarField, all on one lattice geometry.  The
+    point comes in as two Python floats, as the rollouts keep their state.
+    By default the channels are copied once into nested lists (about 0.1 ms
+    per 64x64 channel): Python-float arithmetic on list entries costs about
+    a fifth of the same arithmetic on numpy scalars and gives the same bits.
     snapshot=False reads the arrays in place, for callers that sample only
     a few points.
     """
@@ -495,35 +494,22 @@ class FieldSampler:
             return field.values.tolist() if snapshot else field.values
 
         self.grid = grid
-        self._h = rows(sf.h)
-        self._vx = rows(gf.v.x)
-        self._vy = rows(gf.v.y)
-        self._gx = rows(sf.grad.x)
-        self._gy = rows(sf.grad.y)
-        self._dh = None if dh_dt is None else rows(dh_dt)
+        self._hv = (rows(sf.h), rows(gf.v.x), rows(gf.v.y))
+        self._all = self._hv + (rows(sf.grad.x), rows(sf.grad.y))
+        if dh_dt is not None:
+            self._all += (rows(dh_dt),)
 
-    def at(self, y, grad=False):
-        """(h, vx, vy) at y, or with grad=True (h, vx, vy, dh/dx, dh/dy,
-        dh/dt), where dh/dt is None without a dh_dt channel.
+    def at(self, px, py, grad=False):
+        """[h, vx, vy] at the point (px, py), or with grad=True [h, vx, vy,
+        dh/dx, dh/dy, dh/dt], where dh/dt is None without a dh_dt channel.
 
         Raises OutOfDomain outside the lattice hull or where a returned
         channel is NaN (deeper than the ghost band).
         """
-        px, py = _point(y)
-        i0, j0, fx, fy = _cell(self.grid, px, py)
-        h = _lerp(self._h, i0, j0, fx, fy)
-        vx = _lerp(self._vx, i0, j0, fx, fy)
-        vy = _lerp(self._vy, i0, j0, fx, fy)
-        if h != h or vx != vx or vy != vy:
-            raise _too_deep(px, py)
-        if not grad:
-            return h, vx, vy
-        gx = _lerp(self._gx, i0, j0, fx, fy)
-        gy = _lerp(self._gy, i0, j0, fx, fy)
-        dh = None if self._dh is None else _lerp(self._dh, i0, j0, fx, fy)
-        if gx != gx or gy != gy or dh != dh:
-            raise _too_deep(px, py)
-        return h, vx, vy, gx, gy, dh
+        s = _interp(self._all if grad else self._hv, self.grid, px, py)
+        if len(s) == 5:     # grad without a dh_dt channel
+            s.append(None)
+        return s
 
 
 def _nearest_hits(cells, target, radius):

@@ -11,6 +11,7 @@ stays affine in u with coefficient v, so the same closed form applies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import GridMismatch, VanishingGuidance
-from .grid import (FieldSampler, fill_band, sample_gradient, sample_scalar,
-                   sample_vector)
+from .grid import (FieldSampler, fill_band, point_xy, sample_gradient,
+                   sample_scalar, sample_vector)
 
 
 @dataclass
@@ -52,19 +53,22 @@ class SafetyFunction:
         return sample_scalar(self.h, y)
 
     def grad_at(self, y):
-        """Dh at y, or at each row of an (n, 2) block.
-
-        One point is read from nested-list copies of the cached gradient,
-        made on first use: same bits as sample_gradient, at about a fifth
-        of the cost.
-        """
+        """Dh at y, or at each row of an (n, 2) block."""
         p = np.asarray(y, dtype=float)
         if p.ndim == 2:
             return sample_gradient(self.h, p)
+        return np.array(self.grad_xy(*point_xy(p)))
+
+    def grad_xy(self, px, py):
+        """Dh at the point (px, py) as two floats.
+
+        Read from nested-list copies of the cached gradient, made on first
+        use: same bits as sample_gradient, at about a fifth of the cost.
+        """
         if self._grad_rows is None:
             self._grad_rows = (self.grad.x.values.tolist(),
                                self.grad.y.values.tolist())
-        return gridmod.sample_pair(*self._grad_rows, self.grid, p)
+        return gridmod.pair_at(*self._grad_rows, self.grid, px, py)
 
 
 class GuidanceFieldBundle:
@@ -100,17 +104,18 @@ def _activation(s, tv, kx, ky, gamma):
     return (vk + tv) + gamma * s[0]
 
 
-def min_norm(y, k_nom_value, s, cfg):
-    """Closed-form filter at y from one sample s of the fields there.
+def min_norm(y, k, s, cfg):
+    """Closed-form filter at the point y from one sample s of the fields
+    there, on Python floats.
 
-    Returns (u, a, audit): the filtered input, the activation at k_nom and
-    the activation at u.  s comes from FieldSampler.at; with a dh/dt channel
-    (grad=True) this is the time-varying filter, without it the static one,
-    which is the same arithmetic less the dh/dt term.  k_nom is returned as
-    a copy when a >= 0.
+    y and k are (x, y) pairs of floats: the point and k_nom there.  Returns
+    (u, a, audit): the filtered input as a pair (k itself when a >= 0), the
+    activation at k_nom and the activation at u.  s comes from
+    FieldSampler.at; with a dh/dt channel (grad=True) this is the
+    time-varying filter, without it the static one, which is the same
+    arithmetic less the dh/dt term.
     """
-    k = np.array(k_nom_value, dtype=float)
-    kx, ky = k.tolist()
+    kx, ky = k
     tv = _dh_term(s, cfg)
     a = _activation(s, tv, kx, ky, cfg.gamma)
     if a >= 0.0:
@@ -123,27 +128,34 @@ def min_norm(y, k_nom_value, s, cfg):
     c = -a / nv2
     ux = kx + c * vx
     uy = ky + c * vy
-    return np.array([ux, uy]), a, _activation(s, tv, ux, uy, cfg.gamma)
+    return (ux, uy), a, _activation(s, tv, ux, uy, cfg.gamma)
 
 
 def _sample(y, sf, gf, dh_dt=None):
+    """The array-like point y as floats and one sample of the fields there."""
+    p = point_xy(y)
     fs = FieldSampler(sf, gf, dh_dt, snapshot=False)
-    return fs.at(y, grad=dh_dt is not None)
+    return p, fs.at(*p, grad=dh_dt is not None)
 
 
-def _activation_at(y, k_nom_value, s, cfg):
-    kx, ky = np.asarray(k_nom_value, dtype=float).tolist()
+def _activation_at(k_nom_value, s, cfg):
+    kx, ky = point_xy(k_nom_value)
     return _activation(s, _dh_term(s, cfg), kx, ky, cfg.gamma)
+
+
+def _filter_at(y, k_nom_value, sf, gf, cfg, dh_dt=None):
+    p, s = _sample(y, sf, gf, dh_dt)
+    return np.array(min_norm(p, point_xy(k_nom_value), s, cfg)[0])
 
 
 def activation(y, k_nom_value, sf, gf, cfg):
     """a(y) = v(y).k_nom + gamma h(y)."""
-    return _activation_at(y, k_nom_value, _sample(y, sf, gf), cfg)
+    return _activation_at(k_nom_value, _sample(y, sf, gf)[1], cfg)
 
 
 def filter_control(y, k_nom_value, sf, gf, cfg):
     """Closed-form filtered input; k_nom untouched when a >= 0."""
-    return min_norm(y, k_nom_value, _sample(y, sf, gf), cfg)[0]
+    return _filter_at(y, k_nom_value, sf, gf, cfg)
 
 
 def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
@@ -151,11 +163,28 @@ def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
 
     With dh/dt identically zero this reproduces activation() bit for bit.
     """
-    return _activation_at(y, k_nom_value, _sample(y, sf_t, gf, dh_dt), cfg)
+    return _activation_at(k_nom_value, _sample(y, sf_t, gf, dh_dt)[1], cfg)
 
 
 def filter_control_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
-    return min_norm(y, k_nom_value, _sample(y, sf_t, gf, dh_dt), cfg)[0]
+    return _filter_at(y, k_nom_value, sf_t, gf, cfg, dh_dt)
+
+
+def _point_form(k_nom):
+    """k_nom as a map (px, py) -> (kx, ky) on Python floats.
+
+    A controller with its own point form (k_nom.at) is used as it is; any
+    other callable is called on a length-2 array and its result converted
+    with tolist().
+    """
+    at = getattr(k_nom, "at", None)
+    if at is not None:
+        return at
+
+    def at(px, py):
+        return np.asarray(k_nom(np.array((px, py))), dtype=float).tolist()
+
+    return at
 
 
 def eval_controller(k_nom, pts):
@@ -210,14 +239,19 @@ def _edge_point(edge, i, j, a00, a10, a11, a01, cx, cy):
 
 
 def _chain_segments(segments):
-    """Joins raw segments into polylines by shared endpoints."""
+    """Joins raw segments into polylines by shared endpoints.
+
+    Endpoints match when their coordinates agree to round(., 9); each
+    segment's two keys are computed once.
+    """
     def key(p):
         return (round(p[0], 9), round(p[1], 9))
 
+    keys = [(key(p), key(q)) for p, q in segments]
     adj = {}
-    for s, (p, q) in enumerate(segments):
-        adj.setdefault(key(p), []).append(s)
-        adj.setdefault(key(q), []).append(s)
+    for s, (kp, kq) in enumerate(keys):
+        adj.setdefault(kp, []).append(s)
+        adj.setdefault(kq, []).append(s)
     used = [False] * len(segments)
     lines = []
     for s0 in range(len(segments)):
@@ -229,15 +263,16 @@ def _chain_segments(segments):
         for flip in (False, True):
             if flip:
                 path.reverse()
+            k = keys[s0][0 if flip else 1]
             while True:
-                k = key(path[-1])
                 nxt = [s for s in adj.get(k, []) if not used[s]]
                 if not nxt:
                     break
                 s = nxt[0]
                 used[s] = True
-                p, q = segments[s]
-                path.append(q if key(p) == k else p)
+                far = 1 if keys[s][0] == k else 0
+                path.append(segments[s][far])
+                k = keys[s][far]
         lines.append(np.array(path))
     return lines
 
@@ -249,7 +284,12 @@ class ActivationZone:
     a: object                      # ScalarField of a over free cells
     active: np.ndarray             # free cells with a <= 0
     active_restricted: np.ndarray  # additionally v.k_nom <= 0
-    polylines: list = field(default_factory=list)
+    segments: list = field(default_factory=list)  # raw contour segments
+
+    @functools.cached_property
+    def polylines(self):
+        """The contour segments chained into polylines, on first read."""
+        return _chain_segments(self.segments)
 
     @property
     def cell_count(self):
@@ -348,5 +388,4 @@ def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
 
     afield = gridmod.ScalarField(grid, fill_band(grid, np.where(free, a, 0.0),
                                                  band_value=0.0))
-    return ActivationZone(grid, afield, active, restricted,
-                          _chain_segments(segments))
+    return ActivationZone(grid, afield, active, restricted, segments)

@@ -236,7 +236,7 @@ class Scenario:
         self.motion = []
         for idx, mo in enumerate(doc.get("motion", [])):
             path = f"motion[{idx}]"
-            ob = int(_num(_req(mo, "obstacle", path), f"{path}.obstacle"))
+            ob = _int(_req(mo, "obstacle", path), f"{path}.obstacle")
             if not (0 <= ob < len(self.obstacles)):
                 raise MalformedDocument(f"{path}.obstacle: index out of range")
             heading = _point(_req(mo, "heading", path), f"{path}.heading")
@@ -262,7 +262,7 @@ class Scenario:
 
         self.sweep_obstacle = doc.get("sweep_obstacle")
         if self.sweep_obstacle is not None:
-            self.sweep_obstacle = int(self.sweep_obstacle)
+            self.sweep_obstacle = _int(self.sweep_obstacle, "sweep_obstacle")
             if not (0 <= self.sweep_obstacle < len(self.obstacles)):
                 raise MalformedDocument("sweep_obstacle: index out of range")
 

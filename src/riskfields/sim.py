@@ -19,9 +19,9 @@ from .errors import (DegenerateCoefficient, GridMismatch, InvalidTimeStep,
 from .grid import FieldSampler, ScalarField, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
-from .safety import (activation, activation_dynamic, activation_zone,  # noqa: F401
-                     filter_control, filter_control_dynamic,
-                     lattice_activation, min_norm)
+from .safety import (_point_form, activation,  # noqa: F401
+                     activation_dynamic, activation_zone, filter_control,
+                     filter_control_dynamic, lattice_activation, min_norm)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -139,19 +139,36 @@ def nominal_adversarial(y, mu, sf):
 
 
 def goal_controller(mu, goal):
+    """nominal_goal as a controller over points or (n,2) blocks; k.at(px, py)
+    is the same arithmetic on Python floats."""
     goal = np.asarray(goal, dtype=float)
+    gx, gy = goal.tolist()
+    m = -mu
 
     def k_nom(y):
         return nominal_goal(y, mu, goal)
 
+    def at(px, py):
+        return m * (px - gx), m * (py - gy)
+
     k_nom.goal = goal
+    k_nom.at = at
     return k_nom
 
 
 def adversarial_controller(mu, sf):
+    """nominal_adversarial as a controller over points or (n,2) blocks;
+    k.at(px, py) is the same arithmetic on Python floats."""
+    m = -mu
+
     def k_nom(y):
         return nominal_adversarial(y, mu, sf)
 
+    def at(px, py):
+        gx, gy = sf.grad_xy(px, py)
+        return m * gx, m * gy
+
+    k_nom.at = at
     return k_nom
 
 
@@ -179,29 +196,31 @@ def _u_max_estimate(grid, controller, sf, gf, cfg):
     return float(u.max()) if len(u) else 0.0
 
 
-def _rk4(y, f, dt):
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(y, k1, f, dt):
+    """One classical RK4 step of y' = f(y) on a tuple of floats, from
+    k1 = f(y)."""
+    h = 0.5 * dt
+    k2 = f(tuple([a + h * b for a, b in zip(y, k1)]))
+    k3 = f(tuple([a + h * b for a, b in zip(y, k2)]))
+    k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]))
+    w = dt / 6.0
+    return tuple([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 _COLUMNS = ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B")
 
 
 class _Recorder:
-    """Trajectory rows; a double-integrator row adds ydot and h_B."""
+    """Trajectory rows of floats and float pairs; a double-integrator row
+    adds ydot and h_B.  build makes each column an array once."""
 
     def __init__(self, double=False):
         self.width = 9 if double else 7
         self.rows = []
 
-    def add(self, t, y, u_nom, u_filt, h, a, audit, ydot=None, h_B=None):
-        row = (t, np.array(y), np.array(u_nom), np.array(u_filt), h, a, audit)
-        if self.width == 9:
-            row += (np.array(ydot), h_B)
-        self.rows.append(row)
+    def add(self, t, row):
+        self.rows.append((t,) + row)
 
     def build(self, dt, termination):
         cols = list(zip(*self.rows)) or [()] * self.width
@@ -222,8 +241,11 @@ def _samples(segments):
 def _rollout(z, segments, dt, goal, d):
     """The record, goal check and RK4 step loop of every closed-loop run.
 
-    segments yields (record, stage, steps): record(z) returns the row that
-    _Recorder.add takes after t, stage(z) is the RK4 right-hand side, and
+    z is the state as a tuple of floats: (x, y), or (x, y, vx, vy) for the
+    double integrator.  segments yields (record, stage, steps): stage(z) is
+    the RK4 right-hand side as a tuple of floats; record(z) returns the row
+    that _Recorder.add takes after t, together with stage(z), which it
+    computes on the way and which serves as the step's first RK4 stage;
     the segment runs for steps steps.  After the last segment its record
     takes the closing sample.  Any sample with z[:2] within d of goal ends
     the run; a degenerate filter ends it as DEGENERATE and a point off the
@@ -233,12 +255,14 @@ def _rollout(z, segments, dt, goal, d):
     term = TIME_LIMIT
     try:
         for k, (record, stage) in enumerate(_samples(segments)):
-            rec.add(k * dt, *record(z))
-            if goal is not None and np.linalg.norm(z[:2] - goal) < d:
+            row, zdot = record(z)
+            rec.add(k * dt, row)
+            if goal is not None and \
+                    np.linalg.norm(np.subtract(z[:2], goal)) < d:
                 term = GOAL_REACHED
                 break
             if stage is not None:
-                z = _rk4(z, stage, dt)
+                z = _rk4(z, zdot, stage, dt)
     except (VanishingGuidance, DegenerateCoefficient):
         term = DEGENERATE
     except OutOfDomain:
@@ -248,19 +272,21 @@ def _rollout(z, segments, dt, goal, d):
 
 def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
     """(record, stage, steps) of ydot = the closed-form filter of
-    controller(y), sampled once per point; with dh_dt the time-varying
+    controller(y), with one controller call, one field sample and one
+    min_norm per point, all on floats; with dh_dt the time-varying
     filter."""
     fs = FieldSampler(sf, gf, dh_dt)
     grad = dh_dt is not None
+    k = _point_form(controller)
 
     def record(y):
-        u_nom = np.asarray(controller(y), dtype=float)
-        s = fs.at(y, grad)
+        u_nom = k(*y)
+        s = fs.at(*y, grad)
         u, a, audit = min_norm(y, u_nom, s, cfg)
-        return y, u_nom, u, s[0], a, audit
+        return (y, u_nom, u, s[0], a, audit), u
 
     def stage(y):
-        return min_norm(y, controller(y), fs.at(y, grad), cfg)[0]
+        return min_norm(y, k(*y), fs.at(*y, grad), cfg)[0]
 
     return record, stage, steps
 
@@ -276,38 +302,41 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     if goal is None:
         goal = getattr(controller, "goal", None)
     n = int(math.floor(T / dt + 1e-9))
-    return _rollout(y, [_filtered(controller, sf, gf, cfg, n)], dt, goal,
-                    sf.grid.d)
+    return _rollout(tuple(y.tolist()), [_filtered(controller, sf, gf, cfg, n)],
+                    dt, goal, sf.grid.d)
 
 
 def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     """RK4 on the extended state with the acceleration-level filter.
 
-    accel_nom(y, ydot) is the nominal acceleration; the velocity-level
-    nominal used inside k_v comes from bcfg.k_nom_v.
+    accel_nom(y, ydot) is the nominal acceleration, called with arrays; the
+    velocity-level nominal used inside k_v comes from bcfg.k_nom_v.
     """
     st = bs.ExtendedState(np.array(state0.y), np.array(state0.ydot))
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
     fs = FieldSampler(sf, gf)
+    k = bcfg.nominal_at()
 
     def record(z):
-        q = bs.ExtendedState(z[:2], z[2:])
-        w_nom = np.asarray(accel_nom(q.y, q.ydot), dtype=float)
-        terms = bs.accel_terms(q, sf, gf, bcfg, fs)
+        y, ydot = z[:2], np.array(z[2:])
+        w_nom = np.asarray(accel_nom(np.array(y), ydot), dtype=float)
+        terms = bs.accel_terms(y, ydot, k, bcfg, fs)
         w, resid_nom = terms.filter(w_nom, bcfg)
         resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
-        return q.y, w_nom, w, terms.h, resid_nom, resid, q.ydot, terms.h_B
+        w = w.tolist()
+        return ((y, w_nom.tolist(), w, terms.h, resid_nom, resid, z[2:],
+                 terms.h_B), z[2:] + tuple(w))
 
     def stage(z):
-        q = bs.ExtendedState(z[:2], z[2:])
-        w_nom = accel_nom(q.y, q.ydot)
-        w, _ = bs.accel_terms(q, sf, gf, bcfg, fs).filter(w_nom, bcfg)
-        return np.concatenate([q.ydot, w])
+        y, ydot = z[:2], np.array(z[2:])
+        w_nom = accel_nom(np.array(y), ydot)
+        w, _ = bs.accel_terms(y, ydot, k, bcfg, fs).filter(w_nom, bcfg)
+        return z[2:] + tuple(w.tolist())
 
     n = int(math.floor(T / dt + 1e-9))
-    return _rollout(np.concatenate([st.y, st.ydot]), [(record, stage, n)],
-                    dt, goal, sf.grid.d)
+    z0 = tuple(st.y.tolist() + st.ydot.tolist())
+    return _rollout(z0, [(record, stage, n)], dt, goal, sf.grid.d)
 
 
 def time_derivative(h_prev, h_next, dt):
@@ -373,6 +402,7 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
     y = np.array(scenario.sim_cfg["y0"], dtype=float)
     _check_start(y, scenario.controller(b0), b0.sf, b0.gf, cfg, dt_sim,
                  " in the first frame")
+    y = tuple(y.tolist())
     frames = []
 
     def segments():             # built on demand: frames stop with the run

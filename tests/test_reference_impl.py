@@ -6,9 +6,10 @@ features, obstacle owners and arc weights come from one (n, 4) gather of
 each node's neighbours.  They do the same arithmetic and make the same
 tie-breaks as the boolean-mask sweep, run once per system, and the per-cell
 and per-node loops kept below.
-The rollout loops sample each point once, from nested-list snapshots of the
-fields, and derive every recorded quantity from that one sample; the
-references sample every quantity on its own, from the arrays.  Every
+The rollout loops step tuples of Python floats, sample each point once,
+from nested-list snapshots of the fields, and derive every recorded quantity
+from that one sample; the references step numpy arrays with their own RK4
+and recorder, and sample every quantity on its own, from the arrays.  Every
 comparison here is exact (NaN-aware), not within a tolerance.
 """
 
@@ -33,7 +34,7 @@ from riskfields.scenario import Scenario
 from riskfields.safety import (GuidanceFieldBundle, activation,
                                activation_dynamic, filter_control,
                                filter_control_dynamic)
-from riskfields.sim import _Recorder, _rk4, time_derivative
+from riskfields.sim import Trajectory, time_derivative
 
 from conftest import build_scenario
 from test_elliptic import disk_grid
@@ -625,6 +626,38 @@ def ref_filter_accel(state, w_nom, sf, gf, cfg):
 
 def ref_adversarial(mu, sf):
     return lambda y: -mu * ref_gradient(sf.h, y)
+
+
+def _rk4(y, f, dt):
+    """Classical RK4 on numpy arrays."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_COLUMNS = ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B")
+
+
+class _Recorder:
+    """Trajectory rows of numpy copies; a double-integrator row adds ydot
+    and h_B."""
+
+    def __init__(self, double=False):
+        self.width = 9 if double else 7
+        self.rows = []
+
+    def add(self, t, y, u_nom, u_filt, h, a, audit, ydot=None, h_B=None):
+        row = (t, np.array(y), np.array(u_nom), np.array(u_filt), h, a, audit)
+        if self.width == 9:
+            row += (np.array(ydot), h_B)
+        self.rows.append(row)
+
+    def build(self, dt, termination):
+        cols = list(zip(*self.rows)) or [()] * self.width
+        return Trajectory(dt=dt, termination=termination,
+                          **{k: np.array(c) for k, c in zip(_COLUMNS, cols)})
 
 
 def _ref_steps(z, stage, record, dt, T, at_goal, degenerate):

@@ -98,6 +98,25 @@ def test_sweep_obstacle_range_checked():
         Scenario(minimal_doc(sweep_obstacle=5))
 
 
+def _bad_obstacle_index(text):
+    """A shipped document with one obstacle index replaced by a non-integer
+    (sweep_obstacle: a, obstacle: 0.7)."""
+    key, value = text.split(": ")
+    if key == "sweep_obstacle":
+        doc = load_doc("three_obstacles")
+        doc["sweep_obstacle"] = value
+    else:
+        doc = load_doc("moving_block")
+        doc["motion"][0]["obstacle"] = float(value)
+    return doc
+
+
+@pytest.mark.parametrize("text", ["sweep_obstacle: a", "obstacle: 0.7"])
+def test_obstacle_index_must_be_an_integer(text):
+    with pytest.raises(MalformedDocument, match="expected an integer"):
+        Scenario(_bad_obstacle_index(text))
+
+
 def test_risk_block_must_be_mapping():
     with pytest.raises(MalformedDocument, match="risk: expected a mapping"):
         Scenario(minimal_doc(risk=None))
@@ -521,6 +540,27 @@ def test_cli_rejects_bad_values_with_failed_marker(tmp_path, text):
     assert rc == 2
     assert (out / "FAILED.txt").read_text().startswith("MalformedDocument")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", ["sweep_obstacle: a", "obstacle: 0.7"])
+def test_cli_rejects_non_integer_obstacle_index(tmp_path, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(_bad_obstacle_index(text)))
+    out = tmp_path / "bad_out"
+    rc = run_cli("zones", "--scenario", str(bad), "--out", str(out))
+    assert rc == 2
+    assert (out / "FAILED.txt").read_text().startswith("MalformedDocument")
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_manifest_records_the_parsed_arguments(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["some-host-program", "--flag"])
+    out = tmp_path / "solve"
+    argv = ["solve", "--scenario", str(SCENARIOS / "single_obstacle.yaml"),
+            "--out", str(out)]
+    assert main(argv) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["command"] == " ".join(argv)
 
 
 def test_cli_rejects_malformed_scenario(tmp_path):

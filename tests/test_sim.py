@@ -1,6 +1,7 @@
 """Motion profiles, nominal controllers, closed-loop integrators."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -105,15 +106,44 @@ def test_controller_factories(disk_build):
     assert np.allclose(ka(y), -0.7 * res.sf.grad_at(y))
 
 
+def _same_trajectory(a, b):
+    for f in ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B"):
+        u, v = getattr(a, f), getattr(b, f)
+        assert (u is None) == (v is None), f
+        if u is not None:
+            assert (u.dtype, u.shape) == (v.dtype, v.shape), f
+            assert np.array_equal(u, v), f
+    assert (a.dt, a.termination) == (b.dt, b.termination)
+
+
+@pytest.mark.parametrize("fixture", ["single_build", "semantic_build"])
+def test_plain_controller_matches_point_form(request, fixture):
+    # goal (single_obstacle) and adversarial (semantic_room) controllers
+    # step on their float point form k.at; a plain callable goes through
+    # the array adapter and must give the same bits
+    sc, res = request.getfixturevalue(fixture)
+    k = sc.controller(res)
+    assert hasattr(k, "at")
+    c = sc.sim_cfg
+    runs = [integrate_single(c["y0"], ctrl, res.sf, res.gf, res.filter_cfg,
+                             c["dt"], c["T"], goal=c.get("goal"))
+            for ctrl in (k, lambda y: k(y))]
+    assert (runs[0].u_filt != runs[0].u_nom).any()   # the filter acted
+    _same_trajectory(*runs)
+
+
 # -- integrator core -----------------------------------------------------------------
 
 def test_rk4_is_fourth_order():
+    def f(q):
+        return (-q[0],)
+
     def err(n):
-        y = np.array([1.0])
+        y = (1.0,)
         dt = 1.0 / n
         for _ in range(n):
-            y = _rk4(y, lambda q: -q, dt)
-        return abs(float(y[0]) - math.exp(-1.0))
+            y = _rk4(y, f(y), f, dt)
+        return abs(y[0] - math.exp(-1.0))
 
     ratio = err(20) / err(40)
     assert 12.0 <= ratio <= 20.0  # halving dt cuts the error ~16x
@@ -195,8 +225,8 @@ def test_trajectory_csv_format(tmp_path, disk_build):
     assert math.isnan(float(first[8]))  # no h_B channel on a single run
 
 
-def _double_smoke_run(sc, res, sf):
-    bcfg = res.backstep_cfg
+def _double_smoke_run(sc, res, sf, bcfg=None):
+    bcfg = bcfg or res.backstep_cfg
     y0 = np.array(sc.sim_cfg["y0"], dtype=float)
     kv0 = k_v_smooth(y0, bcfg.nominal(y0), sf, res.gf, bcfg)
     state0 = ExtendedState(y0, kv0)
@@ -225,6 +255,15 @@ def test_integrate_double_smoke(tmp_path, single_build):
     tr.to_csv(path)
     head = path.read_text().splitlines()[0]
     assert head == "t,x,y,vx,vy,unom_x,unom_y,u_x,u_y,h,h_B,a,flags"
+
+
+def test_integrate_double_plain_k_nom_v_matches_point_form(single_build):
+    sc, res = single_build
+    k = res.backstep_cfg.k_nom_v
+    assert hasattr(k, "at")
+    plain = dataclasses.replace(res.backstep_cfg, k_nom_v=lambda y: k(y))
+    _same_trajectory(_double_smoke_run(sc, res, res.sf),
+                     _double_smoke_run(sc, res, res.sf, plain))
 
 
 @pytest.mark.xfail(strict=True, reason="knife edge: h perturbed by 1e-12 "
