@@ -191,6 +191,10 @@ def cmd_dynamic(args, scenario):
     return outputs
 
 
+# samples x occupied centres per block of _min_clearance (2 MB of floats)
+_CLEARANCE_BLOCK = 1 << 18
+
+
 def _min_clearance(traj, build, scenario, obstacle_idx):
     mask = scenario._masks[obstacle_idx]
     g = build.grid
@@ -198,9 +202,14 @@ def _min_clearance(traj, build, scenario, obstacle_idx):
     if len(ii) == 0:
         return float("nan")
     centers = g.origin + g.d * np.column_stack([ii, jj]).astype(float)
+    cx, cy = centers.T
     dmin = np.inf
-    for p in traj.y:
-        dmin = min(dmin, float(np.min(np.hypot(*(centers - p).T))))
+    step = max(1, _CLEARANCE_BLOCK // len(ii))
+    for k in range(0, len(traj.y), step):
+        p = traj.y[k:k + step]
+        # np.min per sample, then Python's min, which skips a NaN sample
+        d = np.hypot(cx - p[:, :1], cy - p[:, 1:]).min(axis=1)
+        dmin = min(dmin, float(np.fmin.reduce(d)))
     return dmin
 
 

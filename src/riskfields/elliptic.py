@@ -101,21 +101,30 @@ def _sweep_solve(grid, systems, cfg):
     unknowns (zero for Laplace).  Returns one (values, stats) per system.
 
     The stack lives in four contiguous parity planes, one per class
-    (i mod 2, j mod 2), each flattened per system: row p, column q of plane
-    (a, b) is cell (2p + a, 2q + b) at flat index p*C + q.  Its i+1, i-1
-    neighbours sit at that index plus a*C, (a-1)*C in plane (1-a, b) and
-    its j+1, j-1 neighbours at plus b, b-1 in plane (a, 1-b), so a
-    half-sweep updates each class of one colour as one unit-stride run
-    from its first interior cell to its last; the mask keeps the values of
-    the run's other cells.  Each system stops on its own residual check: a
-    converged system's mask is cleared, so its values and stats are those
-    of a solve on its own.
+    (i mod 2, j mod 2), each flattened over the whole stack: row p,
+    column q of plane (a, b) in system s is cell (2p + a, 2q + b) at flat
+    index s*R*C + p*C + q.  Its i+1, i-1 neighbours sit at that index plus
+    a*C, (a-1)*C in plane (1-a, b) and its j+1, j-1 neighbours at plus b,
+    b-1 in plane (a, 1-b), so a half-sweep updates each class of one
+    colour as one unit-stride run, from system 0's first interior cell to
+    system k-1's last.
+
+    The run has no masked write.  Per-cell coefficient planes make the
+    update c*A + (s - r)*B, s the neighbour sum: an unknown has
+    A = 1 - omega and B = omega/4, the SOR step.  Every other cell of the
+    run holds: A = 1, B = 0 and r = the largest float, so s - r < 0 and
+    c*1 + (s - r)*0 is c + -0.0, which is c bit for bit, a pinned -0.0
+    included, while |s| stays below 1e291.  Each system stops on its own
+    residual check, a max of |...| * F over its cells with F 1 on unknowns
+    and 0 elsewhere; a converged system's cells all hold and get F = 0, so
+    its values and stats are those of a solve on its own.
     """
     nx, ny = grid.nx, grid.ny
     n = max(nx, ny)
     omega = 1.0 if cfg.method == GAUSS_SEIDEL else cfg.resolved_omega(n)
     max_sweeps = cfg.resolved_max_iters(n)
     target = _target(cfg, grid)
+    hold = np.finfo(float).max
 
     k = len(systems)
     unknown = np.stack([s[0] for s in systems])
@@ -125,29 +134,40 @@ def _sweep_solve(grid, systems, cfg):
     w = np.zeros((k, 2 * R, 2 * C))
     w[:, :nx, :ny] = [s[1] for s in systems]
     w[:, :nx, :ny][unknown] = 0.0
-    rhs = np.zeros_like(w)
-    rhs[:, :nx, :ny] = [s[2] for s in systems]
     inner = np.zeros(w.shape, dtype=bool)
     inner[:, 1:nx - 1, 1:ny - 1] = unknown[:, 1:-1, 1:-1]
+    rhs = np.zeros_like(w)
+    rhs[:, :nx, :ny] = [s[2] for s in systems]
+    rhs[~inner] = hold
 
     def planes(x):
-        return {(a, b): np.ascontiguousarray(x[:, a::2, b::2]).reshape(k, -1)
+        return {(a, b): np.ascontiguousarray(x[:, a::2, b::2]).reshape(-1)
                 for a in (0, 1) for b in (0, 1)}
 
-    W, RHS, M = planes(w), planes(rhs), planes(inner)
+    W, RHS = planes(w), planes(rhs)
+    A = planes(np.where(inner, 1.0 - omega, 1.0))
+    B = planes(np.where(inner, omega * 0.25, 0.0))
+    F = planes(inner.astype(float))
+    RC = R * C
+    scratch = np.empty(k * RC)          # shared by every class
     colours = ([], [])
     for a, b in W:
         # interior cells 1 <= i <= nx-2, 1 <= j <= ny-2 of the class
         li, lj = (nx - 2 + a) // 2, (ny - 2 + b) // 2
         if not (li and lj):
             continue
-        lo, hi = (1 - a) * C + 1 - b, (li - a) * C + lj - b + 1
+        # from system 0's first interior cell to system k-1's last; the
+        # cells between two systems' interiors hold
+        lo = (1 - a) * C + 1 - b
+        run = (k - 1) * RC + (li - a) * C + lj - b + 1 - lo
         shifts = ((1 - a, b, a * C), (1 - a, b, (a - 1) * C),
                   (a, 1 - b, b), (a, 1 - b, b - 1))
-        views = ((W[a, b][:, lo:hi],)
-                 + tuple(W[p, q][:, lo + s:hi + s] for p, q, s in shifts)
-                 + (RHS[a, b][:, lo:hi], M[a, b][:, lo:hi]))
-        views += (np.empty(views[0].shape), np.empty(views[0].shape))
+        views = ((W[a, b][lo:lo + run],)
+                 + tuple(W[p, q][lo + s:lo + s + run] for p, q, s in shifts)
+                 + tuple(x[a, b][lo:lo + run] for x in (RHS, A, B, F))
+                 + (scratch[:run],
+                    # where each system's cells start in the run
+                    np.maximum(np.arange(k) * RC - lo, 0)))
         colours[(a + b) % 2].append(views)
     lattices = colours[0] + colours[1]
 
@@ -158,38 +178,40 @@ def _sweep_solve(grid, systems, cfg):
     check_every = 8
     while it < max_sweeps and running.any():
         for colour in colours:
-            for c, ip, im, jp, jm, r, m, t1, t2 in colour:
-                # (1.0 - omega) * c + (omega * 0.25) * (ip + im + jp + jm - r),
-                # the neighbours summed in the order i+1, i-1, j+1, j-1, which
-                # fixes every bit of the iterates
-                np.add(ip, im, out=t1)
-                t1 += jp
-                t1 += jm
-                t1 -= r
-                t1 *= omega * 0.25
-                np.multiply(c, 1.0 - omega, out=t2)
-                t2 += t1
-                np.copyto(c, t2, where=m)
+            for c, ip, im, jp, jm, r, ca, cb, _, t, _ in colour:
+                # c * A + (ip + im + jp + jm - r) * B, on an unknown
+                # (1.0 - omega) * c + (omega * 0.25) * (...), the neighbours
+                # summed in the order i+1, i-1, j+1, j-1, which fixes every
+                # bit of the iterates
+                np.add(ip, im, out=t)
+                t += jp
+                t += jm
+                t -= r
+                t *= cb
+                c *= ca
+                c += t
         it += 1
         if it % check_every == 0 or it == max_sweeps:
             # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
             gap = np.zeros(k)
-            for c, ip, im, jp, jm, r, m, t1, _ in lattices:
-                np.add(ip, im, out=t1)
-                t1 += jp
-                t1 += jm
-                t1 -= r
-                t1 *= 0.25
-                t1 -= c
-                np.abs(t1, out=t1)
-                np.maximum(gap, t1.max(axis=1, where=m, initial=0.0),
-                           out=gap)
+            for c, ip, im, jp, jm, r, _, _, f, t, starts in lattices:
+                np.add(ip, im, out=t)
+                t += jp
+                t += jm
+                t -= r
+                t *= 0.25
+                t -= c
+                np.abs(t, out=t)
+                t *= f
+                np.maximum(gap, np.maximum.reduceat(t, starts), out=gap)
             res[running] = gap[running]
             for s in np.flatnonzero(running & (res <= target)):
                 running[s] = False
                 iters[s] = it
-                for plane in M.values():
-                    plane[s] = False
+                for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0),
+                                    (F, 0.0)):
+                    for plane in coef.values():
+                        plane[s * RC:(s + 1) * RC] = value
     iters[running] = it
     for (a, b), plane in W.items():
         w[:, a::2, b::2] = plane.reshape(k, R, C)

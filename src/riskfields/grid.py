@@ -373,14 +373,17 @@ def _interp(channels, grid, px, py):
 
     A channel is a 2-D array or its nested-list snapshot; both give the same
     bits, since the four samples around the cell are blended in a fixed
-    order.  Raises OutOfDomain outside the lattice hull or where a channel
-    is NaN (deeper than the ghost band).
+    order.  Raises OutOfDomain outside the lattice hull, at a non-finite
+    point, or where a channel is NaN (deeper than the ghost band).
     """
     ox, oy = grid.origin_xy
     gx = (px - ox) / grid.d
     gy = (py - oy) / grid.d
-    i0 = math.floor(gx)
-    j0 = math.floor(gy)
+    try:
+        i0 = math.floor(gx)
+        j0 = math.floor(gy)
+    except (ValueError, OverflowError):     # NaN, or an infinite coordinate
+        raise OutOfDomain(f"point ({px}, {py}) is not finite") from None
     i1 = i0 + 1
     j1 = j0 + 1
     if i0 < 0 or j0 < 0 or i1 >= grid.nx or j1 >= grid.ny:
@@ -404,7 +407,8 @@ def _interp(channels, grid, px, py):
 
 def _bilinear_many(values, grid, px, py):
     """_interp elementwise over arrays of points, in the same order, so each
-    entry has the bits of the one-point call."""
+    entry has the bits of the one-point call.  A non-finite point fails the
+    hull test, so it raises OutOfDomain as well."""
     ox, oy = grid.origin_xy
     gx = (px - ox) / grid.d
     gy = (py - oy) / grid.d

@@ -496,6 +496,12 @@ class Scenario:
         lap("filter")
         return res
 
+    def safety_field(self, t=0.0):
+        """h at time t alone: the Poisson solve of build(t), without the
+        boundary, flux and guidance stages, so with the same values."""
+        return elliptic.solve_poisson(self.rasterize(t), None,
+                                      elliptic.ForcingSpec(), self.solver_cfg)
+
     def controller(self, build):
         if self.nominal_kind == "goal":
             return sim.goal_controller(self.nominal_mu, self.nominal_goal)

@@ -383,9 +383,12 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
 
     Per frame: re-rasterize, re-solve h and v, difference consecutive h for
     dh/dt, extract the dynamic activation zone, then integrate with the
-    time-varying filter while the fields stay frozen.  The closing sample
-    at t = T uses the last frame's fields.  With all obstacle speeds zero
-    every step reduces bit for bit to the static pipeline.
+    time-varying filter while the fields stay frozen.  A frame is built
+    when the run reaches the frame before it, so a run that stops early
+    builds no frame past the one its dh/dt needs; the frame at t = T only
+    feeds dh/dt and solves for h alone.  The closing sample at t = T uses
+    the last frame's fields.  With all obstacle speeds zero every step
+    reduces bit for bit to the static pipeline.
     """
     m = dt_frame / dt_sim
     if abs(m - round(m)) > 1e-9:
@@ -396,8 +399,7 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
         raise InvalidTimeStep("dt_frame must divide T, T > 0")
     nf = int(round(nf))
 
-    builds = [scenario.build(t=k * dt_frame) for k in range(nf + 1)]
-    b0 = builds[0]
+    b0 = scenario.build(t=0.0)
     cfg = b0.filter_cfg
     y = np.array(scenario.sim_cfg["y0"], dtype=float)
     _check_start(y, scenario.controller(b0), b0.sf, b0.gf, cfg, dt_sim,
@@ -405,16 +407,23 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
     y = tuple(y.tolist())
     frames = []
 
-    def segments():             # built on demand: frames stop with the run
+    def segments():     # frame k + 1 is built when segment k starts
+        bk = b0
         for k in range(nf):
-            bk = builds[k]
-            dh = time_derivative(bk.sf.h, builds[k + 1].sf.h, dt_frame)
+            t = (k + 1) * dt_frame
+            if k + 1 < nf:
+                nxt = scenario.build(t=t)
+                h1 = nxt.sf.h
+            else:       # the closing frame only feeds dh/dt
+                nxt, h1 = None, scenario.safety_field(t)
+            dh = time_derivative(bk.sf.h, h1, dt_frame)
             controller = scenario.controller(bk)
             zone = activation_zone(bk.grid, controller, bk.sf, bk.gf, cfg,
                                    dh_dt=dh)
             frames.append(Frame(k * dt_frame, scenario.speed_at(k * dt_frame),
                                 bk, dh, zone))
             yield _filtered(controller, bk.sf, bk.gf, cfg, m, dh)
+            bk = nxt
 
     tr = _rollout(y, segments(), dt_sim, scenario.sim_cfg.get("goal"),
                   b0.grid.d)

@@ -278,6 +278,19 @@ def test_sampling_outside_hull_raises():
         sample_scalar(f, (1.0, 10.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampling_a_non_finite_point_raises_out_of_domain(bad):
+    # math.floor raises ValueError on NaN and OverflowError on +-inf; the
+    # one-point sampler maps both, the batch sampler's hull test rejects them
+    g = box_grid(8, 8, d=0.5)
+    f = affine_field(g, 1.0, 0.0, 0.0)
+    for p in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(OutOfDomain):
+            sample_scalar(f, p)
+        with pytest.raises(OutOfDomain):
+            sample_gradient(f, np.array([[1.0, 1.0], p]))
+
+
 def test_sampling_deep_inside_obstacle_raises():
     s = box_state(16, 16)
     s[5:11, 5:11] = OCCUPIED

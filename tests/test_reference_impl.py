@@ -1,11 +1,13 @@
 """Fast paths against straightforward references.
 
 The red-black sweep solves a stack of systems at once on contiguous parity
-planes, the nearest-cell maps are built offset by offset, and the per-node
-features, obstacle owners and arc weights come from one (n, 4) gather of
-each node's neighbours.  They do the same arithmetic and make the same
-tie-breaks as the boolean-mask sweep, run once per system, and the per-cell
-and per-node loops kept below.
+planes, with per-cell coefficient planes in place of masked writes; its
+results are compared bit for bit, the sign of a zero included.  The
+nearest-cell maps are built offset by offset, and the per-node features,
+obstacle owners and arc weights come from one (n, 4) gather of each node's
+neighbours.  They do the same arithmetic and make the same tie-breaks as
+the boolean-mask sweep, run once per system, and the per-cell and per-node
+loops kept below.
 The rollout loops step tuples of Python floats, sample each point once,
 from nested-list snapshots of the fields, and derive every recorded quantity
 from that one sample; the references step numpy arrays with their own RK4
@@ -22,8 +24,8 @@ from riskfields import riskmap, sim
 from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
                                  k_v_jacobian, k_v_smooth)
 from riskfields.elliptic import (GAUSS_SEIDEL, SOR, ForcingSpec, SolveStats,
-                                 SolverConfig, _sweep_solve, _target,
-                                 solve_fields)
+                                 SolverConfig, _guidance, _poisson,
+                                 _sweep_solve, _target, solve_fields)
 from riskfields.errors import (DegenerateCoefficient, NonConvergence,
                                OutOfDomain, VanishingGuidance)
 from riskfields.grid import (FREE, NB4, OCCUPIED, BoundarySet, OccupancyGrid,
@@ -283,13 +285,19 @@ def _guidance_systems(g):
             for _ in range(2)]
 
 
+def _bits(x):
+    """x as int64 words: equal bits, the sign of a zero included."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
 def _same_solve(g, systems, cfg):
-    """One stacked solve against a separate reference solve per system."""
+    """One stacked solve against a separate reference solve per system,
+    bit for bit."""
     got = _sweep_solve(g, systems, cfg)
     assert len(got) == len(systems)
     for (got_w, got_stats), system in zip(got, systems):
         want_w, want_stats = reference_sweep_solve(g, *system, cfg)
-        assert np.array_equal(got_w, want_w, equal_nan=True)
+        assert np.array_equal(_bits(got_w), _bits(want_w))
         assert got_stats == want_stats
 
 
@@ -346,6 +354,75 @@ def test_strided_sweep_matches_mask_sweep_when_not_converged():
         with pytest.raises(NonConvergence) as got:
             solve_fields(g, b, ForcingSpec(), cfg)
         assert str(got.value) == _reference_failure(g, systems[first], cfg)
+
+
+@pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0)],
+                         ids=["middle", "last"])
+def test_stacked_sweep_with_the_poisson_system_not_first(order):
+    # only the Poisson system carries an rhs; the run spans every system
+    g = GRIDS["odd_even"]()
+    systems = [_poisson_system(g)] + _guidance_systems(g)
+    _same_solve(g, [systems[i] for i in order], CONFIGS["sor_auto"])
+
+
+def _negative_zero_systems(g):
+    """The guidance pair of g's boundary, whose axis-aligned normals give
+    -beta * 0.0 = -0.0 data, and a one-cell pocket fenced by four nodes
+    pinned to -0.0."""
+    b = extract_boundary(g)
+    b = b.with_flux(np.random.default_rng(6).uniform(1.0, 6.0, b.n))
+    pair = [_laplace_system(g, b.cells, -b.flux * b.normals[:, c])
+            for c in (0, 1)]
+    unknown = np.zeros((g.nx, g.ny), dtype=bool)
+    unknown[3, 3] = True
+    fixed = np.ones((g.nx, g.ny))
+    fixed[[2, 4, 3, 3], [3, 3, 2, 4]] = -0.0
+    return pair + [(unknown, fixed, np.zeros_like(fixed))]
+
+
+@pytest.mark.parametrize("max_iters", [0, 3, 7, 9])
+def test_sweep_keeps_pinned_negative_zero(max_iters):
+    g = GRIDS["odd_even"]()
+    systems = _negative_zero_systems(g)
+    for unknown, fixed, _ in systems[:2]:
+        assert (np.signbit(fixed) & (fixed == 0) & ~unknown).any()
+    cfg = SolverConfig(method=SOR, omega=1.9, tol=1e-8, max_iters=max_iters)
+    if max_iters:
+        # the pocket alone: with omega > 1 its cell is -0.0 after an odd
+        # number of sweeps, as long as its four neighbours read -0.0
+        _same_solve(g, systems[2:], cfg)
+        (got, stats), = _sweep_solve(g, systems[2:], cfg)
+        assert stats.iterations == min(max_iters, 8)
+        assert np.signbit(got[3, 3]) == (stats.iterations % 2 == 1)
+        assert np.signbit(got[[2, 4, 3, 3], [3, 3, 2, 4]]).all()
+    else:
+        _same_solve(g, systems, cfg)
+
+
+# shipped scenario -> the session fixture that holds its build
+SHIPPED = {"disk_oracle": "disk_build", "single_obstacle": "single_build",
+           "three_obstacles": "three_build",
+           "uncertain_wall": "uncertain_build",
+           "semantic_room": "semantic_build", "moving_block": None}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_fields_match_mask_sweep_bitwise(name, request):
+    # h, vx and vy of each shipped scenario's build, against one reference
+    # solve per system and the same ghost-band fill
+    fixture = SHIPPED[name]
+    sc, b = (request.getfixturevalue(fixture) if fixture
+             else build_scenario(name))
+    systems = ([_poisson(b.grid, b.boundary, ForcingSpec())]
+               + _guidance(b.grid, b.boundary))
+    cfg = sc.solver_cfg or SolverConfig()
+    for field, (unknown, fixed, rhs, finish) in zip(
+            (b.sf.h, b.gf.v.x, b.gf.v.y), systems):
+        want_w, want_stats = reference_sweep_solve(b.grid, unknown, fixed,
+                                                   rhs, cfg)
+        assert np.array_equal(_bits(field.values),
+                              _bits(finish(want_w).values))
+        assert field.stats == want_stats
 
 
 # -- per-node features -------------------------------------------------------

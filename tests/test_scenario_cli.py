@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
 import scipy
 import yaml
 
+from riskfields import cli
 from riskfields.cli import main
 from riskfields.errors import MalformedDocument
 from riskfields.scenario import Scenario, load_scenario
@@ -481,6 +483,28 @@ def test_cli_sweep(tmp_path):
     # flux up, caution up: the restricted zone grows with the scale
     assert int(rows[1][2]) > int(rows[0][2])
     assert all(np.isfinite(float(r[5])) for r in rows)
+
+
+def test_min_clearance_matches_per_sample_loop(three_build, monkeypatch):
+    sc, b = three_build
+    g = b.grid
+    rng = np.random.default_rng(4)
+    free = g.free_centers()
+    y = (free[rng.choice(len(free), 600)]
+         + rng.uniform(-0.5, 0.5, (600, 2)) * g.d)
+    y[0] = y[300] = np.nan          # the loop's min skips a NaN sample
+    traj = types.SimpleNamespace(y=y)
+    for idx, mask in enumerate(sc._masks):
+        ii, jj = np.nonzero(mask & ~g.free)
+        centers = g.origin + g.d * np.column_stack([ii, jj]).astype(float)
+        want = np.inf
+        for p in y:
+            want = min(want, float(np.min(np.hypot(*(centers - p).T))))
+        assert np.isfinite(want)
+        # one block, a few with a ragged last one, one sample per block
+        for block in (cli._CLEARANCE_BLOCK, 7 * len(ii) + 3, 1):
+            monkeypatch.setattr(cli, "_CLEARANCE_BLOCK", block)
+            assert cli._min_clearance(traj, b, sc, idx) == want
 
 
 @pytest.mark.parametrize("command, sim_over", [

@@ -238,6 +238,20 @@ def _double_smoke_run(sc, res, sf, bcfg=None):
                             dt=sc.sim_cfg["dt"], T=2.0)
 
 
+def test_integrate_single_nan_control_leaves_domain(single_build):
+    # a NaN input makes the next RK4 stage sample at a NaN point, which
+    # ends the run as LEFT_DOMAIN instead of escaping as a ValueError
+    sc, res = single_build
+
+    def k_nan(y):
+        return np.full(np.shape(y), np.nan)
+
+    tr = integrate_single(sc.sim_cfg["y0"], k_nan, res.sf, res.gf,
+                          res.filter_cfg, dt=sc.sim_cfg["dt"], T=1.0)
+    assert tr.termination == LEFT_DOMAIN
+    assert tr.n == 1 and np.isnan(tr.u_nom).all()
+
+
 def test_integrate_double_smoke(tmp_path, single_build):
     sc, res = single_build
     assert res.backstep_cfg is not None
@@ -403,6 +417,53 @@ def test_run_dynamic_closing_sample_leaves_domain(monkeypatch):
     tr = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T).trajectory
     assert tr.termination == LEFT_DOMAIN
     assert tr.t[-1] < T
+
+
+def _log_frames(monkeypatch, sc):
+    """The frames sc builds, in order: ("build", t) for a full build and
+    ("h", t) for h alone."""
+    built = []
+    build, safety_field = sc.build, sc.safety_field
+
+    def logged_build(t=0.0, **kw):
+        built.append(("build", t))
+        return build(t=t, **kw)
+
+    def logged_h(t=0.0):
+        built.append(("h", t))
+        return safety_field(t)
+
+    monkeypatch.setattr(sc, "build", logged_build)
+    monkeypatch.setattr(sc, "safety_field", logged_h)
+    return built
+
+
+def test_run_dynamic_builds_no_frame_past_its_end(monkeypatch):
+    doc = load_doc("moving_block")
+    doc["sim"]["goal"] = doc["sim"]["y0"]       # caught at the first sample
+    sc = Scenario(doc)
+    built = _log_frames(monkeypatch, sc)
+    dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
+    assert dyn.trajectory.termination == GOAL_REACHED
+    assert dyn.trajectory.n == 1 and len(dyn.frames) == 1
+    # frame 0 and the frame 1 its dh/dt needs; the other 39 never
+    assert built == [("build", 0.0), ("build", 0.2)]
+
+
+def test_run_dynamic_solves_h_alone_for_the_closing_frame(monkeypatch):
+    sc = Scenario(load_doc("moving_block"))
+    built = _log_frames(monkeypatch, sc)
+    dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=0.4)
+    assert dyn.trajectory.termination == TIME_LIMIT
+    assert built == [("build", 0.0), ("build", 0.2), ("h", 0.4)]
+
+
+def test_closing_frame_h_is_the_build_h():
+    sc = Scenario(load_doc("moving_block"))
+    h = sc.safety_field(0.4)
+    full = sc.build(t=0.4).sf.h
+    assert np.array_equal(h.values.view(np.int64), full.values.view(np.int64))
+    assert h.stats == full.stats
 
 
 def test_run_dynamic_moving_smoke():
