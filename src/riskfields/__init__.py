@@ -17,10 +17,9 @@ from .grid import (FREE, OCCUPIED, BoundarySet, FieldSampler, OccupancyGrid,
                    ScalarField, VectorField, estimate_normals,
                    extract_boundary, load_grid, sample_gradient,
                    sample_scalar, sample_vector)
-from .elliptic import (DENSE_DIRECT, GAUSS_SEIDEL, SOR, ForcingSpec,
-                       SolverConfig, check_divergence_identity,
-                       solve_fields, solve_guidance, solve_laplace_component,
-                       solve_poisson)
+from .elliptic import (SOR, ForcingSpec, SolverConfig,
+                       check_divergence_identity, solve_fields,
+                       solve_guidance, solve_laplace_component, solve_poisson)
 from .riskmap import (EXPONENTIAL, IDENTITY, LABEL, PROBABILITY, SATURATING,
                       SPEED, FeatureReading, FluxMap, PriorityRule,
                       RiskAssign, assign_flux, risk_value, smooth_flux)

@@ -7,6 +7,7 @@ so results can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -216,7 +217,7 @@ def _min_clearance(traj, build, scenario, obstacle_idx):
 def _sweep_one(job):
     path, scale, gamma = job
     scenario = Scenario(path)
-    scenario.filter_cfg.gamma = gamma
+    scenario.filter_cfg = dataclasses.replace(scenario.filter_cfg, gamma=gamma)
     idx = scenario.sweep_obstacle
     fs = None if idx is None else {idx: scale}
     if idx is None and scale != 1.0:
@@ -242,7 +243,8 @@ def cmd_sweep(args, scenario):
     gammas = [float(s) for s in args.gammas.split(",")] if args.gammas \
         else [scenario.filter_cfg.gamma]
     for gm in gammas:
-        # _sweep_one sets gamma after the filter config is validated
+        # a typed error before any job starts; FilterConfig's own check
+        # raises ValueError
         if not 0 < gm < math.inf:
             raise RiskFieldsError(f"--gammas: {gm} is not positive and finite")
     jobs = [(args.scenario, s, gm) for gm in gammas for s in scales]

@@ -21,8 +21,6 @@ from .errors import (MalformedGrid, NegativeForcingViolation, NonConvergence)
 from .grid import ScalarField, VectorField, fill_band, nearest_node_map
 
 SOR = "sor"
-GAUSS_SEIDEL = "gauss_seidel"
-DENSE_DIRECT = "dense_direct"
 
 
 class ForcingSpec:
@@ -93,8 +91,16 @@ def _target(cfg, grid):
     return cfg.tol * 2.0 / (n * n)
 
 
+def _residual(views, p):
+    """The residual pass's |...| * F at cell p of one class's run, on Python
+    floats, in the pass's order: ((((ip + im) + jp) + jm) - r) * 0.25 - c."""
+    c, ip, im, jp, jm, r, _, _, f = views[:9]
+    return abs((ip.item(p) + im.item(p) + jp.item(p) + jm.item(p) - r.item(p))
+               * 0.25 - c.item(p)) * f.item(p)
+
+
 def _sweep_solve(grid, systems, cfg):
-    """Red-black SOR / Gauss-Seidel on k systems of one grid at once.
+    """Red-black SOR on k systems of one grid at once.
 
     systems lists (unknown, fixed, rhs) per system: fixed supplies values
     for every non-unknown cell referenced by the stencil, rhs is d^2 * f on
@@ -118,10 +124,22 @@ def _sweep_solve(grid, systems, cfg):
     residual check, a max of |...| * F over its cells with F 1 on unknowns
     and 0 elsewhere; a converged system's cells all hold and get F = 0, so
     its values and stats are those of a solve on its own.
+
+    Every 8th sweep checks the residual, probe first.  A full pass keeps,
+    per system and class, the cell where |...| * F is largest.  At the next
+    check those probes are evaluated alone, with the pass's arithmetic in
+    its order; the full maximum is at least any probe, so when every
+    running system has a probe above the target none can stop, and the
+    full pass is skipped.  Only a full pass, always run at the last sweep,
+    records a residual or stops a system.  A probe's value must carry the
+    * F: where a class's masked residual is 0 on every cell, as for the
+    colour updated last at omega = 1, its argmax is the system's first cell
+    in the run, often a holding one, whose |...| alone is about 4.5e307,
+    and that system would never stop.
     """
     nx, ny = grid.nx, grid.ny
     n = max(nx, ny)
-    omega = 1.0 if cfg.method == GAUSS_SEIDEL else cfg.resolved_omega(n)
+    omega = cfg.resolved_omega(n)
     max_sweeps = cfg.resolved_max_iters(n)
     target = _target(cfg, grid)
     hold = np.finfo(float).max
@@ -162,18 +180,20 @@ def _sweep_solve(grid, systems, cfg):
         run = (k - 1) * RC + (li - a) * C + lj - b + 1 - lo
         shifts = ((1 - a, b, a * C), (1 - a, b, (a - 1) * C),
                   (a, 1 - b, b), (a, 1 - b, b - 1))
+        # where each system's cells start and end in the run
+        edges = [max(s * RC - lo, 0) for s in range(k)] + [run]
         views = ((W[a, b][lo:lo + run],)
                  + tuple(W[p, q][lo + s:lo + s + run] for p, q, s in shifts)
                  + tuple(x[a, b][lo:lo + run] for x in (RHS, A, B, F))
-                 + (scratch[:run],
-                    # where each system's cells start in the run
-                    np.maximum(np.arange(k) * RC - lo, 0)))
+                 + (scratch[:run], list(zip(edges[:-1], edges[1:]))))
         colours[(a + b) % 2].append(views)
     lattices = colours[0] + colours[1]
 
     res = np.full(k, math.inf)
     iters = np.zeros(k, dtype=int)
     running = np.ones(k, dtype=bool)
+    probes = None   # per system: (lattice, cell) of each class's largest
+    # masked residual at the last full pass
     it = 0
     check_every = 8
     while it < max_sweeps and running.any():
@@ -191,27 +211,37 @@ def _sweep_solve(grid, systems, cfg):
                 c *= ca
                 c += t
         it += 1
-        if it % check_every == 0 or it == max_sweeps:
-            # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
-            gap = np.zeros(k)
-            for c, ip, im, jp, jm, r, _, _, f, t, starts in lattices:
-                np.add(ip, im, out=t)
-                t += jp
-                t += jm
-                t -= r
-                t *= 0.25
-                t -= c
-                np.abs(t, out=t)
-                t *= f
-                np.maximum(gap, np.maximum.reduceat(t, starts), out=gap)
-            res[running] = gap[running]
-            for s in np.flatnonzero(running & (res <= target)):
-                running[s] = False
-                iters[s] = it
-                for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0),
-                                    (F, 0.0)):
-                    for plane in coef.values():
-                        plane[s * RC:(s + 1) * RC] = value
+        if it % check_every and it != max_sweeps:
+            continue
+        if it != max_sweeps and probes and all(
+                any(_residual(lattices[q], p) > target for q, p in probes[s])
+                for s in np.flatnonzero(running)):
+            continue
+        # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
+        gap = np.zeros(k)
+        probes = [[] for _ in range(k)]
+        for q, (c, ip, im, jp, jm, r, _, _, f, t, spans) in \
+                enumerate(lattices):
+            np.add(ip, im, out=t)
+            t += jp
+            t += jm
+            t -= r
+            t *= 0.25
+            t -= c
+            np.abs(t, out=t)
+            t *= f
+            # argmax finds a NaN first, as the maximum propagates it
+            top = [lo + int(t[lo:hi].argmax()) for lo, hi in spans]
+            np.maximum(gap, t[top], out=gap)
+            for s, p in enumerate(top):
+                probes[s].append((q, p))
+        res[running] = gap[running]
+        for s in np.flatnonzero(running & (res <= target)):
+            running[s] = False
+            iters[s] = it
+            for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0), (F, 0.0)):
+                for plane in coef.values():
+                    plane[s * RC:(s + 1) * RC] = value
     iters[running] = it
     for (a, b), plane in W.items():
         w[:, a::2, b::2] = plane.reshape(k, R, C)
@@ -222,48 +252,14 @@ def _sweep_solve(grid, systems, cfg):
             for s in range(k)]
 
 
-def _dense_solve(grid, unknown, fixed, rhs, cfg):
-    ii, jj = np.nonzero(unknown)
-    m = len(ii)
-    if m == 0:
-        return fixed.copy(), SolveStats(DENSE_DIRECT, 0, 0.0, cfg.tol, 0, True)
-    if m > 6500:
-        raise MalformedGrid(
-            "dense direct solve is a small-grid oracle; use SOR above "
-            "6500 unknowns")
-    idx = -np.ones((grid.nx, grid.ny), dtype=int)
-    idx[ii, jj] = np.arange(m)
-    A = np.zeros((m, m))
-    b = rhs[ii, jj].astype(float)  # -4u + sum nbr = rhs, fixed nbrs move right
-    for k in range(m):
-        i, j = ii[k], jj[k]
-        A[k, k] = -4.0
-        for di, dj in gridmod.NB4:
-            ni, nj = i + di, j + dj
-            if unknown[ni, nj]:
-                A[k, idx[ni, nj]] = 1.0
-            else:
-                b[k] -= fixed[ni, nj]
-    sol = np.linalg.solve(A, b)
-    w = fixed.copy()
-    w[ii, jj] = sol
-    nb = np.zeros_like(w)
-    nb[1:-1, 1:-1] = (w[2:, 1:-1] + w[:-2, 1:-1] + w[1:-1, 2:] + w[1:-1, :-2])
-    res = float(np.abs(0.25 * (nb - rhs) - w)[unknown].max())
-    return w, SolveStats(DENSE_DIRECT, 1, res, cfg.tol, m, True)
-
-
 def _solve(grid, systems, cfg):
     """Fields of the systems [(unknown, fixed, rhs, finish)], solved in one
     pass.  Each system's convergence and finish(values) checks run in list
     order, so the first system that fails raises."""
     cfg = cfg or SolverConfig()
-    if cfg.method in (SOR, GAUSS_SEIDEL):
-        solved = _sweep_solve(grid, [s[:3] for s in systems], cfg)
-    elif cfg.method == DENSE_DIRECT:
-        solved = [_dense_solve(grid, *s[:3], cfg) for s in systems]
-    else:
+    if cfg.method != SOR:
         raise MalformedGrid(f"unknown solver method {cfg.method!r}")
+    solved = _sweep_solve(grid, [s[:3] for s in systems], cfg)
     fields = []
     for (w, stats), system in zip(solved, systems):
         if not stats.converged:

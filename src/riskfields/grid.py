@@ -182,7 +182,7 @@ class BoundarySet:
         return self._index.get((int(i), int(j)))
 
     def components(self):
-        return sorted(set(int(c) for c in self.comp))
+        return np.unique(self.comp).tolist()
 
     def nodes_of(self, comp_id):
         return np.nonzero(self.comp == comp_id)[0]
@@ -205,78 +205,82 @@ def estimate_normals(grid, cells):
     ind = (~grid.free).astype(float)
     blur = ndimage.uniform_filter(ind, size=3, mode="nearest")
     blur = ndimage.uniform_filter(blur, size=3, mode="nearest")
-    out = np.empty((len(cells), 2), dtype=float)
-    for k, (i, j) in enumerate(cells):
-        gx = (blur[i + 1, j] - blur[i - 1, j]) * 0.5
-        gy = (blur[i, j + 1] - blur[i, j - 1]) * 0.5
-        nrm = math.hypot(gx, gy)
-        if nrm < 1e-8:
-            sx = sy = 0.0
-            for di, dj in NB4:
-                if not grid.free[i + di, j + dj]:
-                    sx += di
-                    sy += dj
-            nrm = math.hypot(sx, sy)
-            if nrm < 1e-12:
-                raise DegenerateNormal(
-                    f"no usable normal at cell ({i}, {j})")
-            gx, gy = sx, sy
-        out[k, 0] = gx / nrm
-        out[k, 1] = gy / nrm
-    return out
+    cells = np.asarray(cells, dtype=int).reshape(-1, 2)
+    i, j = cells[:, 0], cells[:, 1]
+    g = np.stack([(blur[i + 1, j] - blur[i - 1, j]) * 0.5,
+                  (blur[i, j + 1] - blur[i, j - 1]) * 0.5], axis=1)
+    nrm = np.array(list(map(math.hypot, g[:, 0].tolist(), g[:, 1].tolist())))
+    for k in np.flatnonzero(nrm < 1e-8).tolist():
+        # the summed offset to the occupied 4-neighbours
+        ni, nj = nb4_of(cells[k])
+        sx, sy = np.array(NB4)[~grid.free[ni[0], nj[0]]].sum(axis=0).tolist()
+        nrm[k] = math.hypot(sx, sy)
+        if nrm[k] < 1e-12:
+            raise DegenerateNormal(
+                f"no usable normal at cell ({i[k]}, {j[k]})")
+        g[k] = sx, sy
+    return g / nrm[:, None]
 
 
-def _ccw(v):
-    return (-v[1], v[0])
+# NB4 in tuple order, so a face (i, j, m) sorts as (i * ny + j) * 4 + its
+# direction's rank here; the counter-clockwise turn (-dj, di) of each
+# direction, as a rank
+_DIRS = np.array(sorted(NB4))
+_CCW = np.array([sorted(NB4).index((-dj, di)) for di, dj in sorted(NB4)])
 
 
-def _trace_component(grid, occ_comp, comp_id):
-    """Walk the free/occupied interface loop(s) of one obstacle component.
+def _interface_loops(grid, occ_comp):
+    """Every free/occupied interface loop, as (component id, loop cells).
 
-    Returns the list of loops; each loop is the ordered list of free interface
-    cells encountered (consecutive duplicates collapsed).  Diagonal-first
-    turning matches the 8-connectivity of obstacle components.
+    A face is an occupied cell o and the direction m to a free 4-neighbour.
+    Walking with the free side on the left, a face's successor is, with t
+    the counter-clockwise turn of m: (o + m + t, -t) when that diagonal cell
+    is occupied, else (o + t, m) when that side cell is, else (o, t).
+    Diagonal-first turning matches the 8-connectivity of obstacle
+    components, so a loop stays in one component.  Components come in
+    label order, and each loop starts at its component's smallest face not
+    yet walked, in (i, j, (di, dj)) order.  A loop lists the free cells of
+    its faces, as flat indices i * ny + j, in walk order, consecutive
+    duplicates collapsed, and the last dropped when it repeats the first.
     """
+    nx, ny = grid.nx, grid.ny
     free = grid.free
-    inside = occ_comp == comp_id
+    occ = ~free
+    # the occupied perimeter keeps the rolls from wrapping onto a free cell
+    faces = np.stack([occ & np.roll(free, (-di, -dj), axis=(0, 1))
+                      for di, dj in _DIRS], axis=-1)
+    oi, oj, r = np.nonzero(faces)          # in key order
+    m = _DIRS[r]
+    tr = _CCW[r]
+    t = _DIRS[tr]
+    di, dj = oi + m[:, 0] + t[:, 0], oj + m[:, 1] + t[:, 1]
+    si, sj = oi + t[:, 0], oj + t[:, 1]
+    diag, side = occ[di, dj], occ[si, sj]
+    ni = np.where(diag, di, np.where(side, si, oi))
+    nj = np.where(diag, dj, np.where(side, sj, oj))
+    nr = np.where(diag, _CCW[_CCW[tr]], np.where(side, r, tr))  # -t, m, t
+    index = np.full(nx * ny * 4, -1)
+    index[np.flatnonzero(faces)] = np.arange(len(oi))
+    succ = index[(ni * ny + nj) * 4 + nr].tolist()
+    cell = ((oi + m[:, 0]) * ny + oj + m[:, 1]).tolist()
+    comp = occ_comp[oi, oj]
 
-    faces = set()
-    ii, jj = np.nonzero(inside)
-    for i, j in zip(ii, jj):
-        for m in NB4:
-            fi, fj = i + m[0], j + m[1]
-            if 0 <= fi < grid.nx and 0 <= fj < grid.ny and free[fi, fj]:
-                faces.add((i, j, m))
-
+    # the successors permute the faces, so each walk closes where it began
     loops = []
-    while faces:
-        start = min(faces)
-        cur = start
-        loop_cells = []
-        while True:
-            faces.discard(cur)
-            oi, oj, m = cur
-            fc = (oi + m[0], oj + m[1])
-            if not loop_cells or loop_cells[-1] != fc:
-                loop_cells.append(fc)
-            t = _ccw(m)
-            di, dj = oi + m[0] + t[0], oj + m[1] + t[1]
-            si, sj = oi + t[0], oj + t[1]
-            diag_occ = (0 <= di < grid.nx and 0 <= dj < grid.ny
-                        and not free[di, dj])
-            side_occ = (0 <= si < grid.nx and 0 <= sj < grid.ny
-                        and not free[si, sj])
-            if diag_occ:
-                cur = (di, dj, (-t[0], -t[1]))
-            elif side_occ:
-                cur = (si, sj, m)
-            else:
-                cur = (oi, oj, t)
-            if cur == start:
-                break
-        if len(loop_cells) > 1 and loop_cells[0] == loop_cells[-1]:
-            loop_cells.pop()
-        loops.append(loop_cells)
+    walked = bytearray(len(succ))
+    for f0 in np.argsort(comp, kind="stable").tolist():
+        if walked[f0]:
+            continue
+        f = f0
+        cells = []
+        while not walked[f]:
+            walked[f] = 1
+            if not cells or cells[-1] != cell[f]:
+                cells.append(cell[f])
+            f = succ[f]
+        if len(cells) > 1 and cells[0] == cells[-1]:
+            cells.pop()
+        loops.append((int(comp[f0]), cells))
     return loops
 
 
@@ -286,42 +290,26 @@ def extract_boundary(grid):
     One node per FREE cell that touches an OCCUPIED 4-neighbor.  Arc weight is
     d times the number of occupied 4-neighbors (the length of interface the
     node represents).  Nodes are grouped by the 8-connected obstacle component
-    they touch and ordered along that component's interface loop when the loop
-    is simple.
+    they touch, in the order of its interface loops, each cell where it is
+    first met.  A component's chain is that order when it has one loop that
+    meets no cell twice or already met.
     """
-    occ = ~grid.free
-    occ_comp, n_comp = ndimage.label(occ, structure=_OCC_STRUCT)
-
+    occ_comp, _ = ndimage.label(~grid.free, structure=_OCC_STRUCT)
     cells = []
     comp_of = []
     chains = {}
-    seen = {}
-    for cid in range(1, n_comp + 1):
-        loops = _trace_component(grid, occ_comp, cid)
-        if not loops:
-            continue  # component sealed away from free space (cannot happen
-            # when free space is connected, kept for safety)
-        order = []
-        simple = len(loops) == 1
-        for loop in loops:
-            counts = {}
-            for c in loop:
-                counts[c] = counts.get(c, 0) + 1
-            if any(v > 1 for v in counts.values()):
-                simple = False
-            for c in loop:
-                if c in seen:
-                    simple = False
-                    continue
-                seen[c] = cid
-                order.append(len(cells))
-                cells.append(c)
-                comp_of.append(cid)
-        chains[cid] = np.array(order, dtype=int) if simple else None
+    seen = set()
+    for cid, loop in _interface_loops(grid, occ_comp):
+        new = [c for c in dict.fromkeys(loop) if c not in seen]
+        simple = cid not in chains and len(new) == len(loop)
+        chains[cid] = (np.arange(len(cells), len(cells) + len(new))
+                       if simple else None)
+        seen.update(new)
+        cells += new
+        comp_of += [cid] * len(new)
 
-    cells_arr = np.array(cells, dtype=int).reshape(-1, 2)
-    normals = estimate_normals(grid, cells_arr) if len(cells) else \
-        np.zeros((0, 2))
+    cells_arr = np.stack(divmod(np.array(cells, dtype=int), grid.ny), axis=1)
+    normals = estimate_normals(grid, cells_arr)
     ni, nj = nb4_of(cells_arr)
     arcw = grid.d * (~grid.free[ni, nj]).sum(axis=1)
     return BoundarySet(grid, cells_arr, normals, arcw, comp_of, chains)

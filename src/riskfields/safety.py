@@ -360,19 +360,21 @@ def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
     active = free & (a_free <= 0.0)
     restricted = active & (vk <= 0.0)
 
-    # contour only across squares whose four cells are all free
+    # contour only across squares whose four cells are all free; the
+    # corner values and centres are read as Python floats
     segments = []
-    cx = grid.centers_x()
-    cy = grid.centers_y()
+    cx = grid.centers_x().tolist()
+    cy = grid.centers_y().tolist()
+    rows = a_free.tolist()
     sq = free[:-1, :-1] & free[1:, :-1] & free[1:, 1:] & free[:-1, 1:]
     pos = a_free > 0.0
     case = (pos[:-1, :-1].astype(int) + 2 * pos[1:, :-1] + 4 * pos[1:, 1:]
             + 8 * pos[:-1, 1:])
     ii, jj = np.nonzero(sq & (case != 0) & (case != 15))
-    for i, j in zip(ii, jj):
-        a00, a10 = a_free[i, j], a_free[i + 1, j]
-        a11, a01 = a_free[i + 1, j + 1], a_free[i, j + 1]
-        c = int(case[i, j])
+    for i, j, c in zip(ii.tolist(), jj.tolist(), case[ii, jj].tolist()):
+        r0, r1 = rows[i], rows[i + 1]
+        a00, a10 = r0[j], r1[j]
+        a11, a01 = r1[j + 1], r0[j + 1]
         if c in (5, 10):
             mid = 0.25 * (a00 + a10 + a11 + a01)
             if c == 5:

@@ -202,8 +202,11 @@ class Scenario:
 
         sol = doc.get("solver", {})
         method = sol.get("method", elliptic.SOR)
-        if method not in (elliptic.SOR, elliptic.GAUSS_SEIDEL,
-                          elliptic.DENSE_DIRECT):
+        if method in ("gauss_seidel", "dense_direct"):
+            raise MalformedDocument(
+                f"solver.method: {method!r} was removed; use 'sor' "
+                "(Gauss-Seidel is 'sor' with omega 1.0)")
+        if method != elliptic.SOR:
             raise MalformedDocument(f"solver.method: unknown {method!r}")
         omega = sol.get("omega", 1.9)
         if omega != "auto" and not 0.0 < _num(omega, "solver.omega") < 2.0:

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from riskfields.elliptic import (DENSE_DIRECT, GAUSS_SEIDEL, SOR, ForcingSpec,
-                                 SolverConfig, check_divergence_identity,
-                                 hopf_margins, solve_guidance,
-                                 solve_laplace_component, solve_poisson)
+from riskfields.elliptic import (SOR, ForcingSpec, SolverConfig, _poisson,
+                                 check_divergence_identity, hopf_margins,
+                                 solve_guidance, solve_laplace_component,
+                                 solve_poisson)
 from riskfields.errors import (MalformedGrid, NegativeForcingViolation,
                                NonConvergence)
-from riskfields.grid import FREE, OCCUPIED, OccupancyGrid, extract_boundary
+from riskfields.grid import (FREE, NB4, OCCUPIED, OccupancyGrid,
+                             extract_boundary)
 
 from test_grid import box_grid, box_state
 
@@ -31,7 +32,30 @@ def disk_grid(d, R=1.0):
 
 
 SOR_CFG = SolverConfig(method=SOR, omega="auto", tol=1e-8)
-DENSE_CFG = SolverConfig(method=DENSE_DIRECT)
+
+
+def dense_reference(unknown, fixed, rhs):
+    """np.linalg.solve of the assembled 5-point system
+    -4u + (unknown neighbours) = rhs - (fixed neighbours), a direct oracle
+    for small lattices."""
+    ii, jj = np.nonzero(unknown)
+    idx = np.full(unknown.shape, -1)
+    idx[ii, jj] = np.arange(len(ii))
+    mat = -4.0 * np.eye(len(ii))
+    b = rhs[ii, jj].astype(float)
+    for di, dj in NB4:
+        nb = idx[ii + di, jj + dj]
+        on = nb >= 0
+        mat[np.flatnonzero(on), nb[on]] = 1.0
+        b[~on] -= fixed[ii[~on] + di, jj[~on] + dj]
+    w = fixed.copy()
+    w[ii, jj] = np.linalg.solve(mat, b)
+    return w
+
+
+def dense_poisson(g, b):
+    unknown, fixed, rhs, finish = _poisson(g, b, ForcingSpec())
+    return finish(dense_reference(unknown, fixed, rhs))
 
 
 # -- poisson ------------------------------------------------------------------
@@ -42,18 +66,18 @@ def test_single_unknown_exact():
     s[1, 1] = FREE
     g = OccupancyGrid(s, 0.5)
     # a fully enclosed cell has no usable normal, so skip boundary extraction
-    for cfg in (SOR_CFG, DENSE_CFG):
-        h = solve_poisson(g, None, ForcingSpec(), cfg)
-        # iterative stop target is tol*2/N^2 = 2.2e-9 here
-        assert h.values[1, 1] == pytest.approx(0.25, abs=5e-9)
+    h = solve_poisson(g, None, ForcingSpec(), SOR_CFG)
+    # iterative stop target is tol*2/N^2 = 2.2e-9 here
+    assert h.values[1, 1] == pytest.approx(0.25, abs=5e-9)
 
 
 def test_iterative_matches_dense_oracle():
+    # SOR, and SOR at omega = 1 (Gauss-Seidel), against the direct solve
     g = block_grid()
     b = extract_boundary(g)
-    ref = solve_poisson(g, b, ForcingSpec(), DENSE_CFG)
-    for method in (SOR, GAUSS_SEIDEL):
-        cfg = SolverConfig(method=method, omega="auto", tol=1e-8)
+    ref = dense_poisson(g, b)
+    for omega in ("auto", 1.0):
+        cfg = SolverConfig(method=SOR, omega=omega, tol=1e-8)
         h = solve_poisson(g, b, ForcingSpec(), cfg)
         gap = np.abs(h.values[g.free] - ref.values[g.free]).max()
         assert gap <= 10 * cfg.tol
@@ -128,14 +152,11 @@ def test_omega_and_method_validation():
         with pytest.raises(MalformedGrid):
             solve_poisson(g, b, ForcingSpec(),
                           SolverConfig(method=SOR, omega=w))
-    with pytest.raises(MalformedGrid):
-        solve_poisson(g, b, ForcingSpec(), SolverConfig(method="cg"))
-
-
-def test_dense_oracle_size_cap():
-    g = box_grid(103, 103, d=0.02)  # ~10k unknowns
-    with pytest.raises(MalformedGrid):
-        solve_poisson(g, extract_boundary(g), ForcingSpec(), DENSE_CFG)
+    # SOR is the one solver; the removed dense and Gauss-Seidel modes are
+    # unknown methods like any other name
+    for method in ("cg", "dense_direct", "gauss_seidel"):
+        with pytest.raises(MalformedGrid, match="unknown solver method"):
+            solve_poisson(g, b, ForcingSpec(), SolverConfig(method=method))
 
 
 def test_disk_error_levels_are_stable():
@@ -178,12 +199,11 @@ def test_laplace_reproduces_affine_data():
     b = extract_boundary(g)
     a, bx, by = 0.7, -1.3, 0.4
     vals = a + bx * b.pos[:, 0] + by * b.pos[:, 1]
-    for cfg in (SOR_CFG, DENSE_CFG):
-        f = solve_laplace_component(g, b, vals, cfg)
-        x = g.centers_x()[:, None]
-        y = g.centers_y()[None, :]
-        want = a + bx * x + by * y
-        assert np.abs(f.values[g.free] - want[g.free]).max() < 1e-6
+    f = solve_laplace_component(g, b, vals, SOR_CFG)
+    x = g.centers_x()[:, None]
+    y = g.centers_y()[None, :]
+    want = a + bx * x + by * y
+    assert np.abs(f.values[g.free] - want[g.free]).max() < 1e-6
 
 
 def test_laplace_maximum_principle():
@@ -226,7 +246,7 @@ def test_divergence_identity_tracks_solver_residual():
     g = block_grid()
     b = extract_boundary(g)
     f = ForcingSpec()
-    h_dense = solve_poisson(g, b, f, DENSE_CFG)
+    h_dense = dense_poisson(g, b)
     assert check_divergence_identity(h_dense, f, b) < 1e-10
     h_sor = solve_poisson(g, b, f, SOR_CFG)
     assert check_divergence_identity(h_sor, f, b) < 1e-5

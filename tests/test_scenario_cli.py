@@ -536,6 +536,29 @@ def test_cli_sweep_rejects_bad_gammas(tmp_path, gammas):
     assert "--gammas" in (out / "FAILED.txt").read_text()
 
 
+def test_sweep_job_gamma_goes_through_filter_validation():
+    # the job builds a new FilterConfig, whose own check rejects gamma = 0
+    with pytest.raises(ValueError, match="gamma"):
+        cli._sweep_one((str(SCENARIOS / "three_obstacles.yaml"), 1.0, 0.0))
+
+
+@pytest.mark.parametrize("method", ["dense_direct", "gauss_seidel"])
+def test_removed_solver_methods_rejected_with_failed_marker(tmp_path,
+                                                            method):
+    with pytest.raises(MalformedDocument, match=f"'{method}' was removed"):
+        Scenario(minimal_doc(solver={"method": method}))
+    doc = load_doc("single_obstacle")
+    doc["solver"]["method"] = method
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bad_out"
+    rc = run_cli("solve", "--scenario", str(bad), "--out", str(out))
+    assert rc == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") and method in text
+    assert not (out / "manifest.json").exists()
+
+
 def test_nonfinite_filter_parameters_rejected_at_parse():
     for value in (float("nan"), float("inf")):
         with pytest.raises(MalformedDocument):
