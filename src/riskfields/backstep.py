@@ -59,9 +59,9 @@ class BackstepConfig:
         return np.asarray(self._k_nom()(np.asarray(y, dtype=float)),
                           dtype=float)
 
-    def nominal_at(self):
-        """k_nom_v in point form, (px, py) -> (kx, ky) on Python floats."""
-        return _point_form(self._k_nom())
+    def nominal_at(self, sf):
+        """k_nom_v in point form as (grad, at), see safety._point_form."""
+        return _point_form(self._k_nom(), sf)
 
 
 def smooth_margin(a, sigma_s):
@@ -112,14 +112,17 @@ def h_B(state, sf, gf, cfg):
 
 def _jacobian(p, kv, k, cfg, fs):
     """Central differences of k_v with step d/2 per axis, one (h, v) lookup
-    per probe; one-sided against kv = k_v(p) (computed here when None) when
-    a probe leaves the sampleable region.  k is k_nom_v in point form; the
-    rows of J come back as pairs of floats."""
+    per probe (and grad h when k reads it); one-sided against kv = k_v(p)
+    (computed here when None) when a probe leaves the sampleable region.
+    k is k_nom_v in point form, (grad, at); J comes back as float pairs."""
     step = 0.5 * fs.grid.d
     px, py = p
+    grad, at = k
 
     def k_v_at(q):
-        return _k_v(q, k(*q), fs.at(*q), cfg)
+        qx, qy = q
+        s = fs.at(qx, qy, grad)
+        return _k_v(q, at(qx, qy, s), s, cfg)
 
     cols = []
     for hi_p, lo_p in (((px + step, py), (px - step, py)),
@@ -153,7 +156,8 @@ def k_v_jacobian(y, sf, gf, cfg):
     sampleable region.
     """
     fs = FieldSampler(sf, gf, snapshot=False)
-    return np.array(_jacobian(point_xy(y), None, cfg.nominal_at(), cfg, fs))
+    return np.array(_jacobian(point_xy(y), None, cfg.nominal_at(sf), cfg,
+                              fs))
 
 
 class AccelTerms(NamedTuple):
@@ -162,19 +166,21 @@ class AccelTerms(NamedTuple):
     e: np.ndarray         # ydot - k_v(y)
     h_B: float
     dh_ydot: float        # Dh(y).ydot
-    J_ydot: np.ndarray    # J_kv(y) ydot
+    J_ydot: list          # J_kv(y) ydot, two floats
 
     def hdot_B(self, w, mu):
-        """d/dt h_B under acceleration w, by direct differentiation:
+        """d/dt h_B under acceleration w (floats), by differentiation:
 
             Dh.ydot - (1/mu)(ydot - k_v).(w - J_kv ydot)
         """
-        return self.dh_ydot - float(self.e @ (np.asarray(w, dtype=float)
-                                              - self.J_ydot)) / mu
+        (wx, wy), (jx, jy) = w, self.J_ydot
+        return self.dh_ydot - float(self.e @ np.array((wx - jx, wy - jy))) \
+            / mu
 
     def filter(self, w_nom, cfg):
         """(w, resid): the minimal correction of w_nom enforcing
-        hdot_B >= -gamma h_B, and hdot_B(w_nom) + gamma h_B.
+        hdot_B >= -gamma h_B, and hdot_B(w_nom) + gamma h_B; w_nom and w
+        are pairs of floats.
 
         The constraint is affine in w with coefficient c = -(ydot - k_v)/mu,
         so the correction is the usual ReLU step along c.  A vanishing
@@ -183,11 +189,12 @@ class AccelTerms(NamedTuple):
         constraint means the state left the shrunken set or the gradients
         are off, and is an error.
         """
-        w_nom = np.array(w_nom, dtype=float)
         resid = self.hdot_B(w_nom, cfg.mu) + cfg.gamma * self.h_B
         if resid >= 0.0:
             return w_nom, resid
-        c = -self.e / cfg.mu
+        ex, ey = self.e.tolist()
+        cx, cy = -ex / cfg.mu, -ey / cfg.mu
+        c = np.array((cx, cy))
         nc2 = float(c @ c)
         if nc2 < cfg.eta_c * cfg.eta_c:
             if resid < -1e-9:
@@ -195,39 +202,42 @@ class AccelTerms(NamedTuple):
                     f"constraint residual {resid:.3e} with "
                     f"||c||={math.sqrt(nc2):.3e}")
             return w_nom, resid
-        return w_nom + (-resid / nc2) * c, resid
+        g = -resid / nc2
+        return (w_nom[0] + g * cx, w_nom[1] + g * cy), resid
 
 
 def accel_terms(y, ydot, k, cfg, fs):
     """k_v, e, Dh, J and h_B at the extended state (y, ydot), as AccelTerms.
 
     y is the position as a pair of floats and ydot the velocity as a
-    length-2 array; k is k_nom_v in point form and fs a FieldSampler over
-    (sf, gf).  One (h, v, grad h) lookup at y plus one (h, v) lookup per
-    Jacobian probe, all on Python floats; e, Dh and J become arrays only
-    for the dot products, whose bits come from BLAS.
+    length-2 array; k is k_nom_v in point form as (grad, at) and fs a
+    FieldSampler over (sf, gf).  One (h, v, grad h) lookup at y plus one
+    lookup per Jacobian probe, all on Python floats; e, Dh and J become
+    arrays only for the dot products, whose bits come from BLAS.
     """
-    kn = k(*y)
-    s = fs.at(*y, grad=True)
-    kv = _k_v(y, kn, s, cfg)
-    e = ydot - np.array(kv)
-    Dh = np.array((s[3], s[4]))
+    px, py = y
+    s = fs.at(px, py, True)
+    kv = _k_v(y, k[1](px, py, s), s, cfg)
+    vx, vy = ydot.tolist()
+    e = np.array((vx - kv[0], vy - kv[1]))
     J = np.array(_jacobian(y, kv, k, cfg, fs))
-    return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu), float(Dh @ ydot),
-                      J @ ydot)
+    return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu),
+                      float(np.array((s[3], s[4])) @ ydot),
+                      (J @ ydot).tolist())
 
 
 def _terms(state, sf, gf, cfg):
-    return accel_terms(point_xy(state.y), state.ydot, cfg.nominal_at(), cfg,
+    return accel_terms(point_xy(state.y), state.ydot, cfg.nominal_at(sf), cfg,
                        FieldSampler(sf, gf, snapshot=False))
 
 
 def hdot_B(state, w, sf, gf, cfg):
     """d/dt h_B under acceleration w (see AccelTerms.hdot_B)."""
-    return _terms(state, sf, gf, cfg).hdot_B(w, cfg.mu)
+    return _terms(state, sf, gf, cfg).hdot_B(point_xy(w), cfg.mu)
 
 
 def filter_accel(state, w_nom, sf, gf, cfg):
     """Minimal correction of w_nom enforcing hdot_B >= -gamma h_B (see
     AccelTerms.filter)."""
-    return _terms(state, sf, gf, cfg).filter(w_nom, cfg)[0]
+    return np.array(_terms(state, sf, gf, cfg).filter(point_xy(w_nom),
+                                                      cfg)[0])

@@ -355,15 +355,11 @@ class VectorField:
         self.mask = fx.mask
 
 
-def _interp(channels, grid, px, py):
-    """Bilinear interpolation of each channel at the point (px, py) from one
-    cell lookup, as a list of floats.
-
-    A channel is a 2-D array or its nested-list snapshot; both give the same
-    bits, since the four samples around the cell are blended in a fixed
-    order.  Raises OutOfDomain outside the lattice hull, at a non-finite
-    point, or where a channel is NaN (deeper than the ghost band).
-    """
+def _cell(grid, px, py):
+    """(i0, i1, j0, j1, fx, fy, 1 - fx, 1 - fy): the lattice indices of the
+    four cell centres around the point (px, py) and its fractional offsets
+    from the first.  Raises OutOfDomain outside the lattice hull or at a
+    non-finite point."""
     ox, oy = grid.origin_xy
     gx = (px - ox) / grid.d
     gy = (py - oy) / grid.d
@@ -378,8 +374,17 @@ def _interp(channels, grid, px, py):
         raise OutOfDomain(f"point ({px}, {py}) outside the lattice hull")
     fx = gx - i0
     fy = gy - j0
-    ex = 1.0 - fx
-    ey = 1.0 - fy
+    return i0, i1, j0, j1, fx, fy, 1.0 - fx, 1.0 - fy
+
+
+def _interp(channels, grid, px, py):
+    """Bilinear interpolation of each channel (a 2-D array) at the point
+    (px, py) from one cell lookup, as a list of floats.
+
+    Raises OutOfDomain outside the lattice hull, at a non-finite point, or
+    where a channel is NaN (deeper than the ghost band).
+    """
+    i0, i1, j0, j1, fx, fy, ex, ey = _cell(grid, px, py)
     out = []
     for rows in channels:
         r0 = rows[i0]
@@ -387,10 +392,14 @@ def _interp(channels, grid, px, py):
         s = (r0[j0] * ex * ey + r1[j0] * fx * ey + r0[j1] * ex * fy
              + r1[j1] * fx * fy)
         if s != s:
-            raise OutOfDomain(f"point ({px}, {py}) deeper than one cell "
-                              "into occupied space")
+            raise _too_deep(px, py)
         out.append(s)
     return out
+
+
+def _too_deep(px, py):
+    return OutOfDomain(f"point ({px}, {py}) deeper than one cell into "
+                       "occupied space")
 
 
 def _bilinear_many(values, grid, px, py):
@@ -431,19 +440,9 @@ def sample_scalar(field, y):
     return _interp((field.values,), field.grid, *point_xy(y))[0]
 
 
-def pair_at(rows_x, rows_y, grid, px, py):
-    """Two channels (2-D arrays or their nested-list snapshots) at the point
-    (px, py) from one cell lookup, as two floats."""
-    return tuple(_interp((rows_x, rows_y), grid, px, py))
-
-
-def sample_pair(rows_x, rows_y, grid, y):
-    """pair_at at y, as a length-2 array."""
-    return np.array(pair_at(rows_x, rows_y, grid, *point_xy(y)))
-
-
 def sample_vector(field, y):
-    return sample_pair(field.x.values, field.y.values, field.grid, y)
+    return np.array(_interp((field.x.values, field.y.values), field.grid,
+                            *point_xy(y)))
 
 
 def sample_gradient(field, y):
@@ -460,7 +459,7 @@ def sample_gradient(field, y):
                                         p[:, 1]),
                          _bilinear_many(g.y.values, field.grid, p[:, 0],
                                         p[:, 1])], axis=1)
-    return sample_pair(g.x.values, g.y.values, field.grid, p)
+    return sample_vector(g, p)
 
 
 class FieldSampler:
@@ -474,6 +473,11 @@ class FieldSampler:
     a fifth of the same arithmetic on numpy scalars and gives the same bits.
     snapshot=False reads the arrays in place, for callers that sample only
     a few points.
+
+    at(px, py, grad=False) is (h, vx, vy), or with grad (h, vx, vy, dh/dx,
+    dh/dy, dh/dt), dh/dt None without its channel: one _cell lookup, then
+    _interp's blend written out per channel, so the same bits and the same
+    OutOfDomain messages.
     """
 
     def __init__(self, sf, gf, dh_dt=None, snapshot=True):
@@ -486,22 +490,34 @@ class FieldSampler:
             return field.values.tolist() if snapshot else field.values
 
         self.grid = grid
-        self._hv = (rows(sf.h), rows(gf.v.x), rows(gf.v.y))
-        self._all = self._hv + (rows(sf.grad.x), rows(sf.grad.y))
-        if dh_dt is not None:
-            self._all += (rows(dh_dt),)
+        H, VX, VY, HX, HY = (rows(f) for f in (sf.h, gf.v.x, gf.v.y,
+                                                sf.grad.x, sf.grad.y))
+        DT = None if dh_dt is None else rows(dh_dt)
 
-    def at(self, px, py, grad=False):
-        """[h, vx, vy] at the point (px, py), or with grad=True [h, vx, vy,
-        dh/dx, dh/dy, dh/dt], where dh/dt is None without a dh_dt channel.
+        def at(px, py, grad=False):
+            i0, i1, j0, j1, fx, fy, ex, ey = _cell(grid, px, py)
+            h = (H[i0][j0] * ex * ey + H[i1][j0] * fx * ey
+                 + H[i0][j1] * ex * fy + H[i1][j1] * fx * fy)
+            vx = (VX[i0][j0] * ex * ey + VX[i1][j0] * fx * ey
+                  + VX[i0][j1] * ex * fy + VX[i1][j1] * fx * fy)
+            vy = (VY[i0][j0] * ex * ey + VY[i1][j0] * fx * ey
+                  + VY[i0][j1] * ex * fy + VY[i1][j1] * fx * fy)
+            if h != h or vx != vx or vy != vy:
+                raise _too_deep(px, py)
+            if not grad:
+                return h, vx, vy
+            hx = (HX[i0][j0] * ex * ey + HX[i1][j0] * fx * ey
+                  + HX[i0][j1] * ex * fy + HX[i1][j1] * fx * fy)
+            hy = (HY[i0][j0] * ex * ey + HY[i1][j0] * fx * ey
+                  + HY[i0][j1] * ex * fy + HY[i1][j1] * fx * fy)
+            ht = None if DT is None else (
+                DT[i0][j0] * ex * ey + DT[i1][j0] * fx * ey
+                + DT[i0][j1] * ex * fy + DT[i1][j1] * fx * fy)
+            if hx != hx or hy != hy or ht != ht:
+                raise _too_deep(px, py)
+            return h, vx, vy, hx, hy, ht
 
-        Raises OutOfDomain outside the lattice hull or where a returned
-        channel is NaN (deeper than the ghost band).
-        """
-        s = _interp(self._all if grad else self._hv, self.grid, px, py)
-        if len(s) == 5:     # grad without a dh_dt channel
-            s.append(None)
-        return s
+        self.at = at
 
 
 def _nearest_hits(cells, target, radius):

@@ -129,9 +129,13 @@ def assign_flux(boundary, features, rule, w, phi):
     """
     if len(features) != boundary.n:
         raise MalformedGrid("one feature reading per boundary node required")
+    memo = {}   # by (kind, value), as FeatureReading is unhashable
     flux = np.empty(boundary.n)
-    for k, reading in enumerate(features):
-        flux[k] = phi(risk_value(rule.priority(reading), w))
+    for k, r in enumerate(features):    # in node order: first bad one raises
+        key = (r.kind, r.value) if isinstance(r, FeatureReading) else k
+        if key not in memo:
+            memo[key] = phi(risk_value(rule.priority(r), w))
+        flux[k] = memo[key]
     return boundary.with_flux(flux)
 
 

@@ -47,28 +47,13 @@ class SafetyFunction:
         self.h = h
         self.grid = h.grid
         self.grad = h.gradient()
-        self._grad_rows = None
 
     def value(self, y):
         return sample_scalar(self.h, y)
 
     def grad_at(self, y):
         """Dh at y, or at each row of an (n, 2) block."""
-        p = np.asarray(y, dtype=float)
-        if p.ndim == 2:
-            return sample_gradient(self.h, p)
-        return np.array(self.grad_xy(*point_xy(p)))
-
-    def grad_xy(self, px, py):
-        """Dh at the point (px, py) as two floats.
-
-        Read from nested-list copies of the cached gradient, made on first
-        use: same bits as sample_gradient, at about a fifth of the cost.
-        """
-        if self._grad_rows is None:
-            self._grad_rows = (self.grad.x.values.tolist(),
-                               self.grad.y.values.tolist())
-        return gridmod.pair_at(*self._grad_rows, self.grid, px, py)
+        return sample_gradient(self.h, y)
 
 
 class GuidanceFieldBundle:
@@ -170,21 +155,26 @@ def filter_control_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
     return _filter_at(y, k_nom_value, sf_t, gf, cfg, dh_dt)
 
 
-def _point_form(k_nom):
-    """k_nom as a map (px, py) -> (kx, ky) on Python floats.
+def _point_form(k_nom, sf):
+    """(grad, at): k_nom as a map at(px, py, s) -> (kx, ky) on Python
+    floats, where s = FieldSampler.at(px, py, grad) samples the fields over
+    sf at the point.
 
-    A controller with its own point form (k_nom.at) is used as it is; any
-    other callable is called on a length-2 array and its result converted
-    with tolist().
+    A controller with its own point form k_nom.at is used as it is; one
+    that is -mu Dh of sf itself (k_nom.grad_of is sf) reads Dh from s, so
+    grad is True.  Any other callable, and one that reads the gradient of
+    another safety function, is called on a length-2 array and its result
+    converted with tolist().
     """
     at = getattr(k_nom, "at", None)
-    if at is not None:
-        return at
+    grad_of = getattr(k_nom, "grad_of", None)
+    if at is not None and (grad_of is None or grad_of is sf):
+        return grad_of is not None, at
 
-    def at(px, py):
+    def at(px, py, s):
         return np.asarray(k_nom(np.array((px, py))), dtype=float).tolist()
 
-    return at
+    return False, at
 
 
 def eval_controller(k_nom, pts):

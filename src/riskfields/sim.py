@@ -139,8 +139,9 @@ def nominal_adversarial(y, mu, sf):
 
 
 def goal_controller(mu, goal):
-    """nominal_goal as a controller over points or (n,2) blocks; k.at(px, py)
-    is the same arithmetic on Python floats."""
+    """nominal_goal as a controller over points or (n,2) blocks; k.at(px, py,
+    s) is the same arithmetic on Python floats (s, the point's sample, is
+    not read)."""
     goal = np.asarray(goal, dtype=float)
     gx, gy = goal.tolist()
     m = -mu
@@ -148,7 +149,7 @@ def goal_controller(mu, goal):
     def k_nom(y):
         return nominal_goal(y, mu, goal)
 
-    def at(px, py):
+    def at(px, py, s):
         return m * (px - gx), m * (py - gy)
 
     k_nom.goal = goal
@@ -158,17 +159,19 @@ def goal_controller(mu, goal):
 
 def adversarial_controller(mu, sf):
     """nominal_adversarial as a controller over points or (n,2) blocks;
-    k.at(px, py) is the same arithmetic on Python floats."""
+    k.at(px, py, s) is the same arithmetic on Python floats, with Dh read
+    from s, a FieldSampler.at(px, py, grad=True) sample over sf
+    (k.grad_of)."""
     m = -mu
 
     def k_nom(y):
         return nominal_adversarial(y, mu, sf)
 
-    def at(px, py):
-        gx, gy = sf.grad_xy(px, py)
-        return m * gx, m * gy
+    def at(px, py, s):
+        return m * s[3], m * s[4]
 
     k_nom.at = at
+    k_nom.grad_of = sf
     return k_nom
 
 
@@ -206,6 +209,38 @@ def _rk4(y, k1, f, dt):
     w = dt / 6.0
     return tuple([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+
+def _rk4_xy(y, k1, f, dt):
+    """_rk4 written out for a state of two floats, with the same bits."""
+    px, py = y
+    ax, ay = k1
+    h = 0.5 * dt
+    bx, by = f((px + h * ax, py + h * ay))
+    cx, cy = f((px + h * bx, py + h * by))
+    dx, dy = f((px + dt * cx, py + dt * cy))
+    w = dt / 6.0
+    return (px + w * (ax + 2.0 * bx + 2.0 * cx + dx),
+            py + w * (ay + 2.0 * by + 2.0 * cy + dy))
+
+
+def _goal_check(goal, d):
+    """reached(px, py): np.linalg.norm((px, py) - goal) < d, or None
+    without a goal.  The squared distance on floats decides except within
+    a relative 1e-12 of d^2, where numpy's FMA dot may round differently."""
+    if goal is None:
+        return None
+    goal = np.asarray(goal, dtype=float)
+    gx, gy = goal.tolist()
+    lo, hi = d * d * (1.0 - 1e-12), d * d * (1.0 + 1e-12)
+
+    def reached(px, py):
+        r2 = (px - gx) * (px - gx) + (py - gy) * (py - gy)
+        if lo <= r2 <= hi:
+            return bool(np.linalg.norm(np.subtract((px, py), goal)) < d)
+        return r2 < lo
+
+    return reached
 
 
 _COLUMNS = ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B")
@@ -252,17 +287,18 @@ def _rollout(z, segments, dt, goal, d):
     lattice as LEFT_DOMAIN.
     """
     rec = _Recorder(double=len(z) == 4)
+    reached = _goal_check(goal, d)
+    rk4 = _rk4_xy if len(z) == 2 else _rk4
     term = TIME_LIMIT
     try:
         for k, (record, stage) in enumerate(_samples(segments)):
             row, zdot = record(z)
             rec.add(k * dt, row)
-            if goal is not None and \
-                    np.linalg.norm(np.subtract(z[:2], goal)) < d:
+            if reached is not None and reached(z[0], z[1]):
                 term = GOAL_REACHED
                 break
             if stage is not None:
-                z = _rk4(z, zdot, stage, dt)
+                z = rk4(z, zdot, stage, dt)
     except (VanishingGuidance, DegenerateCoefficient):
         term = DEGENERATE
     except OutOfDomain:
@@ -272,21 +308,25 @@ def _rollout(z, segments, dt, goal, d):
 
 def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
     """(record, stage, steps) of ydot = the closed-form filter of
-    controller(y), with one controller call, one field sample and one
+    controller(y), with one field sample, one controller call and one
     min_norm per point, all on floats; with dh_dt the time-varying
-    filter."""
+    filter.  An adversarial controller over sf reads Dh from the sample."""
     fs = FieldSampler(sf, gf, dh_dt)
-    grad = dh_dt is not None
-    k = _point_form(controller)
+    kgrad, k = _point_form(controller, sf)
+    grad = kgrad or dh_dt is not None
+    at = fs.at
 
     def record(y):
-        u_nom = k(*y)
-        s = fs.at(*y, grad)
+        px, py = y
+        s = at(px, py, grad)
+        u_nom = k(px, py, s)
         u, a, audit = min_norm(y, u_nom, s, cfg)
         return (y, u_nom, u, s[0], a, audit), u
 
     def stage(y):
-        return min_norm(y, k(*y), fs.at(*y, grad), cfg)[0]
+        px, py = y
+        s = at(px, py, grad)
+        return min_norm(y, k(px, py, s), s, cfg)[0]
 
     return record, stage, steps
 
@@ -316,23 +356,23 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
     fs = FieldSampler(sf, gf)
-    k = bcfg.nominal_at()
+    k = bcfg.nominal_at(sf)
 
-    def record(z):
+    def terms_at(z):        # (AccelTerms, w_nom as two floats)
         y, ydot = z[:2], np.array(z[2:])
         w_nom = np.asarray(accel_nom(np.array(y), ydot), dtype=float)
-        terms = bs.accel_terms(y, ydot, k, bcfg, fs)
+        return bs.accel_terms(y, ydot, k, bcfg, fs), tuple(w_nom.tolist())
+
+    def record(z):
+        terms, w_nom = terms_at(z)
         w, resid_nom = terms.filter(w_nom, bcfg)
         resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
-        w = w.tolist()
-        return ((y, w_nom.tolist(), w, terms.h, resid_nom, resid, z[2:],
-                 terms.h_B), z[2:] + tuple(w))
+        return ((z[:2], w_nom, w, terms.h, resid_nom, resid, z[2:],
+                 terms.h_B), z[2:] + w)
 
     def stage(z):
-        y, ydot = z[:2], np.array(z[2:])
-        w_nom = accel_nom(np.array(y), ydot)
-        w, _ = bs.accel_terms(y, ydot, k, bcfg, fs).filter(w_nom, bcfg)
-        return z[2:] + tuple(w.tolist())
+        terms, w_nom = terms_at(z)
+        return z[2:] + terms.filter(w_nom, bcfg)[0]
 
     n = int(math.floor(T / dt + 1e-9))
     z0 = tuple(st.y.tolist() + st.ydot.tolist())

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from riskfields.errors import (DisconnectedFreeSpace, MalformedGrid,
                                OpenWorkspace, OutOfDomain)
-from riskfields.grid import (FREE, NB4, OCCUPIED, OccupancyGrid, ScalarField,
-                             dump_csv, extract_boundary, fill_band,
-                             gradient_field, load_csv, load_grid,
+from riskfields.grid import (FREE, NB4, OCCUPIED, FieldSampler, OccupancyGrid,
+                             ScalarField, dump_csv, extract_boundary,
+                             fill_band, gradient_field, load_csv, load_grid,
                              nearest_node_map, sample_gradient, sample_scalar,
                              sample_vector)
 
@@ -301,6 +301,73 @@ def test_sampling_deep_inside_obstacle_raises():
         sample_scalar(f, g.cell_center(8, 8))  # NaN core of the block
     # near the interface the ghost band keeps sampling legal
     assert sample_scalar(f, g.cell_center(5, 4)) <= 1.0
+
+
+def _read(fn, *args):
+    """fn(*args) as a tuple, or the message of the OutOfDomain it raises."""
+    try:
+        return tuple(fn(*args))
+    except OutOfDomain as e:
+        return str(e)
+
+
+def _shape(reads):
+    """Each read's message, or the positions of its floats and Nones."""
+    return [r if isinstance(r, str) else tuple(x is None for x in r)
+            for r in reads]
+
+
+def _bits(reads):
+    """The floats of every read that returned, as int64 bit patterns."""
+    return np.array([x for r in reads if not isinstance(r, str) for x in r
+                     if x is not None], dtype=float).view(np.int64)
+
+
+def test_field_sampler_matches_one_channel_samplers(semantic_build):
+    # one lookup for every channel against sample_scalar, sample_vector and
+    # sample_gradient one field at a time: the same bits, and the same
+    # OutOfDomain message where a channel it returns is NaN
+    _, b = semantic_build
+    g, sf, gf = b.grid, b.sf, b.gf
+    bi, bj = np.nonzero(g.band1 | g.band2)
+    rng = np.random.default_rng(3)
+    dt_values = fill_band(g, rng.uniform(-1.0, 1.0, (g.nx, g.ny)))
+    dt_values[bi[::5], bj[::5]] = np.nan   # dh/dt alone is NaN there
+    dh = ScalarField(g, dt_values)
+    d = g.d
+    centres = g.free_centers()
+    band = np.stack([g.centers_x()[bi], g.centers_y()[bj]], axis=1)
+    di, dj = np.nonzero(~g.free & ~g.band1 & ~g.band2)
+    pts = np.concatenate([
+        centres, centres + [0.37 * d, 0.61 * d], band,
+        band + [0.5 * d, 0.25 * d], band - [0.3 * d, 0.8 * d],
+        [g.cell_center(di[len(di) // 2], dj[len(dj) // 2]),
+         [-0.2 * d, 1.0], g.cell_center(g.nx - 1, 10) + [0.1 * d, 0.0],
+         [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.5]]])
+    # the in-place array reads (snapshot=False) at every 8th point
+    samplers = [(FieldSampler(sf, gf, field, snapshot=snap), field,
+                 1 if snap else 8)
+                for snap in (True, False) for field in (None, dh)]
+    got, want = [], []
+    for i, p in enumerate(pts.tolist()):
+        h = _read(lambda q: [sample_scalar(sf.h, q)], p)
+        v = _read(sample_vector, gf.v, p)
+        grad = _read(sample_gradient, sf.h, p)
+        dt = _read(lambda q: [sample_scalar(dh, q)], p)
+        for fs, field, every in samplers:
+            if i % every:
+                continue
+            for flag, reads in (
+                    (False, [h, v]),
+                    (True, [h, v, grad, (None,) if field is None else dt])):
+                msg = [r for r in reads if isinstance(r, str)]
+                want.append(msg[0] if msg else sum(reads, ()))
+                got.append(_read(fs.at, *p, flag))
+    assert _shape(got) == _shape(want)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert {w.split(") ")[-1] for w in want if isinstance(w, str)} == {
+        "outside the lattice hull", "is not finite",
+        "deeper than one cell into occupied space"}
 
 
 def test_gradient_field_exact_on_affine():

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy import ndimage
 
 from riskfields import riskmap, sim
@@ -1172,8 +1173,17 @@ def test_integrate_double_matches_reference(single_build, start):
         assert got.termination == sim.LEFT_DOMAIN
 
 
-def test_run_dynamic_matches_reference():
-    sc, _ = build_scenario("moving_block")
+@pytest.mark.parametrize("kind", ["goal", "adversarial"])
+def test_run_dynamic_matches_reference(kind):
+    # the adversarial case reads Dh from the one sample that also carries
+    # dh/dt; its reference steers with ref_adversarial
+    if kind == "goal":
+        sc, _ = build_scenario("moving_block")
+    else:
+        doc = yaml.safe_load((SCENARIOS / "moving_block.yaml").read_text())
+        doc["nominal"] = {"kind": "adversarial", "mu": 0.3}
+        doc["sim"]["goal"] = [2.0, 2.5]
+        sc = Scenario(doc)
     builds = {}
     build = sc.build
 
@@ -1185,6 +1195,9 @@ def test_run_dynamic_matches_reference():
     sc.build = shared_build
     c = sc.sim_cfg
     got = sim.run_dynamic(sc, c["dt_frame"], c["dt"], 2.0).trajectory
+    if kind == "adversarial":
+        assert (got.u_filt != got.u_nom).any()      # the filter acted
+        sc.controller = lambda b: ref_adversarial(sc.nominal_mu, b.sf)
     want = ref_run_dynamic(sc, c["dt_frame"], c["dt"], 2.0)
     _same_trajectory(got, want)
 

@@ -149,6 +149,46 @@ def test_rk4_is_fourth_order():
     assert 12.0 <= ratio <= 20.0  # halving dt cuts the error ~16x
 
 
+def test_rk4_xy_matches_generic_rk4():
+    # the written-out step for a two-float state has the generic step's bits
+    def f(q):
+        return (math.sin(3.0 * q[1]) - q[0], q[0] * q[1] + 0.1)
+
+    rng = np.random.default_rng(4)
+    for y in rng.uniform(-2.0, 2.0, (200, 2)).tolist():
+        y = tuple(y)
+        for dt in (1e-3, 0.05, 0.3):
+            got = sim._rk4_xy(y, f(y), f, dt)
+            want = _rk4(y, f(y), f, dt)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_goal_check_decides_as_numpy_norm_at_distance_d():
+    # samples on the circle of radius d around the goal and one or two ulp
+    # either side of it in x; where the squared distance on floats and
+    # numpy's norm (an FMA dot) fall on different sides of d, the rollout
+    # must follow numpy
+    goal, d = (1.0, 2.6), 0.05
+
+    def record(z):
+        return (z, (0.0, 0.0), (0.0, 0.0), 1.0, 1.0, 1.0), (0.0, 0.0)
+
+    naive_differs = 0
+    for ang in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False).tolist():
+        px = goal[0] + d * math.cos(ang)
+        py = goal[1] + d * math.sin(ang)
+        for k in range(-2, 3):
+            x = px
+            for _ in range(abs(k)):
+                x = math.nextafter(x, math.copysign(math.inf, k))
+            want = np.linalg.norm(np.array([x, py]) - goal) < d
+            got = sim._rollout((x, py), [(record, None, 0)], 0.01, goal, d)
+            assert (got.termination == GOAL_REACHED) == want, (x, py)
+            dx, dy = x - goal[0], py - goal[1]
+            naive_differs += (math.sqrt(dx * dx + dy * dy) < d) != want
+    assert naive_differs > 0
+
+
 def test_cfl_guard(disk_build):
     sc, res = disk_build
     k = goal_controller(1.0, sc.sim_cfg["goal"])
