@@ -16,7 +16,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__, backstep, elliptic, sim
@@ -35,7 +34,6 @@ def _manifest(argv, scenario_path, outputs):
         "scenario_sha256": digest,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "pyyaml_version": yaml.__version__,
         "python_version": sys.version.split()[0],
         "outputs": sorted(outputs),

@@ -12,7 +12,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     DegenerateNormal,
@@ -28,9 +27,6 @@ OCCUPIED = 1
 
 # 4-neighborhood offsets, fixed order (east, west, north, south in index space)
 NB4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-_FREE_STRUCT = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_OCC_STRUCT = np.ones((3, 3), dtype=bool)
 
 
 class OccupancyGrid:
@@ -100,9 +96,8 @@ class OccupancyGrid:
         # occupied cells within one / two rings of free space; sampling is legal
         # out to the first ring plus the convex-hull fringe of the second
         occ = ~self.free
-        near1 = occ & ndimage.binary_dilation(self.free, structure=_OCC_STRUCT)
-        near2 = occ & ~near1 & ndimage.binary_dilation(near1 | self.free,
-                                                       structure=_OCC_STRUCT)
+        near1 = occ & _dilate8(self.free)
+        near2 = occ & ~near1 & _dilate8(near1 | self.free)
         self.band1 = near1
         self.band2 = near2
         self.band1.flags.writeable = False
@@ -138,9 +133,81 @@ class OccupancyGrid:
                 and bool(np.all(self.origin == other.origin)))
 
 
+def _run_roots(mask, diag):
+    """(root, length) per row run of a boolean mask, runs in raster order.
+
+    Runs in adjacent rows join when they share a column, or, with diag,
+    when they touch at a corner too (4- or 8-connectivity).  root is the
+    index of the first run of each run's component.
+    """
+    w = mask.shape[1] + 2
+    edge = np.zeros((mask.shape[0], w), dtype=np.int8)
+    edge[:, 1:-1] = mask
+    step = np.diff(edge, axis=1)
+    row, start = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]
+    # the runs of the row above that a run touches are consecutive: those
+    # ending after its start and starting before its end (diag widens both)
+    key = row * w
+    lo = np.searchsorted(key + end, key - w + start - diag, side="right")
+    hi = np.searchsorted(key + start, key - w + end + diag, side="left")
+    count = np.maximum(hi - lo, 0)
+    b = np.repeat(np.arange(len(start)), count)
+    a = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(b))
+    # hook each root to the smallest root it touches, then compress paths
+    root = np.arange(len(start))
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            return root, end - start
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+
+
+def _label(mask, diag):
+    """(labels, count): the connected components of a boolean mask,
+    4-connected or, with diag, 8-connected.  Labels run from 1 in raster
+    order of each component's first cell, as scipy.ndimage.label numbers
+    them; 0 off the mask."""
+    root, length = _run_roots(mask, diag)
+    first = root == np.arange(len(root))
+    ids = np.cumsum(first, dtype=np.int32)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(ids[root], length)
+    return labels, int(first.sum())
+
+
 def _label_free(free):
-    lab, n = ndimage.label(free, structure=_FREE_STRUCT)
-    return int(free.sum()), int(n)
+    """(FREE cells, 4-connected FREE components)."""
+    root, _ = _run_roots(free, False)
+    return int(free.sum()), int((root == np.arange(len(root))).sum())
+
+
+def _dilate8(mask):
+    """Binary dilation by the 3x3 square, with False beyond the edges."""
+    p = np.pad(mask, 1)
+    rows = p[:-2] | p[1:-1] | p[2:]
+    return rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
+
+
+def _box3(x):
+    """The 3-cell mean along axis 0, edges repeated, summed as
+    scipy.ndimage.uniform_filter1d sums it: one running sum, then / 3."""
+    ext = np.concatenate([x[:1], x, x[-1:]])
+    steps = np.empty_like(x)
+    steps[0] = (ext[0] + ext[1]) + ext[2]
+    steps[1:] = ext[3:] - ext[:-3]
+    return np.add.accumulate(steps, axis=0) / 3.0
+
+
+def _box_blur(x):
+    """The 3x3 box filter with edges repeated, bit for bit as
+    scipy.ndimage.uniform_filter(x, 3, mode="nearest"): axis 0, then 1."""
+    return _box3(_box3(x).T).T
 
 
 class BoundarySet:
@@ -202,9 +269,7 @@ def estimate_normals(grid, cells):
     normalized.  Falls back to the mean occupied-neighbor offset when the
     blurred gradient is numerically zero.
     """
-    ind = (~grid.free).astype(float)
-    blur = ndimage.uniform_filter(ind, size=3, mode="nearest")
-    blur = ndimage.uniform_filter(blur, size=3, mode="nearest")
+    blur = _box_blur(_box_blur((~grid.free).astype(float)))
     cells = np.asarray(cells, dtype=int).reshape(-1, 2)
     i, j = cells[:, 0], cells[:, 1]
     g = np.stack([(blur[i + 1, j] - blur[i - 1, j]) * 0.5,
@@ -294,7 +359,7 @@ def extract_boundary(grid):
     first met.  A component's chain is that order when it has one loop that
     meets no cell twice or already met.
     """
-    occ_comp, _ = ndimage.label(~grid.free, structure=_OCC_STRUCT)
+    occ_comp, _ = _label(~grid.free, True)
     cells = []
     comp_of = []
     chains = {}

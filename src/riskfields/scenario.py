@@ -72,6 +72,46 @@ def _point(x, path):
     return p
 
 
+def _obstacle_geometry(ob, kind, path, d):
+    """The validated shape fields of one obstacle, by their document keys:
+    disk center and radius, rect min and max, polyline points and
+    thickness (default d), or cells as (i, j) integer pairs."""
+    if kind == "disk":
+        return {"center": _point(_req(ob, "center", path), f"{path}.center"),
+                "radius": _num(_req(ob, "radius", path), f"{path}.radius",
+                               positive=True)}
+    if kind == "rect":
+        lo = _point(_req(ob, "min", path), f"{path}.min")
+        hi = _point(_req(ob, "max", path), f"{path}.max")
+        if (lo > hi).any():
+            raise MalformedDocument(
+                f"{path}: min {lo.tolist()} exceeds max {hi.tolist()}")
+        return {"min": lo, "max": hi}
+    if kind == "cells":
+        cells = _req(ob, "cells", path)
+        if not isinstance(cells, (list, tuple)):
+            raise MalformedDocument(f"{path}.cells: expected a list of [i, j]")
+        out = []
+        for k, cell in enumerate(cells):
+            if (not isinstance(cell, (list, tuple)) or len(cell) != 2
+                    or not all(isinstance(v, (int, np.integer))
+                               and not isinstance(v, bool) for v in cell)):
+                raise MalformedDocument(
+                    f"{path}.cells[{k}]: expected [i, j] integers, "
+                    f"got {cell!r}")
+            out.append((int(cell[0]), int(cell[1])))
+        return {"cells": out}
+    pts = _req(ob, "points", path)
+    if not isinstance(pts, (list, tuple)):
+        raise MalformedDocument(f"{path}.points: expected a list of [x, y]")
+    pts = [_point(p, f"{path}.points") for p in pts]
+    if len(pts) < 2:
+        raise MalformedDocument(f"{path}.points: need at least two")
+    return {"points": pts,
+            "thickness": _num(ob.get("thickness", d), f"{path}.thickness",
+                              positive=True)}
+
+
 @dataclass
 class BuildResult:
     grid: object
@@ -178,7 +218,10 @@ class Scenario:
                               f"{path}.prob.to"))
             else:
                 prob = _unit(prob, f"{path}.prob")
-            self.obstacles.append(dict(ob, label=lab, prob=prob, _path=path))
+            geom = _obstacle_geometry(ob, kind, path, self.d)
+            if ob.get("speed") is not None:
+                geom["speed"] = _num(ob["speed"], f"{path}.speed")
+            self.obstacles.append(dict(ob, label=lab, prob=prob, **geom))
 
         flt = doc.get("filter", {})
         self.filter_cfg = FilterConfig(
@@ -278,33 +321,27 @@ class Scenario:
 
     def _obstacle_mask(self, ob, X, Y, shift):
         kind = ob["kind"]
-        path = ob["_path"]
         if kind == "disk":
-            c = _point(_req(ob, "center", path), f"{path}.center") + shift
-            r = _num(_req(ob, "radius", path), f"{path}.radius",
-                     positive=True)
+            c = ob["center"] + shift
+            r = ob["radius"]
             return (X - c[0]) ** 2 + (Y - c[1]) ** 2 <= r * r
         if kind == "rect":
-            lo = _point(_req(ob, "min", path), f"{path}.min") + shift
-            hi = _point(_req(ob, "max", path), f"{path}.max") + shift
+            lo = ob["min"] + shift
+            hi = ob["max"] + shift
             return ((X >= lo[0]) & (X <= hi[0])
                     & (Y >= lo[1]) & (Y <= hi[1]))
         if kind == "cells":
             m = np.zeros(X.shape, dtype=bool)
             di = int(round(shift[0] / self.d))
             dj = int(round(shift[1] / self.d))
-            for cell in _req(ob, "cells", path):
-                i, j = int(cell[0]) + di, int(cell[1]) + dj
+            for ci, cj in ob["cells"]:
+                i, j = ci + di, cj + dj
                 if 0 <= i < self.nx and 0 <= j < self.ny:
                     m[i, j] = True
             return m
         # polyline with a thickness
-        pts = [_point(p, f"{path}.points") + shift
-               for p in _req(ob, "points", path)]
-        if len(pts) < 2:
-            raise MalformedDocument(f"{path}.points: need at least two")
-        w = _num(ob.get("thickness", self.d), f"{path}.thickness",
-                 positive=True)
+        pts = [p + shift for p in ob["points"]]
+        w = ob["thickness"]
         m = np.zeros(X.shape, dtype=bool)
         for p, q in zip(pts[:-1], pts[1:]):
             pq = q - p
@@ -329,6 +366,8 @@ class Scenario:
         if not isinstance(ob["prob"], tuple):
             return np.full(X.shape, ob["prob"])
         axis, lo, hi = ob["prob"]
+        if not mask.any():       # covers no cell: nothing to paint
+            return np.full(X.shape, lo)
         coord = X if axis == "x" else Y
         cmin, cmax = coord[mask].min(), coord[mask].max()
         span = max(cmax - cmin, self.d)
@@ -373,7 +412,7 @@ class Scenario:
                 return profile.heading * profile.speed(t)
         explicit = self.obstacles[idx].get("speed")
         if explicit is not None:
-            return np.array([_num(explicit, "speed"), 0.0])
+            return np.array([explicit, 0.0])
         return None
 
     def speed_at(self, t):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from riskfields.errors import (DisconnectedFreeSpace, MalformedGrid,
                                OpenWorkspace, OutOfDomain)
 from riskfields.grid import (FREE, NB4, OCCUPIED, FieldSampler, OccupancyGrid,
-                             ScalarField, dump_csv, extract_boundary,
+                             ScalarField, _box_blur, _dilate8, _label,
+                             _label_free, dump_csv, extract_boundary,
                              fill_band, gradient_field, load_csv, load_grid,
                              nearest_node_map, sample_gradient, sample_scalar,
                              sample_vector)
@@ -144,6 +146,82 @@ def test_bands_partition_near_interface():
         for di, dj in NB4:
             if not g.free[i + di, j + dj]:
                 assert g.band1[i + di, j + dj]
+
+
+# -- numpy image helpers, pinned to scipy.ndimage -----------------------------
+
+def _snake(nx, ny):
+    """A one-cell corridor winding through every other row."""
+    m = np.zeros((nx, ny), dtype=bool)
+    m[1:-1:2, 1:-1] = True
+    for k, i in enumerate(range(2, nx - 2, 2)):
+        m[i, ny - 2 if k % 2 == 0 else 1] = True
+    return m
+
+
+def _fuzz_masks(seed, count):
+    """Seeded masks 3-130 cells a side: random densities, one-cell
+    corridors, checkerboards, diagonal stripes, and boxes whose interior is
+    all occupied or all free."""
+    rng = np.random.default_rng(seed)
+    masks = [np.zeros((3, 3), dtype=bool), np.ones((3, 130), dtype=bool),
+             _snake(130, 97), _snake(4, 3), box_state(130, 130) == OCCUPIED]
+    for k in range(count):
+        nx, ny = (int(v) for v in rng.integers(3, 131, size=2))
+        ii, jj = np.indices((nx, ny))
+        kind = k % 6
+        if kind == 0:
+            m = rng.random((nx, ny)) < rng.uniform(0.05, 0.95)
+        elif kind == 1:
+            m = (ii + jj + k) % 2 == 0
+        elif kind == 2:
+            m = (ii + rng.choice([-1, 1]) * jj) % int(rng.integers(2, 6)) == 0
+        elif kind == 3:
+            m = np.ones((nx, ny), dtype=bool)
+            m[rng.integers(0, nx, size=3)] = False
+            m[:, rng.integers(0, ny, size=3)] = False
+        elif kind == 4:
+            m = _snake(nx, ny)
+        else:
+            m = box_state(nx, ny) == FREE
+        masks.append(m)
+    return masks
+
+
+_FUZZ = _fuzz_masks(2024, 180)
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def test_label_matches_ndimage_label():
+    for m in _FUZZ:
+        for diag, structure in ((False, _CROSS), (True, np.ones((3, 3)))):
+            for mask in (m, ~m):
+                want, n = ndimage.label(mask, structure=structure)
+                got, count = _label(mask, diag)
+                assert count == n
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert _label_free(m) == (int(m.sum()), ndimage.label(m)[1])
+
+
+def test_dilate8_matches_binary_dilation():
+    for m in _FUZZ:
+        for mask in (m, ~m):
+            assert np.array_equal(
+                _dilate8(mask),
+                ndimage.binary_dilation(mask, structure=np.ones((3, 3))))
+
+
+def test_box_blur_matches_uniform_filter_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for m in _FUZZ:
+        for x in (m.astype(float), rng.standard_normal(m.shape)):
+            want = x
+            got = x
+            for _ in range(2):
+                want = ndimage.uniform_filter(want, size=3, mode="nearest")
+                got = _box_blur(got)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- boundary extraction ------------------------------------------------------
