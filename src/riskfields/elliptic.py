@@ -312,11 +312,13 @@ def _laplace(grid, boundary, dirichlet_values, nodes):
     return grid.free & ~node_mask, fixed, np.zeros_like(fixed), finish
 
 
-def _guidance(grid, boundary):
-    """The two Laplace systems of v = -beta * n_hat."""
+def _guidance(grid, boundary, nodes=None):
+    """The two Laplace systems of v = -beta * n_hat; nodes is the
+    boundary's nearest-node map, made here when not given."""
     if boundary.flux is None:
         raise MalformedGrid("boundary flux magnitudes must be assigned first")
-    nodes = nearest_node_map(grid, boundary)
+    if nodes is None:
+        nodes = nearest_node_map(grid, boundary)
     return [_laplace(grid, boundary, -boundary.flux * boundary.normals[:, c],
                      nodes) for c in (0, 1)]
 
@@ -350,18 +352,19 @@ def solve_laplace_component(grid, boundary, dirichlet_values, cfg=None):
     return field
 
 
-def solve_guidance(grid, boundary, cfg=None):
-    """Guidance field: componentwise harmonic extension of v = -beta * n_hat."""
-    fx, fy = _solve(grid, _guidance(grid, boundary), cfg)
+def solve_guidance(grid, boundary, cfg=None, nodes=None):
+    """Guidance field: componentwise harmonic extension of v = -beta * n_hat.
+    nodes, when given, is nearest_node_map(grid, boundary)."""
+    fx, fy = _solve(grid, _guidance(grid, boundary, nodes), cfg)
     return _vector(fx, fy, boundary)
 
 
-def solve_fields(grid, boundary, forcing, cfg=None):
+def solve_fields(grid, boundary, forcing, cfg=None, nodes=None):
     """(h, v): the safety function and the guidance field from one solve
     of all three systems, with the values and stats of the separate
     solve_poisson and solve_guidance."""
     h, fx, fy = _solve(grid, [_poisson(grid, boundary, forcing)]
-                       + _guidance(grid, boundary), cfg)
+                       + _guidance(grid, boundary, nodes), cfg)
     return h, _vector(fx, fy, boundary)
 
 

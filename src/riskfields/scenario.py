@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import yaml
 
 from . import elliptic, riskmap, sim
 from .errors import MalformedDocument, MalformedGrid
-from .grid import FREE, OCCUPIED, OccupancyGrid, extract_boundary, nb4_of
+from .grid import (FREE, OCCUPIED, BoundarySet, OccupancyGrid, ScalarField,
+                   VectorField, extract_boundary, nb4_of)
 from .safety import FilterConfig, GuidanceFieldBundle, SafetyFunction
 from .backstep import BackstepConfig
 
@@ -69,6 +70,9 @@ def _point(x, path):
         raise MalformedDocument(f"{path}: expected [x, y]")
     if p.shape != (2,):
         raise MalformedDocument(f"{path}: expected [x, y]")
+    if not np.isfinite(p).all():
+        raise MalformedDocument(f"{path}: coordinates must be finite, "
+                                f"got {p.tolist()}")
     return p
 
 
@@ -110,6 +114,49 @@ def _obstacle_geometry(ob, kind, path, d):
     return {"points": pts,
             "thickness": _num(ob.get("thickness", d), f"{path}.thickness",
                               positive=True)}
+
+
+def _chains_copy(chains):
+    return {c: None if a is None else a.copy() for c, a in chains.items()}
+
+
+class _Geometry:
+    """Private copies of what a build derives from its free mask alone: the
+    flux-free boundary, its nearest-node map, h with its stats, and grad h.
+    Every field handed out is a fresh copy on the grid it is asked for."""
+
+    def __init__(self, boundary, nodes, h):
+        self.arrays = (boundary.cells.copy(), boundary.normals.copy(),
+                       boundary.arcw.copy(), boundary.comp.copy())
+        self.chains = _chains_copy(boundary.chains)
+        self.nodes = nodes      # read only by the guidance solve
+        self.h = h.values.copy()
+        self.stats = replace(h.stats)
+        g = h.gradient()
+        self.grad = (g.x.values.copy(), g.y.values.copy())
+
+    def boundary_on(self, grid):
+        return BoundarySet(grid, *(a.copy() for a in self.arrays),
+                           _chains_copy(self.chains))
+
+    def h_on(self, grid, boundary):
+        h = ScalarField(grid, self.h.copy())
+        h.stats = replace(self.stats)
+        h.boundary = boundary
+        h._grad = VectorField(*(ScalarField(grid, g.copy(), mask=h.mask)
+                                for g in self.grad))
+        return h
+
+
+# The geometry of the last successful build, {key: _Geometry}, one entry at
+# most.  The key is everything the boundary, h and grad h depend on: the
+# free mask, the lattice and the solver config.
+_GEOMETRY = {}
+
+
+def _geometry_key(grid, cfg):
+    return (grid.free.tobytes(), grid.nx, grid.ny, grid.d, grid.origin_xy,
+            cfg.method, cfg.omega, cfg.tol, cfg.max_iters)
 
 
 @dataclass
@@ -469,7 +516,9 @@ class Scenario:
 
     def build(self, t=0.0, flux_scale=None):
         """Full chain at time t; flux_scale is a factor (all nodes) or a
-        {obstacle_index: factor} map applied after smoothing."""
+        {obstacle_index: factor} map applied after smoothing.  When the
+        last successful build had this geometry (_GEOMETRY), its boundary,
+        h and grad h are reused and only the guidance field is solved."""
         report = {"stages": [], "scenario": self.name, "t": t}
         timings = report["timings_ms"] = {}
         last = time.perf_counter()
@@ -482,15 +531,19 @@ class Scenario:
 
         grid = self.rasterize(t)
         lap("rasterize")
-        boundary = extract_boundary(grid)
+        key = _geometry_key(grid, self.solver_cfg)
+        geo = _GEOMETRY.get(key)
+        shape = (extract_boundary(grid) if geo is None
+                 else geo.boundary_on(grid))
         lap("boundary")
         report["stages"].append("discretize")
-        report["nodes"] = boundary.n
-        report["components"] = [int(c) for c in boundary.components()]
+        report["geometry"] = "solved" if geo is None else "reused"
+        report["nodes"] = shape.n
+        report["components"] = [int(c) for c in shape.components()]
 
-        feats = self.node_features(grid, boundary)
+        feats = self.node_features(grid, shape)
         rule = self.priority_rule()
-        boundary = riskmap.assign_flux(boundary, feats, rule, self.assign,
+        boundary = riskmap.assign_flux(shape, feats, rule, self.assign,
                                        self.flux_map)
         boundary = riskmap.smooth_flux(boundary, self.smooth_window)
         if flux_scale is not None:
@@ -510,8 +563,15 @@ class Scenario:
                           "mean": float(boundary.flux.mean())}
         lap("risk")
 
-        h, v = elliptic.solve_fields(grid, boundary, elliptic.ForcingSpec(),
-                                     self.solver_cfg)
+        if geo is None:
+            nodes = elliptic.nearest_node_map(grid, boundary)
+            h, v = elliptic.solve_fields(grid, boundary,
+                                         elliptic.ForcingSpec(),
+                                         self.solver_cfg, nodes)
+        else:   # h is the one solved for this geometry: same bits, stats
+            h = geo.h_on(grid, boundary)
+            v = elliptic.solve_guidance(grid, boundary, self.solver_cfg,
+                                        geo.nodes)
         report["stages"] += ["poisson", "laplace"]
         report["poisson"] = asdict(h.stats)
         report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
@@ -535,14 +595,22 @@ class Scenario:
                           report)
         if bcfg is not None:
             bcfg.k_nom_v = self.controller(res)
+        if geo is None:
+            _GEOMETRY.clear()
+            _GEOMETRY[key] = _Geometry(shape, nodes, h)
         lap("filter")
         return res
 
     def safety_field(self, t=0.0):
         """h at time t alone: the Poisson solve of build(t), without the
-        boundary, flux and guidance stages, so with the same values."""
-        return elliptic.solve_poisson(self.rasterize(t), None,
-                                      elliptic.ForcingSpec(), self.solver_cfg)
+        boundary, flux and guidance stages, so with the same values; taken
+        from the last build when it had this geometry."""
+        grid = self.rasterize(t)
+        geo = _GEOMETRY.get(_geometry_key(grid, self.solver_cfg))
+        if geo is not None:
+            return geo.h_on(grid, None)
+        return elliptic.solve_poisson(grid, None, elliptic.ForcingSpec(),
+                                      self.solver_cfg)
 
     def controller(self, build):
         if self.nominal_kind == "goal":

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 import yaml
 
-from riskfields import cli
+from riskfields import cli, safety, scenario
 from riskfields.cli import main
-from riskfields.errors import MalformedDocument
+from riskfields.errors import MalformedDocument, NonConvergence
 from riskfields.scenario import Scenario, load_scenario
 
 from conftest import SCENARIOS
@@ -279,6 +279,35 @@ def test_obstacle_geometry_accepted(ob):
     Scenario(minimal_doc(obstacles=[dict(ob, label="wall", prob=1.0)])).build()
 
 
+def _nonfinite_doc(key, v):
+    """minimal_doc with the coordinate pair at key holding v."""
+    return minimal_doc(**{
+        "obstacles.center": {"obstacles": [_disk(center=[v, 1.2])]},
+        "obstacles.min": {"obstacles": [_rect(min=[0.5, v])]},
+        "obstacles.max": {"obstacles": [_rect(max=[v, 0.8])]},
+        "obstacles.points": {"obstacles": [
+            _polyline(points=[[0.5, 0.5], [v, 0.5]])]},
+        "grid.origin": {"grid": {"nx": 24, "ny": 24, "d": 0.1,
+                                 "origin": [v, 0.0]}},
+        "domain.center": {"domain": {"kind": "disk", "center": [1.2, v],
+                                     "radius": 1.0}},
+        "nominal.goal": {"nominal": {"kind": "goal", "goal": [v, 2.0]}},
+        "sim.y0": {"sim": {"y0": [0.5, v], "dt": 0.01, "T": 1.0}},
+    }[key])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("key", ["obstacles.center", "obstacles.min",
+                                 "obstacles.max", "obstacles.points",
+                                 "grid.origin", "domain.center",
+                                 "nominal.goal", "sim.y0"])
+def test_nonfinite_coordinates_rejected_at_parse(key, value):
+    assert Scenario(_nonfinite_doc(key, 0.6))
+    with pytest.raises(MalformedDocument, match="coordinates must be finite"):
+        Scenario(_nonfinite_doc(key, value))
+
+
 @pytest.mark.parametrize("iters", ["a", -1, 2.5, True])
 def test_solver_max_iters_must_be_a_nonnegative_integer(iters):
     with pytest.raises(MalformedDocument, match="solver.max_iters"):
@@ -420,6 +449,143 @@ def test_build_deterministic(single_build):
     assert np.array_equal(res.boundary.flux, again.boundary.flux)
 
 
+# -- geometry reuse ---------------------------------------------------------------
+
+def _bits(a):
+    return a.view(np.int64) if a.dtype == float else a
+
+
+def _same_arrays(a, b):
+    assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _assert_same_build(sc, a, b):
+    """Every field, stat, boundary array and the zone, bit for bit."""
+    for fa, fb in ((a.sf.h, b.sf.h), (a.sf.grad.x, b.sf.grad.x),
+                   (a.sf.grad.y, b.sf.grad.y), (a.gf.v.x, b.gf.v.x),
+                   (a.gf.v.y, b.gf.v.y)):
+        _same_arrays(fa.values, fb.values)
+        assert fa.stats == fb.stats
+    for name in ("cells", "pos", "normals", "arcw", "comp", "flux"):
+        _same_arrays(getattr(a.boundary, name), getattr(b.boundary, name))
+    assert a.boundary.chains.keys() == b.boundary.chains.keys()
+    for c, chain in a.boundary.chains.items():
+        other = b.boundary.chains[c]
+        assert (chain is None) == (other is None)
+        if chain is not None:
+            _same_arrays(chain, other)
+    for key in ("nodes", "components", "flux", "poisson", "laplace"):
+        assert a.report[key] == b.report[key]
+    za, zb = (safety.activation_zone(x.grid, sc.controller(x), x.sf, x.gf,
+                                     x.filter_cfg) for x in (a, b))
+    _same_arrays(za.a.values, zb.a.values)
+    _same_arrays(za.active, zb.active)
+    _same_arrays(za.active_restricted, zb.active_restricted)
+    assert za.segments == zb.segments
+
+
+def _cells_doc(**over):
+    """minimal_doc with a cells obstacle, whose mask does not move with d
+    or origin."""
+    over.setdefault("obstacles", [
+        dict(_cells([[10, 10], [10, 11], [11, 10]]), label="wall", prob=0.6)])
+    return minimal_doc(**over)
+
+
+def test_reused_geometry_matches_a_solved_build():
+    sc = Scenario(load_doc("three_obstacles"))
+    scenario._GEOMETRY.clear()
+    assert sc.build().report["geometry"] == "solved"
+    hit = sc.build(flux_scale={0: 2.5})
+    assert hit.report["geometry"] == "reused"
+    scenario._GEOMETRY.clear()
+    cold = sc.build(flux_scale={0: 2.5})
+    assert cold.report["geometry"] == "solved"
+    _assert_same_build(sc, hit, cold)
+    # the guidance still moves with the flux
+    assert not np.array_equal(hit.gf.v.x.values, sc.build().gf.v.x.values)
+
+
+def _geometry_arrays(b):
+    """The arrays a build can take from the geometry memo, by name."""
+    out = {"h": b.sf.h.values, "gx": b.sf.grad.x.values,
+           "gy": b.sf.grad.y.values}
+    out.update((n, getattr(b.boundary, n))
+               for n in ("cells", "normals", "arcw", "comp"))
+    out.update((f"chain{c}", a) for c, a in b.boundary.chains.items()
+               if a is not None)
+    return out
+
+
+def test_reused_geometry_is_a_fresh_copy_on_the_new_grid():
+    sc = Scenario(load_doc("three_obstacles"))
+    scenario._GEOMETRY.clear()
+    last = sc.build()
+    keep = {n: a.copy() for n, a in _geometry_arrays(last).items()}
+    stats = dataclasses.replace(last.sf.h.stats)
+    for _ in range(2):      # mutate a solved build, then a reused one
+        for a in _geometry_arrays(last).values():
+            a[...] = 3
+        last.sf.h.stats.iterations = -1
+        last = sc.build()
+        assert last.report["geometry"] == "reused"
+        got = _geometry_arrays(last)
+        assert got.keys() == keep.keys()
+        for name, want in keep.items():
+            _same_arrays(got[name], want)
+        assert last.sf.h.stats == stats
+        assert last.report["poisson"] == dataclasses.asdict(stats)
+        for f in (last.sf.h, last.sf.grad.x, last.sf.grad.y, last.boundary,
+                  last.gf.v):
+            assert f.grid is last.grid
+        assert last.sf.h.boundary is last.boundary
+
+
+@pytest.mark.parametrize("change", [
+    {"obstacles": [dict(_cells([[10, 10], [10, 11]]), label="wall",
+                        prob=0.6)]},
+    {"grid": {"nx": 24, "ny": 24, "d": 0.11}},
+    {"grid": {"nx": 24, "ny": 24, "d": 0.1, "origin": [0.5, 0.0]}},
+    {"solver": {"omega": 1.8}},
+    {"solver": {"tol": 1e-9}},
+    {"solver": {"max_iters": 4000}},
+])
+def test_geometry_key_covers_mask_lattice_and_solver(change):
+    scenario._GEOMETRY.clear()
+    Scenario(_cells_doc()).build()
+    same = Scenario(_cells_doc(risk={"flux": {"beta_min": 2.0}}))
+    assert same.build().report["geometry"] == "reused"
+    assert same.safety_field().stats == same.build().sf.h.stats
+    assert Scenario(_cells_doc(**change)).build().report["geometry"] \
+        == "solved"
+
+
+def test_failed_builds_are_not_stored():
+    scenario._GEOMETRY.clear()
+    with pytest.raises(NonConvergence):
+        Scenario(_cells_doc(solver={"max_iters": 1})).build()
+    # fails after its solve, on the backstep block
+    with pytest.raises(MalformedDocument):
+        Scenario(_cells_doc(backstep={"mu": -1.0})).build()
+    assert not scenario._GEOMETRY
+    Scenario(_cells_doc()).build()
+    before = list(scenario._GEOMETRY.items())
+    with pytest.raises(NonConvergence):
+        Scenario(_cells_doc(solver={"max_iters": 1})).build()
+    assert list(scenario._GEOMETRY.items()) == before
+
+
+def test_geometry_memo_holds_one_entry():
+    scenario._GEOMETRY.clear()
+    Scenario(_cells_doc()).build()
+    assert len(scenario._GEOMETRY) == 1
+    Scenario(minimal_doc()).build()
+    Scenario(minimal_doc()).build()
+    assert len(scenario._GEOMETRY) == 1
+    key, = scenario._GEOMETRY
+    assert key[0] == Scenario(minimal_doc()).rasterize().free.tobytes()
+
+
 def test_flux_scale_scalar_and_dict(three_build):
     sc, base = three_build
     doubled = sc.build(flux_scale=2.0)
@@ -465,11 +631,13 @@ def run_cli(*argv):
 
 def test_cli_solve_disk(tmp_path):
     out = tmp_path / "solve"
+    scenario._GEOMETRY.clear()
     rc = run_cli("solve", "--scenario",
                  str(SCENARIOS / "disk_oracle.yaml"), "--out", str(out),
                  "--dump-fields")
     assert rc == 0
     report = json.loads((out / "build_report.json").read_text())
+    assert report["geometry"] == "solved"
     assert report["divergence_residual"] < 0.05
     assert 0.005 < report["disk_oracle_max_err"] < 0.03  # measured 2.14e-2
     for f in ("h.csv", "vx.csv", "vy.csv", "manifest.json"):
@@ -484,6 +652,14 @@ def test_cli_solve_disk(tmp_path):
     assert man["outputs"] == sorted(man["outputs"])
     h = np.loadtxt(out / "h.csv", delimiter=",")
     assert h.shape == (101, 101)
+    # a second solve of the same mask reuses h, with its stats
+    assert run_cli("solve", "--scenario", str(SCENARIOS / "disk_oracle.yaml"),
+                   "--out", str(tmp_path / "again")) == 0
+    again = json.loads((tmp_path / "again" / "build_report.json").read_text())
+    assert again["geometry"] == "reused"
+    for key in ("poisson", "laplace", "divergence_residual",
+                "disk_oracle_max_err"):
+        assert again[key] == report[key]
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -593,6 +769,14 @@ def test_cli_sweep(tmp_path):
     # flux up, caution up: the restricted zone grows with the scale
     assert int(rows[1][2]) > int(rows[0][2])
     assert all(np.isfinite(float(r[5])) for r in rows)
+    # the second job reuses the first one's geometry, to the same row
+    scenario._GEOMETRY.clear()
+    rc = run_cli("sweep", "--scenario",
+                 str(SCENARIOS / "three_obstacles.yaml"), "--out", str(out),
+                 "--scales", "1,1")
+    assert rc == 0
+    again = (out / "sweep.csv").read_text().splitlines()
+    assert len(again) == 3 and again[1] == again[2] == lines[1]
 
 
 def test_min_clearance_matches_per_sample_loop(three_build, monkeypatch):
@@ -696,6 +880,19 @@ def test_cli_rejects_bad_values_with_failed_marker(tmp_path, text):
     rc = run_cli("solve", "--scenario", str(bad), "--out", str(out))
     assert rc == 2
     assert (out / "FAILED.txt").read_text().startswith("MalformedDocument")
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_rejects_nonfinite_coordinates_with_failed_marker(tmp_path):
+    doc = load_doc("single_obstacle")
+    doc["obstacles"][0]["center"] = [float("nan"), 1.6]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bad_out"
+    rc = run_cli("solve", "--scenario", str(bad), "--out", str(out))
+    assert rc == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") and "center" in text
     assert not (out / "manifest.json").exists()
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from riskfields import sim
+from riskfields import scenario, sim
 from riskfields.backstep import BackstepConfig, ExtendedState, k_v_smooth
 from riskfields.errors import GridMismatch, OutOfDomain, StartUnsafe
 from riskfields.grid import ScalarField
@@ -399,8 +399,13 @@ def test_run_dynamic_zero_speed_matches_static():
     sc = Scenario(doc)
     dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=2.0)
     tr_d = dyn.trajectory
+    # one mask: every frame after the first reuses frame 0's h and grad h
+    assert [f.build.report["geometry"] for f in dyn.frames[1:]] \
+        == ["reused"] * 9
 
+    scenario._GEOMETRY.clear()
     res = sc.build()
+    assert res.report["geometry"] == "solved"
     k = sc.controller(res)
     tr_s = integrate_single(sc.sim_cfg["y0"], k, res.sf, res.gf,
                             res.filter_cfg, dt=0.004, T=2.0,
@@ -409,6 +414,13 @@ def test_run_dynamic_zero_speed_matches_static():
     assert tr_d.n == tr_s.n
     for fld in ("t", "y", "u_nom", "u_filt", "h", "a", "audit"):
         assert np.array_equal(getattr(tr_d, fld), getattr(tr_s, fld)), fld
+    for fr in dyn.frames:
+        for got, want in ((fr.build.sf.h, res.sf.h),
+                          (fr.build.sf.grad.x, res.sf.grad.x),
+                          (fr.build.gf.v.y, res.gf.v.y)):
+            assert np.array_equal(got.values.view(np.int64),
+                                  want.values.view(np.int64))
+            assert got.stats == want.stats
     # frame bookkeeping
     assert len(dyn.frames) == 10
     for kf, fr in enumerate(dyn.frames):
