@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .errors import (MalformedGrid, NegativeForcingViolation, NonConvergence)
+from .errors import (GridMismatch, MalformedGrid, NegativeForcingViolation,
+                     NonConvergence)
 from .grid import ScalarField, VectorField, fill_band, nearest_node_map
 
 SOR = "sor"
@@ -252,14 +253,26 @@ def _sweep_solve(grid, systems, cfg):
             for s in range(k)]
 
 
-def _solve(grid, systems, cfg):
-    """Fields of the systems [(unknown, fixed, rhs, finish)], solved in one
-    pass.  Each system's convergence and finish(values) checks run in list
-    order, so the first system that fails raises."""
+def _sweep_stack(groups, cfg=None):
+    """One _sweep_solve over the systems of several grids of one lattice
+    shape.  groups lists (grid, systems); returns one [(values, stats)]
+    per group, in order, each system's as in a solve on its own."""
     cfg = cfg or SolverConfig()
     if cfg.method != SOR:
         raise MalformedGrid(f"unknown solver method {cfg.method!r}")
-    solved = _sweep_solve(grid, [s[:3] for s in systems], cfg)
+    shapes = {(g.nx, g.ny) for g, _ in groups}
+    if len(shapes) > 1:
+        raise GridMismatch(f"one stack needs one lattice shape, got "
+                           f"{sorted(shapes)}")
+    systems = [s[:3] for _, group in groups for s in group]
+    solved = iter(_sweep_solve(groups[0][0], systems, cfg) if systems else ())
+    return [[next(solved) for _ in group] for _, group in groups]
+
+
+def _fields(systems, solved):
+    """Fields of the systems [(unknown, fixed, rhs, finish)] from their
+    (values, stats).  Each system's convergence and finish(values) checks
+    run in list order, so the first system that fails raises."""
     fields = []
     for (w, stats), system in zip(solved, systems):
         if not stats.converged:
@@ -268,6 +281,12 @@ def _solve(grid, systems, cfg):
         field.stats = stats
         fields.append(field)
     return fields
+
+
+def _solve(grid, systems, cfg):
+    """Fields of the systems of one grid, solved in one pass."""
+    solved, = _sweep_stack([(grid, systems)], cfg)
+    return _fields(systems, solved)
 
 
 def _poisson(grid, boundary, forcing):
@@ -291,10 +310,19 @@ def _poisson(grid, boundary, forcing):
     return grid.free, np.zeros((grid.nx, grid.ny)), rhs, finish
 
 
+def _band_nodes(grid, boundary):
+    """nearest_node_map(grid, boundary) as index arrays ((ii, jj), k): the
+    ghost-band cells and the boundary node each copies."""
+    nodes = nearest_node_map(grid, boundary)
+    ij = np.array(list(nodes), dtype=np.intp).reshape(-1, 2)
+    k = np.fromiter(nodes.values(), dtype=np.intp, count=len(nodes))
+    return (ij[:, 0], ij[:, 1]), k
+
+
 def _laplace(grid, boundary, dirichlet_values, nodes):
     """Laplace system for one component: node cells are pinned to their
-    values and interior free cells are the unknowns.  nodes is the
-    boundary's nearest-node map, which fills the ghost bands."""
+    values and interior free cells are the unknowns.  nodes is
+    _band_nodes(grid, boundary), which fills the ghost bands."""
     vals = np.asarray(dirichlet_values, dtype=float)
     if vals.shape != (boundary.n,):
         raise MalformedGrid("need one Dirichlet value per boundary node")
@@ -303,22 +331,22 @@ def _laplace(grid, boundary, dirichlet_values, nodes):
     ci, cj = boundary.cells[:, 0], boundary.cells[:, 1]
     node_mask[ci, cj] = True
     fixed[ci, cj] = vals
+    cells, k = nodes
 
     def finish(w):
-        per_cell = {cell: vals[k] for cell, k in nodes.items()}
         return ScalarField(grid, fill_band(grid, w, band_value=0.0,
-                                           per_cell=per_cell))
+                                           cells=cells, cell_values=vals[k]))
 
     return grid.free & ~node_mask, fixed, np.zeros_like(fixed), finish
 
 
 def _guidance(grid, boundary, nodes=None):
-    """The two Laplace systems of v = -beta * n_hat; nodes is the
-    boundary's nearest-node map, made here when not given."""
+    """The two Laplace systems of v = -beta * n_hat; nodes is
+    _band_nodes(grid, boundary), made here when not given."""
     if boundary.flux is None:
         raise MalformedGrid("boundary flux magnitudes must be assigned first")
     if nodes is None:
-        nodes = nearest_node_map(grid, boundary)
+        nodes = _band_nodes(grid, boundary)
     return [_laplace(grid, boundary, -boundary.flux * boundary.normals[:, c],
                      nodes) for c in (0, 1)]
 
@@ -347,24 +375,24 @@ def solve_laplace_component(grid, boundary, dirichlet_values, cfg=None):
     cells are the unknowns.
     """
     system = _laplace(grid, boundary, dirichlet_values,
-                      nearest_node_map(grid, boundary))
+                      _band_nodes(grid, boundary))
     field, = _solve(grid, [system], cfg)
     return field
 
 
-def solve_guidance(grid, boundary, cfg=None, nodes=None):
-    """Guidance field: componentwise harmonic extension of v = -beta * n_hat.
-    nodes, when given, is nearest_node_map(grid, boundary)."""
-    fx, fy = _solve(grid, _guidance(grid, boundary, nodes), cfg)
+def solve_guidance(grid, boundary, cfg=None):
+    """Guidance field: componentwise harmonic extension of
+    v = -beta * n_hat."""
+    fx, fy = _solve(grid, _guidance(grid, boundary), cfg)
     return _vector(fx, fy, boundary)
 
 
-def solve_fields(grid, boundary, forcing, cfg=None, nodes=None):
+def solve_fields(grid, boundary, forcing, cfg=None):
     """(h, v): the safety function and the guidance field from one solve
     of all three systems, with the values and stats of the separate
     solve_poisson and solve_guidance."""
     h, fx, fy = _solve(grid, [_poisson(grid, boundary, forcing)]
-                       + _guidance(grid, boundary, nodes), cfg)
+                       + _guidance(grid, boundary), cfg)
     return h, _vector(fx, fy, boundary)
 
 

@@ -620,19 +620,19 @@ def nearest_node_map(grid, boundary):
     return dict(zip(keys, nodes[ti[hit], tj[hit]].tolist()))
 
 
-def fill_band(grid, values, band_value=0.0, per_cell=None):
+def fill_band(grid, values, band_value=0.0, cells=None, cell_values=None):
     """Write ghost values into the occupied bands next to the interface.
 
-    band_value fills uniformly (Dirichlet 0 for the safety function); per_cell
-    maps (i, j) to a value and wins where present.
+    band_value fills uniformly (Dirichlet 0 for the safety function); cells,
+    a pair of index arrays (ii, jj) without repeats, takes cell_values and
+    wins where present.
     """
     out = values.copy()
     band = grid.band1 | grid.band2
     out[band] = band_value
     out[~grid.free & ~band] = np.nan
-    if per_cell:
-        for (i, j), v in per_cell.items():
-            out[i, j] = v
+    if cells is not None:
+        out[tuple(cells)] = cell_values
     return out
 
 

@@ -122,14 +122,20 @@ def _chains_copy(chains):
 
 class _Geometry:
     """Private copies of what a build derives from its free mask alone: the
-    flux-free boundary, its nearest-node map, h with its stats, and grad h.
-    Every field handed out is a fresh copy on the grid it is asked for."""
+    flux-free boundary, its nearest-node map as index arrays, h with its
+    stats, and grad h.  The boundary and map are copied when the frame that
+    solves this geometry is prepared, h and grad h when it is finished
+    (keep).  Every field handed out is a fresh copy on the grid it is asked
+    for."""
 
-    def __init__(self, boundary, nodes, h):
+    def __init__(self, boundary, nodes):
         self.arrays = (boundary.cells.copy(), boundary.normals.copy(),
                        boundary.arcw.copy(), boundary.comp.copy())
         self.chains = _chains_copy(boundary.chains)
         self.nodes = nodes      # read only by the guidance solve
+        self.h = None
+
+    def keep(self, h):
         self.h = h.values.copy()
         self.stats = replace(h.stats)
         g = h.gradient()
@@ -157,6 +163,19 @@ _GEOMETRY = {}
 def _geometry_key(grid, cfg):
     return (grid.free.tobytes(), grid.nx, grid.ny, grid.d, grid.origin_xy,
             cfg.method, cfg.omega, cfg.tol, cfg.max_iters)
+
+
+@dataclass
+class _Pending:
+    """A frame prepared for the stacked solve: its systems, and for a full
+    build (report not None) the boundary with flux.  geo is the geometry
+    the frame reuses or, with h still None, the one it solves."""
+    grid: object
+    key: tuple
+    geo: object
+    systems: list
+    boundary: object = None
+    report: dict = None
 
 
 @dataclass
@@ -276,7 +295,14 @@ class Scenario:
             eps=_num(flt.get("eps", 0.1), "filter.eps", positive=True),
             eta_v=_num(flt.get("eta_v", 1e-6), "filter.eta_v", positive=True))
 
-        self.backstep_doc = doc.get("backstep")
+        self.backstep = None     # BackstepConfig's own parameters
+        if doc.get("backstep") is not None:
+            bd = _mapping(doc["backstep"], "backstep")
+            self.backstep = {
+                key: _num(bd.get(key, default), f"backstep.{key}",
+                          positive=True)
+                for key, default in (("mu", 1.0), ("sigma_s", 0.1),
+                                     ("eta_c", 1e-8))}
 
         nom = _req(doc, "nominal", self.name)
         self.nominal_kind = _req(nom, "kind", "nominal")
@@ -518,29 +544,85 @@ class Scenario:
         """Full chain at time t; flux_scale is a factor (all nodes) or a
         {obstacle_index: factor} map applied after smoothing.  When the
         last successful build had this geometry (_GEOMETRY), its boundary,
-        h and grad h are reused and only the guidance field is solved."""
-        report = {"stages": [], "scenario": self.name, "t": t}
-        timings = report["timings_ms"] = {}
-        last = time.perf_counter()
+        h and grad h are reused and only the guidance field is solved.
+        The one-frame case of _build_frames; run_dynamic asks it for two
+        frames per stacked solve, so it prepares at most one frame ahead
+        of the one its dh/dt needs."""
+        return next(self._build_frames([t], flux_scale))
 
-        def lap(stage):
-            nonlocal last
-            now = time.perf_counter()
-            timings[stage] = 1e3 * (now - last)
-            last = now
+    def safety_field(self, t=0.0):
+        """h at time t alone: the Poisson solve of build(t), without the
+        boundary, flux and guidance stages, so with the same values; taken
+        from the last build when it had this geometry.  The one-frame case
+        of _build_frames with h_last; a dynamic run solves its closing
+        frame's h this way, as the last item of its last pair."""
+        return next(self._build_frames([t], h_last=True))
 
+    def _build_frames(self, times, flux_scale=None, h_last=False):
+        """The builds at times, in order, from one stacked solve; with
+        h_last the last one is h alone, as safety_field.
+
+        A generator.  When the first frame is asked for, every frame is
+        prepared (rasterize, boundary, flux) and the systems of all of them
+        are solved in one elliptic._sweep_stack, where each keeps the values
+        and stats of a solve on its own.  Each frame is finished when it is
+        asked for.  A frame whose mask is the last successful build's, or
+        an earlier frame's here, reuses that geometry as build does, so
+        every field, stats, report and _GEOMETRY entry is that of builds
+        made one at a time.  A frame that fails raises when it is asked
+        for, and no frame after it is prepared.
+        """
+        frames, failure = [], None
+        # (key, geometry) that the next frame finds, as in _GEOMETRY after
+        # the frames before it were built one at a time
+        memo = next(iter(_GEOMETRY.items()), (None, None))
+        for n, t in enumerate(times):
+            try:
+                fr = self._prepare(t, flux_scale, memo,
+                                   h_last and n == len(times) - 1)
+            except Exception as exc:
+                # any error, raised when its frame is asked for: where a
+                # build made one at a time would raise it
+                failure = exc
+                break
+            frames.append(fr)
+            if fr.report is not None:
+                memo = (fr.key, fr.geo)
+        start = time.perf_counter()
+        solved = elliptic._sweep_stack([(fr.grid, fr.systems)
+                                        for fr in frames], self.solver_cfg)
+        # each frame's share of the stacked sweep, by its number of systems
+        per_system = ((time.perf_counter() - start)
+                      / max(1, sum(len(fr.systems) for fr in frames)))
+        for fr, values in zip(frames, solved):
+            yield self._finish(fr, values, per_system)
+        if failure is not None:
+            raise failure
+
+    def _prepare(self, t, flux_scale, memo, h_only):
+        """Frame t up to its systems; memo is (key, geometry) of the build
+        before it."""
+        start = time.perf_counter()
         grid = self.rasterize(t)
-        lap("rasterize")
         key = _geometry_key(grid, self.solver_cfg)
-        geo = _GEOMETRY.get(key)
+        geo = memo[1] if memo[0] == key else None
+        if h_only:
+            return _Pending(grid, key, geo, [] if geo is not None else [
+                elliptic._poisson(grid, None, elliptic.ForcingSpec())])
+        report = {"stages": [], "scenario": self.name, "t": t}
+        timings = report["timings_ms"] = {
+            "rasterize": 1e3 * (time.perf_counter() - start)}
+
+        start = time.perf_counter()
         shape = (extract_boundary(grid) if geo is None
                  else geo.boundary_on(grid))
-        lap("boundary")
+        timings["boundary"] = 1e3 * (time.perf_counter() - start)
         report["stages"].append("discretize")
         report["geometry"] = "solved" if geo is None else "reused"
         report["nodes"] = shape.n
         report["components"] = [int(c) for c in shape.components()]
 
+        start = time.perf_counter()
         feats = self.node_features(grid, shape)
         rule = self.priority_rule()
         boundary = riskmap.assign_flux(shape, feats, rule, self.assign,
@@ -561,56 +643,59 @@ class Scenario:
         report["flux"] = {"min": float(boundary.flux.min()),
                           "max": float(boundary.flux.max()),
                           "mean": float(boundary.flux.mean())}
-        lap("risk")
+        timings["risk"] = 1e3 * (time.perf_counter() - start)
 
+        start = time.perf_counter()
+        systems = []
         if geo is None:
-            nodes = elliptic.nearest_node_map(grid, boundary)
-            h, v = elliptic.solve_fields(grid, boundary,
-                                         elliptic.ForcingSpec(),
-                                         self.solver_cfg, nodes)
+            geo = _Geometry(shape, elliptic._band_nodes(grid, boundary))
+            systems.append(elliptic._poisson(grid, boundary,
+                                             elliptic.ForcingSpec()))
+        systems += elliptic._guidance(grid, boundary, geo.nodes)
+        timings["solve"] = 1e3 * (time.perf_counter() - start)
+        return _Pending(grid, key, geo, systems, boundary, report)
+
+    def _finish(self, fr, solved, per_system):
+        """The frame's build, or its h alone, from its systems' (values,
+        stats); a geometry solved here becomes the _GEOMETRY entry."""
+        start = time.perf_counter()
+        fields = elliptic._fields(fr.systems, solved)
+        if fr.report is None:
+            return fields[0] if fields else fr.geo.h_on(fr.grid, None)
+        grid, boundary, report = fr.grid, fr.boundary, fr.report
+        solved_here = fr.geo.h is None
+        if solved_here:
+            h, fx, fy = fields
         else:   # h is the one solved for this geometry: same bits, stats
-            h = geo.h_on(grid, boundary)
-            v = elliptic.solve_guidance(grid, boundary, self.solver_cfg,
-                                        geo.nodes)
+            h = fr.geo.h_on(grid, boundary)
+            fx, fy = fields
+        v = elliptic._vector(fx, fy, boundary)
         report["stages"] += ["poisson", "laplace"]
         report["poisson"] = asdict(h.stats)
         report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
-        lap("solve")
+        now = time.perf_counter()
+        report["timings_ms"]["solve"] += 1e3 * (
+            per_system * len(fr.systems) + now - start)
 
+        start = now
         sf = SafetyFunction(h)
         gf = GuidanceFieldBundle(v, boundary)
         bcfg = None
-        if self.backstep_doc is not None:
-            bd = self.backstep_doc
-            bcfg = BackstepConfig(
-                mu=_num(bd.get("mu", 1.0), "backstep.mu", positive=True),
-                gamma=self.filter_cfg.gamma,
-                sigma_s=_num(bd.get("sigma_s", 0.1), "backstep.sigma_s",
-                             positive=True),
-                eta_c=_num(bd.get("eta_c", 1e-8), "backstep.eta_c",
-                           positive=True),
-                eta_v=self.filter_cfg.eta_v)
+        if self.backstep is not None:
+            bcfg = BackstepConfig(gamma=self.filter_cfg.gamma,
+                                  eta_v=self.filter_cfg.eta_v,
+                                  **self.backstep)
         report["stages"].append("filter")
         res = BuildResult(grid, boundary, sf, gf, self.filter_cfg, bcfg,
                           report)
         if bcfg is not None:
             bcfg.k_nom_v = self.controller(res)
-        if geo is None:
+        if solved_here:
+            fr.geo.keep(h)
             _GEOMETRY.clear()
-            _GEOMETRY[key] = _Geometry(shape, nodes, h)
-        lap("filter")
+            _GEOMETRY[fr.key] = fr.geo
+        report["timings_ms"]["filter"] = 1e3 * (time.perf_counter() - start)
         return res
-
-    def safety_field(self, t=0.0):
-        """h at time t alone: the Poisson solve of build(t), without the
-        boundary, flux and guidance stages, so with the same values; taken
-        from the last build when it had this geometry."""
-        grid = self.rasterize(t)
-        geo = _GEOMETRY.get(_geometry_key(grid, self.solver_cfg))
-        if geo is not None:
-            return geo.h_on(grid, None)
-        return elliptic.solve_poisson(grid, None, elliptic.ForcingSpec(),
-                                      self.solver_cfg)
 
     def controller(self, build):
         if self.nominal_kind == "goal":

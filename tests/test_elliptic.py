@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from riskfields.elliptic import (SOR, ForcingSpec, SolverConfig, _poisson,
-                                 check_divergence_identity, hopf_margins,
-                                 solve_guidance, solve_laplace_component,
-                                 solve_poisson)
-from riskfields.errors import (MalformedGrid, NegativeForcingViolation,
-                               NonConvergence)
+from riskfields.elliptic import (SOR, ForcingSpec, SolverConfig, _fields,
+                                 _guidance, _poisson, _sweep_solve,
+                                 _sweep_stack, check_divergence_identity,
+                                 hopf_margins, solve_guidance,
+                                 solve_laplace_component, solve_poisson)
+from riskfields.errors import (GridMismatch, MalformedGrid,
+                               NegativeForcingViolation, NonConvergence)
 from riskfields.grid import (FREE, NB4, OCCUPIED, OccupancyGrid,
                              extract_boundary)
 
@@ -143,6 +144,52 @@ def test_nonconvergence_raises():
     cfg = SolverConfig(method=SOR, omega="auto", tol=1e-8, max_iters=1)
     with pytest.raises(NonConvergence):
         solve_poisson(g, extract_boundary(g), ForcingSpec(), cfg)
+
+
+def _frame_systems(g):
+    b = extract_boundary(g)
+    b = b.with_flux(np.linspace(1.0, 3.0, b.n))
+    return [_poisson(g, b, ForcingSpec())] + _guidance(g, b)
+
+
+def test_stack_of_two_grids_matches_solo_solves():
+    # two masks and cell sizes on one 24 x 20 lattice, as consecutive
+    # frames of a moving obstacle.  At omega 1 the small pocket converges
+    # in far fewer sweeps than the open box, so the cut leaves the box's
+    # systems unconverged next to the pocket's converged ones.
+    pocket = np.full((24, 20), OCCUPIED, dtype=np.int8)
+    pocket[2:7, 3:9] = FREE
+    grids = [block_grid(), OccupancyGrid(pocket, 0.05)]
+    groups = [(g, _frame_systems(g)) for g in grids]
+    slow = SolverConfig(method=SOR, omega=1.0, tol=1e-8)
+    cut = SolverConfig(method=SOR, omega=1.0, tol=1e-8, max_iters=200)
+    for cfg in (SOR_CFG, slow, cut):
+        stacked = _sweep_stack(groups, cfg)
+        converged = []
+        for (g, systems), got in zip(groups, stacked):
+            assert len(got) == len(systems) == 3
+            for (w, stats), system in zip(got, systems):
+                want_w, want_stats = _sweep_solve(g, [system[:3]], cfg)[0]
+                assert np.array_equal(w.view(np.int64),
+                                      want_w.view(np.int64))
+                assert stats == want_stats
+                converged.append(stats.converged)
+        if cfg is cut:
+            assert converged == [False] * 3 + [True] * 3
+            with pytest.raises(NonConvergence):
+                _fields(groups[0][1], stacked[0])
+            h, vx, vy = _fields(groups[1][1], stacked[1])
+            assert h.stats == stacked[1][0][1]
+        else:
+            assert all(converged)
+
+
+def test_stack_needs_one_lattice_shape():
+    a, b = block_grid(24, 20), block_grid(24, 22)
+    with pytest.raises(GridMismatch):
+        _sweep_stack([(a, _frame_systems(a)), (b, _frame_systems(b))],
+                     SOR_CFG)
+    assert _sweep_stack([(a, []), (a, [])], SOR_CFG) == [[], []]
 
 
 def test_omega_and_method_validation():

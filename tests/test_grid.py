@@ -478,12 +478,13 @@ def test_fill_band_layout():
     s[5:11, 5:11] = OCCUPIED
     g = OccupancyGrid(s, 0.1)
     out = fill_band(g, np.where(g.free, 3.0, 99.0), band_value=-1.0,
-                    per_cell={(5, 5): 7.0})
+                    cells=(np.array([5, 10]), np.array([5, 6])),
+                    cell_values=np.array([7.0, 8.0]))
     assert np.all(out[g.free] == 3.0)
-    assert out[5, 5] == 7.0
+    assert out[5, 5] == 7.0 and out[10, 6] == 8.0
     band = g.band1 | g.band2
     band_rest = band.copy()
-    band_rest[5, 5] = False
+    band_rest[5, 5] = band_rest[10, 6] = False
     assert np.all(out[band_rest] == -1.0)
     deep = ~g.free & ~band
     assert np.isnan(out[deep]).all()

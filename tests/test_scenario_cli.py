@@ -116,6 +116,19 @@ def _bad_obstacle_index(text):
     return doc
 
 
+def test_cli_rejects_bad_backstep_with_failed_marker(tmp_path):
+    doc = load_doc("single_obstacle")
+    doc["backstep"]["mu"] = -1.0
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bad_out"
+    rc = run_cli("simulate", "--scenario", str(bad), "--out", str(out))
+    assert rc == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") and "backstep.mu" in text
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("text", ["sweep_obstacle: a", "obstacle: 0.7"])
 def test_obstacle_index_must_be_an_integer(text):
     with pytest.raises(MalformedDocument, match="expected an integer"):
@@ -306,6 +319,22 @@ def test_nonfinite_coordinates_rejected_at_parse(key, value):
     assert Scenario(_nonfinite_doc(key, 0.6))
     with pytest.raises(MalformedDocument, match="coordinates must be finite"):
         Scenario(_nonfinite_doc(key, value))
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), "x"])
+@pytest.mark.parametrize("key", ["mu", "sigma_s", "eta_c"])
+def test_backstep_block_rejected_at_parse(key, value):
+    assert Scenario(minimal_doc(backstep={key: 0.5})).backstep[key] == 0.5
+    with pytest.raises(MalformedDocument, match=f"backstep.{key}"):
+        Scenario(minimal_doc(backstep={key: value}))
+
+
+def test_backstep_block_must_be_a_mapping():
+    assert Scenario(minimal_doc(backstep=None)).backstep is None
+    assert Scenario(minimal_doc(backstep={})).backstep == {
+        "mu": 1.0, "sigma_s": 0.1, "eta_c": 1e-8}
+    with pytest.raises(MalformedDocument, match="backstep"):
+        Scenario(minimal_doc(backstep=[1.0]))
 
 
 @pytest.mark.parametrize("iters", ["a", -1, 2.5, True])
@@ -564,7 +593,7 @@ def test_failed_builds_are_not_stored():
     scenario._GEOMETRY.clear()
     with pytest.raises(NonConvergence):
         Scenario(_cells_doc(solver={"max_iters": 1})).build()
-    # fails after its solve, on the backstep block
+    # fails at parse time, before any solve, on the backstep block
     with pytest.raises(MalformedDocument):
         Scenario(_cells_doc(backstep={"mu": -1.0})).build()
     assert not scenario._GEOMETRY

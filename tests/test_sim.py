@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from riskfields import scenario, sim
+from riskfields import elliptic, scenario, sim
 from riskfields.backstep import BackstepConfig, ExtendedState, k_v_smooth
-from riskfields.errors import GridMismatch, OutOfDomain, StartUnsafe
+from riskfields.errors import (GridMismatch, MalformedGrid, OutOfDomain,
+                               StartUnsafe)
 from riskfields.grid import ScalarField
-from riskfields.safety import SafetyFunction
+from riskfields.safety import SafetyFunction, activation_zone
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
@@ -472,21 +473,17 @@ def test_run_dynamic_closing_sample_leaves_domain(monkeypatch):
 
 
 def _log_frames(monkeypatch, sc):
-    """The frames sc builds, in order: ("build", t) for a full build and
-    ("h", t) for h alone."""
+    """The frames sc is asked to build, in order: ("build", t) for a full
+    build and ("h", t) for h alone."""
     built = []
-    build, safety_field = sc.build, sc.safety_field
+    build_frames = sc._build_frames
 
-    def logged_build(t=0.0, **kw):
-        built.append(("build", t))
-        return build(t=t, **kw)
+    def logged(times, flux_scale=None, h_last=False):
+        built.extend(("h" if h_last and n == len(times) - 1 else "build", t)
+                     for n, t in enumerate(times))
+        return build_frames(times, flux_scale, h_last)
 
-    def logged_h(t=0.0):
-        built.append(("h", t))
-        return safety_field(t)
-
-    monkeypatch.setattr(sc, "build", logged_build)
-    monkeypatch.setattr(sc, "safety_field", logged_h)
+    monkeypatch.setattr(sc, "_build_frames", logged)
     return built
 
 
@@ -508,6 +505,198 @@ def test_run_dynamic_solves_h_alone_for_the_closing_frame(monkeypatch):
     dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=0.4)
     assert dyn.trajectory.termination == TIME_LIMIT
     assert built == [("build", 0.0), ("build", 0.2), ("h", 0.4)]
+
+
+# -- frames solved two at a time ---------------------------------------------
+
+def _bits(x):
+    a = np.asarray(x)
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+def _same(got, want):
+    return np.array_equal(_bits(got), _bits(want))
+
+
+def _assert_same_build(got, want):
+    for a, b in ((got.sf.h, want.sf.h), (got.sf.grad.x, want.sf.grad.x),
+                 (got.sf.grad.y, want.sf.grad.y), (got.gf.v.x, want.gf.v.x),
+                 (got.gf.v.y, want.gf.v.y)):
+        assert _same(a.values, b.values)
+    for a, b in ((got.sf.h, want.sf.h), (got.gf.v.x, want.gf.v.x),
+                 (got.gf.v.y, want.gf.v.y)):
+        assert a.stats == b.stats
+    assert {k: v for k, v in got.report.items() if k != "timings_ms"} \
+        == {k: v for k, v in want.report.items() if k != "timings_ms"}
+    for key in ("cells", "normals", "arcw", "comp", "flux"):
+        assert _same(getattr(got.boundary, key), getattr(want.boundary, key))
+    assert {c: None if a is None else a.tolist()
+            for c, a in got.boundary.chains.items()} \
+        == {c: None if a is None else a.tolist()
+            for c, a in want.boundary.chains.items()}
+
+
+def _memo_state():
+    """The one _GEOMETRY entry, as key, array bits, stats and chains."""
+    (key, geo), = scenario._GEOMETRY.items()
+    (ii, jj), k = geo.nodes
+    arrays = geo.arrays + (geo.h,) + geo.grad + (ii, jj, k)
+    return (key, [a.tobytes() for a in arrays], geo.stats,
+            {c: None if a is None else a.tolist()
+             for c, a in geo.chains.items()})
+
+
+def _one_at_a_time(sc, nf, dt_frame):
+    """build(t) of frames 0 .. nf-1 and safety_field of frame nf, one at a
+    time from an empty memo, with the memo state after each."""
+    scenario._GEOMETRY.clear()
+    out, memos = [], []
+    for k in range(nf + 1):
+        t = k * dt_frame if k else 0.0
+        out.append(sc.build(t=t) if k < nf else sc.safety_field(t))
+        memos.append(_memo_state())
+    return out, memos
+
+
+def _moving_block(kind):
+    doc = load_doc("moving_block")
+    if kind == "still":
+        doc["motion"][0]["profile"] = {"kind": "constant", "speed": 0.0}
+    elif kind == "late":    # at rest until t = 0.2: F1 has F0's mask, F2 not
+        doc["motion"][0]["profile"] = {"kind": "piecewise",
+                                       "times": [0.0, 0.2, 0.21],
+                                       "speeds": [0.0, 0.0, 1.0]}
+    return doc
+
+
+@pytest.mark.parametrize("kind,T", [("moving", 0.2), ("moving", 0.4),
+                                    ("moving", 1.0), ("moving", 8.0),
+                                    ("still", 2.0), ("late", 1.0)])
+def test_paired_frames_match_one_at_a_time(kind, T):
+    sc = Scenario(_moving_block(kind))
+    nf = int(round(T / 0.2))
+    ref, memos = _one_at_a_time(sc, nf, 0.2)
+    if kind == "late":
+        assert [b.report["geometry"] for b in ref[:3]] \
+            == ["solved", "reused", "solved"]
+
+    pair_memos = []
+    build_frames = sc._build_frames
+
+    def tracked(times, flux_scale=None, h_last=False):
+        yield from build_frames(times, flux_scale, h_last)
+        pair_memos.append(_memo_state())    # once the pair is finished
+
+    sc._build_frames = tracked
+    scenario._GEOMETRY.clear()
+    dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T)
+    pair_memos.append(_memo_state())        # the last pair
+    assert len(dyn.frames) == nf
+    assert pair_memos == [memos[min(k + 1, nf)] for k in range(0, nf + 1, 2)]
+    for k, fr in enumerate(dyn.frames):
+        want = ref[k]
+        h1 = ref[k + 1] if k + 1 == nf else ref[k + 1].sf.h
+        dh = time_derivative(want.sf.h, h1, 0.2)
+        assert _same(fr.dh_dt.values, dh.values)
+        assert np.array_equal(fr.dh_dt.changed, dh.changed)
+        zone = activation_zone(want.grid, sc.controller(want), want.sf,
+                               want.gf, want.filter_cfg, dh_dt=dh)
+        assert _same(fr.zone.a.values, zone.a.values)
+        assert fr.zone.cell_count == zone.cell_count
+        assert fr.zone.cell_count_restricted == zone.cell_count_restricted
+        _assert_same_build(fr.build, want)
+
+
+def _break_frame(monkeypatch, t_bad):
+    """Scenario.rasterize raises at t_bad alone."""
+    rasterize = Scenario.rasterize
+
+    def broken(self, t=0.0):
+        if abs(t - t_bad) < 1e-9:
+            raise MalformedGrid(f"no map at t = {t}")
+        return rasterize(self, t)
+
+    monkeypatch.setattr(Scenario, "rasterize", broken)
+
+
+def _stop_in_segment_1(doc):
+    """doc with a sim goal that the run reaches during segment 1."""
+    tr = run_dynamic(Scenario(doc), dt_frame=0.2, dt_sim=0.004,
+                     T=1.0).trajectory
+    doc["sim"]["goal"] = tr.y[95].tolist()     # t = 0.38
+    return tr
+
+
+def test_run_dynamic_stopping_in_segment_1_builds_frames_0_to_3(monkeypatch):
+    doc = load_doc("moving_block")
+    full = _stop_in_segment_1(doc)
+    sc = Scenario(doc)
+    built = _log_frames(monkeypatch, sc)
+    tr = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0).trajectory
+    assert tr.termination == GOAL_REACHED and 0.2 <= tr.t[-1] < 0.4
+    assert _same(tr.y, full.y[:tr.n])
+    assert built == [("build", k * 0.2) for k in range(4)]
+
+
+def test_frame_failure_raises_when_the_run_reaches_it(monkeypatch):
+    doc = load_doc("moving_block")
+    full = _stop_in_segment_1(doc)
+    _break_frame(monkeypatch, 0.6)
+    # frame 3 fails while its pair is solved; a run that ends in segment 1
+    # never needs it
+    tr = run_dynamic(Scenario(doc), dt_frame=0.2, dt_sim=0.004,
+                     T=1.0).trajectory
+    assert tr.termination == GOAL_REACHED and 0.2 <= tr.t[-1] < 0.4
+    assert _same(tr.y, full.y[:tr.n])
+    # one that reaches segment 2 raises frame 3's error as it starts
+    segments = []
+    real = sim.time_derivative
+
+    def logged(h0, h1, dt):
+        segments.append(h0.grid)
+        return real(h0, h1, dt)
+
+    monkeypatch.setattr(sim, "time_derivative", logged)
+    with pytest.raises(MalformedGrid, match="no map at t = 0.6"):
+        run_dynamic(Scenario(load_doc("moving_block")), dt_frame=0.2,
+                    dt_sim=0.004, T=1.0)
+    assert len(segments) == 2
+
+
+def test_unsafe_start_wins_over_a_failing_frame_1(monkeypatch):
+    doc = load_doc("moving_block")
+    doc["sim"]["y0"] = [0.54, 1.44]     # an occupied cell at the rim: h = 0
+    sc = Scenario(doc)
+    _break_frame(monkeypatch, 0.2)
+    built = _log_frames(monkeypatch, sc)
+    with pytest.raises(StartUnsafe):
+        run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=1.0)
+    assert built == [("build", 0.0), ("build", 0.2)]
+
+
+def test_run_dynamic_stacks_two_frames_per_sweep(monkeypatch):
+    sizes = []
+    sweep = elliptic._sweep_solve
+
+    def counted(grid, systems, cfg):
+        sizes.append(len(systems))
+        return sweep(grid, systems, cfg)
+
+    monkeypatch.setattr(elliptic, "_sweep_solve", counted)
+    scenario._GEOMETRY.clear()
+    run_dynamic(Scenario(load_doc("moving_block")), dt_frame=0.2,
+                dt_sim=0.004, T=1.0)
+    # (F0, F1), (F2, F3), (F4, h5): three systems per build, one for h
+    assert sizes == [6, 6, 4]
+    sizes.clear()
+    scenario._GEOMETRY.clear()
+    sc = Scenario(load_doc("moving_block"))
+    built = _log_frames(monkeypatch, sc)
+    run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
+    assert len(built) == 41
+    # 21 stacks; the block rests from t = 7, so frames 36-39 reuse frame
+    # 35's h and the closing h, its stack alone, needs no sweep
+    assert sizes == [6] * 18 + [4, 4]
 
 
 def test_closing_frame_h_is_the_build_h():
