@@ -99,7 +99,7 @@ def k_v_smooth(y, k_nom_value, sf, gf, cfg):
 
 
 def _h_B(h, e, mu):
-    return h - float(e @ e) / (2.0 * mu)
+    return h - float(e.dot(e)) / (2.0 * mu)
 
 
 def h_B(state, sf, gf, cfg):
@@ -174,8 +174,8 @@ class AccelTerms(NamedTuple):
             Dh.ydot - (1/mu)(ydot - k_v).(w - J_kv ydot)
         """
         (wx, wy), (jx, jy) = w, self.J_ydot
-        return self.dh_ydot - float(self.e @ np.array((wx - jx, wy - jy))) \
-            / mu
+        dw = np.array((wx - jx, wy - jy))
+        return self.dh_ydot - float(self.e.dot(dw)) / mu
 
     def filter(self, w_nom, cfg):
         """(w, resid): the minimal correction of w_nom enforcing
@@ -195,7 +195,7 @@ class AccelTerms(NamedTuple):
         ex, ey = self.e.tolist()
         cx, cy = -ex / cfg.mu, -ey / cfg.mu
         c = np.array((cx, cy))
-        nc2 = float(c @ c)
+        nc2 = float(c.dot(c))
         if nc2 < cfg.eta_c * cfg.eta_c:
             if resid < -1e-9:
                 raise DegenerateCoefficient(
@@ -222,8 +222,8 @@ def accel_terms(y, ydot, k, cfg, fs):
     e = np.array((vx - kv[0], vy - kv[1]))
     J = np.array(_jacobian(y, kv, k, cfg, fs))
     return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu),
-                      float(np.array((s[3], s[4])) @ ydot),
-                      (J @ ydot).tolist())
+                      float(np.array((s[3], s[4])).dot(ydot)),
+                      J.dot(ydot).tolist())
 
 
 def _terms(state, sf, gf, cfg):

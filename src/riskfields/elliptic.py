@@ -92,12 +92,12 @@ def _target(cfg, grid):
     return cfg.tol * 2.0 / (n * n)
 
 
-def _residual(views, p):
+def _residual(items, p):
     """The residual pass's |...| * F at cell p of one class's run, on Python
-    floats, in the pass's order: ((((ip + im) + jp) + jm) - r) * 0.25 - c."""
-    c, ip, im, jp, jm, r, _, _, f = views[:9]
-    return abs((ip.item(p) + im.item(p) + jp.item(p) + jm.item(p) - r.item(p))
-               * 0.25 - c.item(p)) * f.item(p)
+    floats, in the pass's order: ((((ip + im) + jp) + jm) - r) * 0.25 - c.
+    items holds the item methods of the run's (c, ip, im, jp, jm, r, F)."""
+    c, ip, im, jp, jm, r, f = items
+    return abs((ip(p) + im(p) + jp(p) + jm(p) - r(p)) * 0.25 - c(p)) * f(p)
 
 
 def _sweep_solve(grid, systems, cfg):
@@ -129,14 +129,16 @@ def _sweep_solve(grid, systems, cfg):
     Every 8th sweep checks the residual, probe first.  A full pass keeps,
     per system and class, the cell where |...| * F is largest.  At the next
     check those probes are evaluated alone, with the pass's arithmetic in
-    its order; the full maximum is at least any probe, so when every
-    running system has a probe above the target none can stop, and the
-    full pass is skipped.  Only a full pass, always run at the last sweep,
-    records a residual or stops a system.  A probe's value must carry the
-    * F: where a class's masked residual is 0 on every cell, as for the
-    colour updated last at omega = 1, its argmax is the system's first cell
-    in the run, often a holding one, whose |...| alone is about 4.5e307,
-    and that system would never stop.
+    its order, each system's largest-first by their values at that pass; the
+    full maximum is at least any probe, so when every running system has a
+    probe above the target none can stop, and the full pass is skipped.
+    That decision does not depend on the order, and the largest probe of
+    the last pass usually settles a system alone.  Only a full pass, always
+    run at the last sweep, records a residual or stops a system.  A probe's
+    value must carry the * F: where a class's masked residual is 0 on every
+    cell, as for the colour updated last at omega = 1, its argmax is the
+    system's first cell in the run, often a holding one, whose |...| alone
+    is about 4.5e307, and that system would never stop.
     """
     nx, ny = grid.nx, grid.ny
     n = max(nx, ny)
@@ -157,16 +159,16 @@ def _sweep_solve(grid, systems, cfg):
     inner[:, 1:nx - 1, 1:ny - 1] = unknown[:, 1:-1, 1:-1]
     rhs = np.zeros_like(w)
     rhs[:, :nx, :ny] = [s[2] for s in systems]
-    rhs[~inner] = hold
 
-    def planes(x):
-        return {(a, b): np.ascontiguousarray(x[:, a::2, b::2]).reshape(-1)
-                for a in (0, 1) for b in (0, 1)}
-
-    W, RHS = planes(w), planes(rhs)
-    A = planes(np.where(inner, 1.0 - omega, 1.0))
-    B = planes(np.where(inner, omega * 0.25, 0.0))
-    F = planes(inner.astype(float))
+    W, RHS, A, B, F = {}, {}, {}, {}, {}
+    for a in (0, 1):
+        for b in (0, 1):
+            m = inner[:, a::2, b::2]
+            W[a, b] = np.ascontiguousarray(w[:, a::2, b::2]).reshape(-1)
+            RHS[a, b] = np.where(m, rhs[:, a::2, b::2], hold).reshape(-1)
+            A[a, b] = np.where(m, 1.0 - omega, 1.0).reshape(-1)
+            B[a, b] = np.where(m, omega * 0.25, 0.0).reshape(-1)
+            F[a, b] = m.astype(float).reshape(-1)
     RC = R * C
     scratch = np.empty(k * RC)          # shared by every class
     colours = ([], [])
@@ -189,15 +191,17 @@ def _sweep_solve(grid, systems, cfg):
                  + (scratch[:run], list(zip(edges[:-1], edges[1:]))))
         colours[(a + b) % 2].append(views)
     lattices = colours[0] + colours[1]
+    # per class, what a probe reads: (c, ip, im, jp, jm, r, F) as items
+    items = [tuple(x.item for x in v[:6] + v[8:9]) for v in lattices]
 
     res = np.full(k, math.inf)
     iters = np.zeros(k, dtype=int)
-    running = np.ones(k, dtype=bool)
-    probes = None   # per system: (lattice, cell) of each class's largest
-    # masked residual at the last full pass
+    running = list(range(k))
+    probes = None   # per system: (items, cell) of each class's largest
+    # masked residual at the last full pass, largest first
     it = 0
     check_every = 8
-    while it < max_sweeps and running.any():
+    while it < max_sweeps and running:
         for colour in colours:
             for c, ip, im, jp, jm, r, ca, cb, _, t, _ in colour:
                 # c * A + (ip + im + jp + jm - r) * B, on an unknown
@@ -215,14 +219,14 @@ def _sweep_solve(grid, systems, cfg):
         if it % check_every and it != max_sweeps:
             continue
         if it != max_sweeps and probes and all(
-                any(_residual(lattices[q], p) > target for q, p in probes[s])
-                for s in np.flatnonzero(running)):
+                any(_residual(q, p) > target for q, p in probes[s])
+                for s in running):
             continue
         # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
         gap = np.zeros(k)
-        probes = [[] for _ in range(k)]
+        found = [[] for _ in range(k)]
         for q, (c, ip, im, jp, jm, r, _, _, f, t, spans) in \
-                enumerate(lattices):
+                zip(items, lattices):
             np.add(ip, im, out=t)
             t += jp
             t += jm
@@ -233,12 +237,15 @@ def _sweep_solve(grid, systems, cfg):
             t *= f
             # argmax finds a NaN first, as the maximum propagates it
             top = [lo + int(t[lo:hi].argmax()) for lo, hi in spans]
-            np.maximum(gap, t[top], out=gap)
-            for s, p in enumerate(top):
-                probes[s].append((q, p))
+            peak = t[top]
+            np.maximum(gap, peak, out=gap)
+            for s, (p, value) in enumerate(zip(top, peak.tolist())):
+                found[s].append((value, q, p))
+        probes = [[(q, p) for _, q, p in sorted(
+            mine, key=lambda x: x[0], reverse=True)] for mine in found]
         res[running] = gap[running]
-        for s in np.flatnonzero(running & (res <= target)):
-            running[s] = False
+        for s in [s for s in running if res[s] <= target]:
+            running.remove(s)
             iters[s] = it
             for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0), (F, 0.0)):
                 for plane in coef.values():

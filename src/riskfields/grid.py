@@ -44,12 +44,14 @@ class OccupancyGrid:
         self.nx, self.ny = state.shape
         if self.nx < 3 or self.ny < 3:
             raise MalformedGrid("lattice must be at least 3x3")
-        if float(d) <= 0:
-            raise MalformedGrid("cell size d must be positive")
-        if not np.isin(state, (FREE, OCCUPIED)).all():
+        if not 0.0 < float(d) < math.inf:
+            raise MalformedGrid("cell size d must be positive and finite")
+        if not ((state == FREE) | (state == OCCUPIED)).all():
             raise MalformedGrid("state entries must be FREE or OCCUPIED")
         self.d = float(d)
         self.origin = np.array(origin, dtype=float)
+        if self.origin.shape != (2,) or not np.isfinite(self.origin).all():
+            raise MalformedGrid("origin must be two finite numbers")
         self.origin.flags.writeable = False
         # the same numbers as Python floats, for per-point arithmetic
         self.origin_xy = tuple(self.origin.tolist())
@@ -585,28 +587,39 @@ class FieldSampler:
         self.at = at
 
 
-def _nearest_hits(cells, target, radius):
-    """Nearest target cell within a (2*radius+1)^2 window of each cell.
-
-    cells is (ii, jj); target a boolean lattice mask.  Offsets are visited by
-    squared distance and, within one distance, in scan order (di, then dj,
-    ascending), so each cell gets the first hit that a strict-< scan of the
-    window would keep.  Returns (hit, ti, tj); ti, tj are valid where hit.
-    """
-    ii, jj = cells
-    padded = np.pad(target, radius, constant_values=False)
-    ti = np.zeros_like(ii)
-    tj = np.zeros_like(jj)
-    hit = np.zeros(len(ii), dtype=bool)
+@functools.lru_cache(maxsize=None)
+def _window(radius):
+    """(di, dj) of a (2*radius+1)^2 window, sorted by (di^2 + dj^2, di, dj):
+    by squared distance and, within one distance, in scan order."""
     offsets = sorted((di * di + dj * dj, di, dj)
                      for di in range(-radius, radius + 1)
                      for dj in range(-radius, radius + 1))
-    for _, di, dj in offsets:
-        new = ~hit & padded[ii + radius + di, jj + radius + dj]
-        ti[new] = ii[new] + di
-        tj[new] = jj[new] + dj
-        hit |= new
-    return hit, ti, tj
+    di = np.array([o[1] for o in offsets], dtype=np.intp)
+    dj = np.array([o[2] for o in offsets], dtype=np.intp)
+    di.flags.writeable = dj.flags.writeable = False
+    return di, dj
+
+
+def _nearest_hits(cells, target, radius):
+    """Nearest target cell within a (2*radius+1)^2 window of each cell.
+
+    cells is (ii, jj); target a boolean lattice mask.  One gather reads each
+    cell's window from the padded mask, its offsets sorted by (squared
+    distance, di, dj), and argmax along the offsets picks the first hit: the
+    one a strict-< scan of the window would keep.  Returns (hit, ti, tj);
+    ti, tj are valid where hit (elsewhere they are the cell itself).
+    """
+    ii, jj = cells
+    padded = np.pad(target, radius, constant_values=False)
+    width = padded.shape[1]
+    di, dj = _window(radius)
+    # flat index into the padded mask of every cell's window
+    idx = ((ii + radius) * width + (jj + radius))[:, None] \
+        + (di * width + dj)
+    found = padded.ravel()[idx]
+    first = found.argmax(axis=1)
+    hit = found.any(axis=1)
+    return hit, ii + di[first], jj + dj[first]
 
 
 def nearest_node_map(grid, boundary):

@@ -76,7 +76,8 @@ def _dh_term(s, cfg):
         return None
     h, vx, vy, gx, gy, dh = s
     gn = math.hypot(gx, gy)
-    denom = gn + float(cfg.sigma(h))
+    # cfg.sigma(h) in one numpy call; math.expm1 differs in the last bit
+    denom = gn + cfg.eps * -float(np.expm1(-max(h, 0.0)))
     nv = math.hypot(vx, vy)
     coeff = nv / denom if denom > 0.0 else 0.0
     return coeff * dh

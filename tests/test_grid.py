@@ -49,11 +49,30 @@ def test_cell_size_positive():
             OccupancyGrid(box_state(6, 6), d)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_cell_size_finite(d):
+    with pytest.raises(MalformedGrid, match="positive and finite"):
+        OccupancyGrid(box_state(6, 6), d)
+
+
+@pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf),
+                                    (-math.inf, 1.0), (0.0,),
+                                    (0.0, 0.0, 0.0)])
+def test_origin_must_be_a_finite_point(origin):
+    with pytest.raises(MalformedGrid, match="origin"):
+        OccupancyGrid(box_state(6, 6), 0.1, origin=origin)
+
+
 def test_state_values_restricted():
     s = box_state(6, 6)
     s[3, 3] = 7
     with pytest.raises(MalformedGrid):
         OccupancyGrid(s, 0.1)
+    for bad in (0.5, math.nan):
+        f = box_state(6, 6).astype(float)
+        f[3, 3] = bad
+        with pytest.raises(MalformedGrid, match="FREE or OCCUPIED"):
+            OccupancyGrid(f, 0.1)
 
 
 def test_open_perimeter_rejected():

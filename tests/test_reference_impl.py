@@ -6,12 +6,12 @@ skips a full residual pass while probe cells show that no system can stop;
 its results are compared bit for bit, the sign of a zero included.  The
 boundary walk lists every interface face and its successor as arrays and
 walks them on ints; the reference collects each component's faces into a
-set, walks them one face at a time and reads each normal on its own.  The
-nearest-cell maps are built offset by offset, and the per-node features,
-obstacle owners and arc weights come from one (n, 4) gather of each node's
-neighbours.  They do the same arithmetic and make the same tie-breaks as
-the boolean-mask sweep, run once per system, and the per-cell and per-node
-loops kept below.
+set, walks them one face at a time and reads each normal on its own.  A
+nearest-cell search gathers every cell's whole window at once, and the
+per-node features, obstacle owners and arc weights come from one (n, 4)
+gather of each node's neighbours.  They do the same arithmetic and make the
+same tie-breaks as the boolean-mask sweep, run once per system, the
+offset-by-offset search, and the per-cell and per-node loops kept below.
 The rollout loops step tuples of Python floats, sample each point once,
 from nested-list snapshots of the fields, and derive every recorded quantity
 from that one sample; the references step numpy arrays with their own RK4
@@ -26,7 +26,7 @@ import pytest
 import yaml
 from scipy import ndimage
 
-from riskfields import riskmap, sim
+from riskfields import elliptic, riskmap, sim
 from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
                                  k_v_jacobian, k_v_smooth)
 from riskfields.elliptic import (SOR, ForcingSpec, SolveStats,
@@ -36,9 +36,10 @@ from riskfields.errors import (DegenerateCoefficient, DegenerateNormal,
                                NonConvergence, OutOfDomain,
                                VanishingGuidance)
 from riskfields.grid import (FREE, NB4, OCCUPIED, BoundarySet, OccupancyGrid,
-                             ScalarField, VectorField, extract_boundary,
-                             fill_band, gradient_field, nearest_node_map,
-                             sample_gradient, sample_scalar, sample_vector)
+                             ScalarField, VectorField, _nearest_hits,
+                             extract_boundary, fill_band, gradient_field,
+                             nearest_node_map, sample_gradient, sample_scalar,
+                             sample_vector)
 from riskfields.scenario import Scenario
 from riskfields.safety import (GuidanceFieldBundle, activation,
                                activation_dynamic, filter_control,
@@ -93,6 +94,26 @@ def reference_sweep_solve(grid, unknown, fixed, rhs, cfg):
     if not stats.converged:
         raise NonConvergence(stats.to_text())
     return w, stats
+
+
+def reference_nearest_hits(cells, target, radius):
+    """One fancy-indexed pass per window offset, in (squared distance, di,
+    dj) order, each cell keeping its first hit.  Returns (hit, ti, tj), with
+    ti, tj 0 where there is no hit."""
+    ii, jj = cells
+    padded = np.pad(target, radius, constant_values=False)
+    ti = np.zeros_like(ii)
+    tj = np.zeros_like(jj)
+    hit = np.zeros(len(ii), dtype=bool)
+    offsets = sorted((di * di + dj * dj, di, dj)
+                     for di in range(-radius, radius + 1)
+                     for dj in range(-radius, radius + 1))
+    for _, di, dj in offsets:
+        new = ~hit & padded[ii + radius + di, jj + radius + dj]
+        ti[new] = ii[new] + di
+        tj[new] = jj[new] + dj
+        hit |= new
+    return hit, ti, tj
 
 
 def reference_nearest_node_map(grid, boundary):
@@ -493,6 +514,39 @@ def test_sweep_with_unknowns_in_one_class(cell):
     _same_solve(g, systems, cfg)
 
 
+@pytest.mark.parametrize("omega", [1.0, 1.9])
+def test_stacked_sweep_when_the_largest_probe_is_not_the_first(omega):
+    # a pocket's unknown sits in class (1, 1) or (0, 1), so its largest
+    # probe is in the second or third class of the run, never the first,
+    # and every other probe of the pocket is 0
+    g = GRIDS["odd_even"]()
+    cfg = SolverConfig(method=SOR, omega=omega, tol=1e-8)
+    _same_solve(g, [_poisson_system(g), _pocket(g, (3, 3)),
+                    _pocket(g, (4, 3))], cfg)
+
+
+def test_probes_are_tried_largest_first(monkeypatch):
+    # a pocket alone: a probe check tries the pocket's cell first, and a
+    # holding class's probe, always 0, only after it came out at or below
+    # the target
+    g = GRIDS["odd_even"]()
+    cfg = SolverConfig(method=SOR, omega=1.9, tol=1e-8)
+    calls = []
+    probe = elliptic._residual
+
+    def logged(items, p):
+        calls.append(probe(items, p))
+        return calls[-1]
+
+    monkeypatch.setattr(elliptic, "_residual", logged)
+    _same_solve(g, [_pocket(g, (4, 3))], cfg)
+    target = _target(cfg, g)
+    assert sum(v > target for v in calls) > 10
+    assert all(v > 0.0 or calls[i - 1] <= target
+               for i, v in enumerate(calls))
+    assert calls[0] > 0.0
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-4], ids=["h_first", "h_last"])
 def test_stacked_sweep_stops_each_system_on_its_own(scale):
     # the guidance pair of a boundary with flux, its data scaled so that h
@@ -728,6 +782,43 @@ def _has_tied_band_cell(g, b):
         if len(d2) > 1 and (d2 == d2.min()).sum() > 1:
             return True
     return False
+
+
+def _ties(cells, target, radius):
+    """How many cells hold more than one target cell at their least squared
+    distance within the window."""
+    ii, jj = cells
+    padded = np.pad(target, radius, constant_values=False)
+    d2 = np.stack([np.where(padded[ii + radius + di, jj + radius + dj],
+                            di * di + dj * dj, np.inf)
+                   for di in range(-radius, radius + 1)
+                   for dj in range(-radius, radius + 1)], axis=1)
+    least = d2.min(axis=1)
+    return int((((d2 == least[:, None]).sum(axis=1) > 1)
+                & np.isfinite(least)).sum())
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_one_gather_search_matches_offset_passes(radius):
+    ties = misses = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(3, 25, 2)
+        target = rng.random((nx, ny)) < rng.uniform(0.01, 0.4)
+        cells = np.nonzero(rng.random((nx, ny)) < 0.6)
+        hit, ti, tj = _nearest_hits(cells, target, radius)
+        want_hit, want_ti, want_tj = reference_nearest_hits(cells, target,
+                                                            radius)
+        assert np.array_equal(hit, want_hit)
+        assert np.array_equal(ti[hit], want_ti[hit])
+        assert np.array_equal(tj[hit], want_tj[hit])
+        assert ti.dtype == want_ti.dtype and tj.dtype == want_tj.dtype
+        # a cell without a hit is its own target, an index on the lattice
+        assert np.array_equal(ti[~hit], cells[0][~hit])
+        assert np.array_equal(tj[~hit], cells[1][~hit])
+        ties += _ties(cells, target, radius)
+        misses += int((~hit).sum())
+    assert ties > 100 and misses > 100
 
 
 @pytest.mark.parametrize("name", ["even_even", "odd_odd", "disk",

@@ -11,7 +11,9 @@ produces to OUT.npz:
   scenarios, moving_block at t = 0, 1 and 3 (with safety_field at each),
   six map_solve documents, five disk documents and two flux_sweep builds.
   Per build: h, grad h, v, the SolveStats, the report without timings_ms,
-  every BoundarySet array and chain, and the activation zone;
+  every BoundarySet array and chain, the ghost-band node map (the
+  elliptic._band_nodes index arrays, as rows ii, jj and node) and the
+  activation zone;
 - the trajectories of the two flux_sweep builds, of two rollout-workload
   starts (double and single integrator) with their inputs, and of the
   single-integrator `simulate` run of every static scenario;
@@ -51,10 +53,12 @@ MOVING_T = (0.2, 0.4, 2.0, 8.0)
 # -- dump ---------------------------------------------------------------------
 
 class Dump:
-    """Named arrays; names are unique and keep their insertion order."""
+    """Named arrays; names are unique and keep their insertion order.
+    band_nodes is elliptic._band_nodes of the riskfields being dumped."""
 
-    def __init__(self):
+    def __init__(self, band_nodes):
         self.arrays = {}
+        self.band_nodes = band_nodes
 
     def add(self, name, value):
         if name in self.arrays:
@@ -79,6 +83,8 @@ class Dump:
         self.text(f"{name}/boundary_chains",
                   {str(c): None if a is None else a.tolist()
                    for c, a in bd.chains.items()})
+        (ii, jj), node = self.band_nodes(b.grid, bd)
+        self.add(f"{name}/band_nodes", np.stack([ii, jj, node]))
 
     def zone(self, name, z):
         self.add(f"{name}/zone_a", z.a.values)
@@ -109,13 +115,13 @@ def _modules():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import inputs
     import workloads
-    from riskfields import cli, safety, scenario, sim
-    return inputs, workloads, cli, safety, scenario, sim
+    from riskfields import cli, elliptic, safety, scenario, sim
+    return inputs, workloads, cli, elliptic, safety, scenario, sim
 
 
 def dump(path, seeds, dynamic_seeds, size="full"):
-    inputs, workloads, cli, safety, scenario, sim = _modules()
-    out = Dump()
+    inputs, workloads, cli, elliptic, safety, scenario, sim = _modules()
+    out = Dump(elliptic._band_nodes)
 
     def zone_of(sc, b):
         return safety.activation_zone(b.grid, sc.controller(b), b.sf, b.gf,

@@ -13,6 +13,9 @@ def test_dump_then_compare(tmp_path):
     assert len(arrays) == n
     assert str(arrays["s3/map0/report"]).startswith("{")
     assert arrays["moving_block_T0.4/f1/h"].dtype == np.float64
+    nodes = arrays["s3/single_obstacle/band_nodes"]
+    assert nodes.shape[0] == 3 and nodes.shape[1] > 0
+    assert nodes.dtype == np.intp
     assert str(arrays["moving_block_T8/trajectory/termination"])
     assert bitcheck.main(["--compare", str(a), str(a)]) == 0
 
