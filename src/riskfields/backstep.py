@@ -4,9 +4,13 @@ acceleration filter.
 The velocity-level controller k_v replaces the ReLU correction with the
 smooth gap lambda = (-a + sqrt(a^2 + sigma_s^2))/2, which keeps
 v.k_v + gamma h strictly positive and is C-infinity, so its Jacobian (needed
-by the acceleration constraint) exists.  The barrier over (y, ydot) is
-h_B = h - ||ydot - k_v||^2 / (2 mu) and the filter enforces
-d/dt h_B >= -gamma h_B by direct differentiation.
+by the acceleration constraint) exists.  That is the guidance layer: it
+makes k_v safe for v, not for h.  The barrier's velocity k_v_safe adds one
+more smooth correction, along Dh with the same gap, so that
+Dh.k_v_safe + gamma h > 0 as well; h_B = h - ||ydot - k_v_safe||^2 / (2 mu)
+is then a valid barrier over (y, ydot) (Taylor, Ong, Molnar and Ames, "Safe
+Backstepping with Control Barrier Functions", CDC 2022), and the filter
+enforces d/dt h_B >= -gamma h_B by direct differentiation.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class BackstepConfig:
                           dtype=float)
 
     def nominal_at(self, sf):
-        """k_nom_v in point form as (grad, at), see safety._point_form."""
-        return _point_form(self._k_nom(), sf)
+        """k_nom_v in point form, at(px, py, s) with s a sample that
+        carries grad h (see safety._point_form)."""
+        return _point_form(self._k_nom(), sf)[1]
 
 
 def smooth_margin(a, sigma_s):
@@ -91,38 +96,66 @@ def _k_v(p, k, s, cfg):
     return kx + c * vx, ky + c * vy
 
 
+def _eps2(grid):
+    """eps^2 in _k_v_safe's denominator ||Dh||^2 + eps^2: (d/5)^2, a fifth
+    of a cell, so 1e-4 at d = 0.05."""
+    return 0.04 * grid.d * grid.d
+
+
+def _k_v_safe(p, k, s, cfg, eps2):
+    """k_v_safe at the point p as two floats: k_v, then one correction
+    lambda_s Dh / (||Dh||^2 + eps2) with the same smooth gap lambda_s of
+    a_s = Dh.k_v + gamma h; s = (h, vx, vy, dh/dx, dh/dy, ...) is a sample
+    with grad h.
+
+    Where ||Dh||^2 >> eps2 this makes Dh.k_v_safe + gamma h the smooth
+    margin of a_s, which is positive.  The regularised denominator keeps
+    the correction below lambda_s / (2 eps) where Dh vanishes, at the
+    interior maximum of h, where a_s = gamma h > 0 and lambda_s is small.
+    """
+    kx, ky = _k_v(p, k, s, cfg)
+    hx, hy = s[3], s[4]
+    a = (hx * kx + hy * ky) + cfg.gamma * s[0]
+    c = 0.5 * (-a + math.hypot(a, cfg.sigma_s)) / (hx * hx + hy * hy + eps2)
+    return kx + c * hx, ky + c * hy
+
+
 def k_v_smooth(y, k_nom_value, sf, gf, cfg):
-    """Velocity controller k_nom + lambda/||v||^2 v, smooth in y."""
+    """Velocity controller k_nom + lambda/||v||^2 v, smooth in y: the
+    guidance layer, safe for v."""
     p = point_xy(y)
     s = FieldSampler(sf, gf, snapshot=False).at(*p)
     return np.array(_k_v(p, point_xy(k_nom_value), s, cfg))
 
 
 def _h_B(h, e, mu):
-    return h - float(e.dot(e)) / (2.0 * mu)
+    ex, ey = e
+    return h - (ex * ex + ey * ey) / (2.0 * mu)
 
 
 def h_B(state, sf, gf, cfg):
-    """Shrunken barrier h - ||ydot - k_v||^2 / (2 mu); never above h."""
+    """Shrunken barrier h - ||ydot - k_v_safe||^2 / (2 mu); never above h."""
     p = point_xy(state.y)
     k = point_xy(cfg.nominal(state.y))
-    s = FieldSampler(sf, gf, snapshot=False).at(*p)
-    return _h_B(s[0], state.ydot - np.array(_k_v(p, k, s, cfg)), cfg.mu)
+    s = FieldSampler(sf, gf, snapshot=False).at(*p, True)
+    kx, ky = _k_v_safe(p, k, s, cfg, _eps2(sf.grid))
+    vx, vy = point_xy(state.ydot)
+    return _h_B(s[0], (vx - kx, vy - ky), cfg.mu)
 
 
-def _jacobian(p, kv, k, cfg, fs):
-    """Central differences of k_v with step d/2 per axis, one (h, v) lookup
-    per probe (and grad h when k reads it); one-sided against kv = k_v(p)
+def _jacobian(p, kv, at, cfg, fs):
+    """Central differences of k_v_safe with step d/2 per axis, one
+    (h, v, grad h) lookup per probe; one-sided against kv = k_v_safe(p)
     (computed here when None) when a probe leaves the sampleable region.
-    k is k_nom_v in point form, (grad, at); J comes back as float pairs."""
+    at is k_nom_v in point form; J comes back as float pairs."""
     step = 0.5 * fs.grid.d
+    eps2 = _eps2(fs.grid)
     px, py = p
-    grad, at = k
 
     def k_v_at(q):
         qx, qy = q
-        s = fs.at(qx, qy, grad)
-        return _k_v(q, at(qx, qy, s), s, cfg)
+        s = fs.at(qx, qy, True)
+        return _k_v_safe(q, at(qx, qy, s), s, cfg, eps2)
 
     cols = []
     for hi_p, lo_p in (((px + step, py), (px - step, py)),
@@ -150,7 +183,7 @@ def _jacobian(p, kv, k, cfg, fs):
 
 
 def k_v_jacobian(y, sf, gf, cfg):
-    """Finite-difference Jacobian of k_v, central step d/2 per axis.
+    """Finite-difference Jacobian of k_v_safe, central step d/2 per axis.
 
     Falls back to one-sided differences when a probe point leaves the
     sampleable region.
@@ -161,41 +194,41 @@ def k_v_jacobian(y, sf, gf, cfg):
 
 
 class AccelTerms(NamedTuple):
-    """Everything the acceleration constraint needs at one extended state."""
+    """Everything the acceleration constraint needs at one extended state,
+    on Python floats."""
     h: float              # h(y)
-    e: np.ndarray         # ydot - k_v(y)
+    e: tuple              # ydot - k_v_safe(y), two floats
     h_B: float
     dh_ydot: float        # Dh(y).ydot
-    J_ydot: list          # J_kv(y) ydot, two floats
+    J_ydot: tuple         # J(y) ydot, two floats, J the Jacobian of k_v_safe
 
     def hdot_B(self, w, mu):
         """d/dt h_B under acceleration w (floats), by differentiation:
 
-            Dh.ydot - (1/mu)(ydot - k_v).(w - J_kv ydot)
+            Dh.ydot - (1/mu)(ydot - k_v_safe).(w - J ydot)
         """
-        (wx, wy), (jx, jy) = w, self.J_ydot
-        dw = np.array((wx - jx, wy - jy))
-        return self.dh_ydot - float(self.e.dot(dw)) / mu
+        (wx, wy), (ex, ey), (jx, jy) = w, self.e, self.J_ydot
+        return self.dh_ydot - (ex * (wx - jx) + ey * (wy - jy)) / mu
 
     def filter(self, w_nom, cfg):
         """(w, resid): the minimal correction of w_nom enforcing
         hdot_B >= -gamma h_B, and hdot_B(w_nom) + gamma h_B; w_nom and w
         are pairs of floats.
 
-        The constraint is affine in w with coefficient c = -(ydot - k_v)/mu,
-        so the correction is the usual ReLU step along c.  A vanishing
-        coefficient with the constraint already satisfied is fine (on the
-        boundary of the shrunken set ydot = k_v); vanishing with a violated
-        constraint means the state left the shrunken set or the gradients
-        are off, and is an error.
+        The constraint is affine in w with coefficient
+        c = -(ydot - k_v_safe)/mu, so the correction is the usual ReLU step
+        along c.  A vanishing coefficient with the constraint already
+        satisfied is fine (on the boundary of the shrunken set
+        ydot = k_v_safe); vanishing with a violated constraint means the
+        state left the shrunken set or the gradients are off, and is an
+        error.
         """
         resid = self.hdot_B(w_nom, cfg.mu) + cfg.gamma * self.h_B
         if resid >= 0.0:
             return w_nom, resid
-        ex, ey = self.e.tolist()
+        ex, ey = self.e
         cx, cy = -ex / cfg.mu, -ey / cfg.mu
-        c = np.array((cx, cy))
-        nc2 = float(c.dot(c))
+        nc2 = cx * cx + cy * cy
         if nc2 < cfg.eta_c * cfg.eta_c:
             if resid < -1e-9:
                 raise DegenerateCoefficient(
@@ -206,28 +239,28 @@ class AccelTerms(NamedTuple):
         return (w_nom[0] + g * cx, w_nom[1] + g * cy), resid
 
 
-def accel_terms(y, ydot, k, cfg, fs):
-    """k_v, e, Dh, J and h_B at the extended state (y, ydot), as AccelTerms.
+def accel_terms(y, ydot, at, cfg, fs):
+    """k_v_safe, e, Dh, J and h_B at the extended state (y, ydot), as
+    AccelTerms.
 
-    y is the position as a pair of floats and ydot the velocity as a
-    length-2 array; k is k_nom_v in point form as (grad, at) and fs a
-    FieldSampler over (sf, gf).  One (h, v, grad h) lookup at y plus one
-    lookup per Jacobian probe, all on Python floats; e, Dh and J become
-    arrays only for the dot products, whose bits come from BLAS.
+    y and ydot are pairs of floats; at is k_nom_v in point form
+    (BackstepConfig.nominal_at) and fs a FieldSampler over (sf, gf).  One
+    (h, v, grad h) lookup at y plus one per Jacobian probe, all on Python
+    floats.
     """
     px, py = y
+    vx, vy = ydot
     s = fs.at(px, py, True)
-    kv = _k_v(y, k[1](px, py, s), s, cfg)
-    vx, vy = ydot.tolist()
-    e = np.array((vx - kv[0], vy - kv[1]))
-    J = np.array(_jacobian(y, kv, k, cfg, fs))
-    return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu),
-                      float(np.array((s[3], s[4])).dot(ydot)),
-                      J.dot(ydot).tolist())
+    kx, ky = _k_v_safe(y, at(px, py, s), s, cfg, _eps2(fs.grid))
+    e = (vx - kx, vy - ky)
+    (j00, j01), (j10, j11) = _jacobian(y, (kx, ky), at, cfg, fs)
+    return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu), s[3] * vx + s[4] * vy,
+                      (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
 
 
 def _terms(state, sf, gf, cfg):
-    return accel_terms(point_xy(state.y), state.ydot, cfg.nominal_at(sf), cfg,
+    return accel_terms(point_xy(state.y), point_xy(state.ydot),
+                       cfg.nominal_at(sf), cfg,
                        FieldSampler(sf, gf, snapshot=False))
 
 

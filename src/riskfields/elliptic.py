@@ -50,14 +50,18 @@ class ForcingSpec:
 @dataclass
 class SolverConfig:
     method: str = SOR
-    omega: object = 1.9  # float, or "auto" for 2/(1+sin(pi/N))
+    omega: object = 1.9  # a float in (0, 2), or "auto": per system, Young's
+    # optimum 2/(1 + sqrt(1 - mu^2)) for mu the spectral radius of that
+    # system's masked Jacobi operator, estimated from its unknown mask
     tol: float = 1e-8  # field-unit residual bound; the sweep targets an
     # error-calibrated threshold below this, see _target
     max_iters: int = 0  # 0 means 200*max(nx,ny)
 
-    def resolved_omega(self, n):
+    def resolved_omega(self, unknown):
+        """omega for the system whose unknowns are the lattice mask
+        unknown: the number itself, or with "auto" _auto_omega(unknown)."""
         if self.omega == "auto":
-            return 2.0 / (1.0 + math.sin(math.pi / n))
+            return _auto_omega(unknown)
         w = float(self.omega)
         if not (0.0 < w < 2.0):
             raise MalformedGrid("omega must lie in (0, 2)")
@@ -65,6 +69,90 @@ class SolverConfig:
 
     def resolved_max_iters(self, n):
         return self.max_iters if self.max_iters else 200 * n
+
+
+def _auto_omega(unknown):
+    """Young's optimal SOR omega, 2/(1 + sqrt(1 - mu^2)), for the unknowns
+    of a lattice mask; the sweep updates only those off the lattice edge.
+
+    mu, the spectral radius of the masked Jacobi operator (the sum of the
+    four neighbours / 4, on unknowns), comes from Lanczos steps started at
+    the indicator, on the mask coarsened 2x (a coarse cell is an unknown
+    when any of its four children is): the coarse gap 1 - mu_c is about 4
+    times the fine one, so mu = 1 - (1 - mu_c)/4.  The top Ritz value
+    settles in a number of steps proportional to the coarse side, as the
+    gap shrinks with its square; half the coarse side, n/4 for an n-cell
+    lattice side, is enough on lattices of 48 to 128 cells.  The estimate
+    reads nothing but the mask, so a mask's omega has the same bits in any
+    stack; no unknowns, or an isolated cell, give mu_c = 0.
+    """
+    inner = unknown[1:-1, 1:-1]
+    steps = max(8, max(unknown.shape) // 4)
+    # the coarse mask with a ring of zeros, flattened: the four neighbours
+    # of flat index i are i +- 1 and i +- W
+    H, W = (inner.shape[0] + 1) // 2 + 2, (inner.shape[1] + 1) // 2 + 2
+    mask = np.zeros((H, W), dtype=bool)
+    for a in (0, 1):
+        for b in (0, 1):
+            child = inner[a::2, b::2]
+            mask[1:1 + child.shape[0], 1:1 + child.shape[1]] |= child
+    # every vector is 0 off the mask, so the arithmetic runs on the flat
+    # range inside the ring, lo:hi
+    lo, hi = W + 1, H * W - W - 1
+    quarter = np.where(mask.ravel()[lo:hi], 0.25, 0.0)
+    n = int(np.count_nonzero(quarter))
+    alpha, beta = [], []
+    if n:
+        q, q_prev, w = np.zeros((3, H * W))
+        q[lo:hi] = quarter * (4.0 / math.sqrt(n))
+        b = 0.0
+        for _ in range(steps):
+            t, v, v_prev = w[lo:hi], q[lo:hi], q_prev[lo:hi]
+            np.add(q[lo + W:hi + W], q[lo - W:hi - W], out=t)
+            t += q[lo + 1:hi + 1]
+            t += q[lo - 1:hi - 1]
+            t *= quarter
+            a = float(t.dot(v))
+            t -= a * v
+            t -= b * v_prev
+            alpha.append(a)
+            b = math.sqrt(float(t.dot(t)))
+            if b <= 1e-10:          # the Krylov space is exhausted
+                break
+            beta.append(b)
+            t /= b
+            q_prev, q, w = q, w, q_prev
+    gap = (1.0 - _top_eigenvalue(alpha, beta)) / 4.0       # 1 - mu
+    return 2.0 / (1.0 + math.sqrt(gap * (2.0 - gap)))
+
+
+def _top_eigenvalue(alpha, beta):
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    alpha and off-diagonal beta (beta[i] joins rows i and i + 1), by
+    Sturm-count bisection to the last bit; 0 for no rows."""
+    m = len(alpha)
+    if not m:
+        return 0.0
+    beta = beta[:m - 1]
+    off = [0.0] + beta + [0.0]
+    lo = max(alpha)
+    hi = max(a + b0 + b1 for a, b0, b1 in zip(alpha, off, off[1:]))
+    sq = [0.0] + [b * b for b in beta]
+    while True:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return hi
+        below, d = 0, 1.0
+        for a, b2 in zip(alpha, sq):
+            d = a - x - b2 / d
+            if d <= 0.0:
+                below += 1
+                if d == 0.0:
+                    d = -1e-300
+        if below == m:      # every eigenvalue lies below x
+            hi = x
+        else:
+            lo = x
 
 
 @dataclass
@@ -118,20 +206,24 @@ def _sweep_solve(grid, systems, cfg):
 
     The run has no masked write.  Per-cell coefficient planes make the
     update c*A + (s - r)*B, s the neighbour sum: an unknown has
-    A = 1 - omega and B = omega/4, the SOR step.  Every other cell of the
-    run holds: A = 1, B = 0 and r = the largest float, so s - r < 0 and
-    c*1 + (s - r)*0 is c + -0.0, which is c bit for bit, a pinned -0.0
-    included, while |s| stays below 1e291.  Each system stops on its own
-    residual check, a max of |...| * F over its cells with F 1 on unknowns
-    and 0 elsewhere; a converged system's cells all hold and get F = 0, so
-    its values and stats are those of a solve on its own.
+    A = 1 - omega and B = omega/4, the SOR step, with its system's omega
+    (cfg.resolved_omega of its mask, once per distinct mask).  Every other
+    cell of the run holds: A = 1, B = 0 and r = the largest float, so
+    s - r < 0 and c*1 + (s - r)*0 is c + -0.0, which is c bit for bit, a
+    pinned -0.0 included, while |s| stays below 1e291.  Each system stops
+    on its own residual check, a max of |...| * F over its cells with F a
+    bool plane, True on unknowns; a converged system's cells all hold and
+    get F = False, so its values and stats are those of a solve on its
+    own.
 
     Every 8th sweep checks the residual, probe first.  A full pass keeps,
-    per system and class, the cell where |...| * F is largest.  At the next
-    check those probes are evaluated alone, with the pass's arithmetic in
-    its order, each system's largest-first by their values at that pass; the
-    full maximum is at least any probe, so when every running system has a
-    probe above the target none can stop, and the full pass is skipped.
+    per system and class, the cell where |...| * F is largest, from one
+    argmax per row of the scratch seen as (k, R*C), zero past the run.  At
+    the next check those probes are evaluated alone, with the pass's
+    arithmetic in its order, each system's largest-first by their values at
+    that pass; the full maximum is at least any probe, so when every
+    running system has a probe above the target none can stop, and the
+    full pass is skipped.
     That decision does not depend on the order, and the largest probe of
     the last pass usually settles a system alone.  Only a full pass, always
     run at the last sweep, records a residual or stops a system.  A probe's
@@ -142,13 +234,18 @@ def _sweep_solve(grid, systems, cfg):
     """
     nx, ny = grid.nx, grid.ny
     n = max(nx, ny)
-    omega = cfg.resolved_omega(n)
     max_sweeps = cfg.resolved_max_iters(n)
     target = _target(cfg, grid)
     hold = np.finfo(float).max
 
     k = len(systems)
     unknown = np.stack([s[0] for s in systems])
+    keys = [u.tobytes() for u in unknown]
+    found = {}          # one omega per distinct unknown mask
+    for key, u in zip(keys, unknown):
+        if key not in found:
+            found[key] = cfg.resolved_omega(u)
+    omega = np.array([found[key] for key in keys])[:, None, None]
     # every plane has R x C cells, with a spare row and column past the
     # lattice, so the shifted runs stay inside the plane
     R, C = nx // 2 + 1, ny // 2 + 1
@@ -157,20 +254,27 @@ def _sweep_solve(grid, systems, cfg):
     w[:, :nx, :ny][unknown] = 0.0
     inner = np.zeros(w.shape, dtype=bool)
     inner[:, 1:nx - 1, 1:ny - 1] = unknown[:, 1:-1, 1:-1]
-    rhs = np.zeros_like(w)
-    rhs[:, :nx, :ny] = [s[2] for s in systems]
 
     W, RHS, A, B, F = {}, {}, {}, {}, {}
     for a in (0, 1):
         for b in (0, 1):
             m = inner[:, a::2, b::2]
             W[a, b] = np.ascontiguousarray(w[:, a::2, b::2]).reshape(-1)
-            RHS[a, b] = np.where(m, rhs[:, a::2, b::2], hold).reshape(-1)
+            r = np.full((k, R, C), hold)
+            for s, system in enumerate(systems):
+                part = system[2][a::2, b::2]
+                p, q = part.shape
+                np.copyto(r[s, :p, :q], part, where=m[s, :p, :q])
+            RHS[a, b] = r.reshape(-1)
             A[a, b] = np.where(m, 1.0 - omega, 1.0).reshape(-1)
             B[a, b] = np.where(m, omega * 0.25, 0.0).reshape(-1)
-            F[a, b] = m.astype(float).reshape(-1)
+            F[a, b] = m.reshape(-1)
     RC = R * C
-    scratch = np.empty(k * RC)          # shared by every class
+    # shared by every class; a full pass zeroes what lies outside a class's
+    # run, so each row of its (k, R*C) view is one system's cells
+    scratch = np.empty(k * RC)
+    rows = scratch.reshape(k, RC)
+    first = np.arange(k) * RC
     colours = ([], [])
     for a, b in W:
         # interior cells 1 <= i <= nx-2, 1 <= j <= ny-2 of the class
@@ -183,12 +287,10 @@ def _sweep_solve(grid, systems, cfg):
         run = (k - 1) * RC + (li - a) * C + lj - b + 1 - lo
         shifts = ((1 - a, b, a * C), (1 - a, b, (a - 1) * C),
                   (a, 1 - b, b), (a, 1 - b, b - 1))
-        # where each system's cells start and end in the run
-        edges = [max(s * RC - lo, 0) for s in range(k)] + [run]
         views = ((W[a, b][lo:lo + run],)
                  + tuple(W[p, q][lo + s:lo + s + run] for p, q, s in shifts)
                  + tuple(x[a, b][lo:lo + run] for x in (RHS, A, B, F))
-                 + (scratch[:run], list(zip(edges[:-1], edges[1:]))))
+                 + (scratch[lo:lo + run], lo))
         colours[(a + b) % 2].append(views)
     lattices = colours[0] + colours[1]
     # per class, what a probe reads: (c, ip, im, jp, jm, r, F) as items
@@ -225,7 +327,7 @@ def _sweep_solve(grid, systems, cfg):
         # |0.25 * (ip + im + jp + jm - r) - c| at each system's unknowns
         gap = np.zeros(k)
         found = [[] for _ in range(k)]
-        for q, (c, ip, im, jp, jm, r, _, _, f, t, spans) in \
+        for q, (c, ip, im, jp, jm, r, _, _, f, t, lo) in \
                 zip(items, lattices):
             np.add(ip, im, out=t)
             t += jp
@@ -235,11 +337,16 @@ def _sweep_solve(grid, systems, cfg):
             t -= c
             np.abs(t, out=t)
             t *= f
-            # argmax finds a NaN first, as the maximum propagates it
-            top = [lo + int(t[lo:hi].argmax()) for lo, hi in spans]
-            peak = t[top]
+            scratch[:lo] = 0.0
+            scratch[lo + len(t):] = 0.0
+            # argmax finds a NaN first, as the maximum propagates it; a
+            # system whose cells are all 0 may find a zero before the run,
+            # whose first cell then stands for it
+            top = rows.argmax(axis=1)
+            peak = rows[range(k), top]
             np.maximum(gap, peak, out=gap)
-            for s, (p, value) in enumerate(zip(top, peak.tolist())):
+            top = np.maximum(first + top - lo, 0)
+            for s, (p, value) in enumerate(zip(top.tolist(), peak.tolist())):
                 found[s].append((value, q, p))
         probes = [[(q, p) for _, q, p in sorted(
             mine, key=lambda x: x[0], reverse=True)] for mine in found]
@@ -247,7 +354,7 @@ def _sweep_solve(grid, systems, cfg):
         for s in [s for s in running if res[s] <= target]:
             running.remove(s)
             iters[s] = it
-            for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0), (F, 0.0)):
+            for coef, value in ((RHS, hold), (A, 1.0), (B, 0.0), (F, False)):
                 for plane in coef.values():
                     plane[s * RC:(s + 1) * RC] = value
     iters[running] = it

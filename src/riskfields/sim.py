@@ -356,12 +356,13 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
     fs = FieldSampler(sf, gf)
-    k = bcfg.nominal_at(sf)
+    at = bcfg.nominal_at(sf)
 
     def terms_at(z):        # (AccelTerms, w_nom as two floats)
-        y, ydot = z[:2], np.array(z[2:])
-        w_nom = np.asarray(accel_nom(np.array(y), ydot), dtype=float)
-        return bs.accel_terms(y, ydot, k, bcfg, fs), tuple(w_nom.tolist())
+        y, ydot = z[:2], z[2:]
+        w_nom = np.asarray(accel_nom(np.array(y), np.array(ydot)),
+                           dtype=float)
+        return bs.accel_terms(y, ydot, at, bcfg, fs), tuple(w_nom.tolist())
 
     def record(z):
         terms, w_nom = terms_at(z)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from riskfields.backstep import (BackstepConfig, ExtendedState, filter_accel,
-                                 h_B, hdot_B, k_v_jacobian, k_v_smooth,
-                                 smooth_margin)
+from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
+                                 _k_v_safe, filter_accel, h_B, hdot_B,
+                                 k_v_jacobian, k_v_smooth, smooth_margin)
 from riskfields.errors import (DegenerateCoefficient, OutOfDomain,
                                VanishingGuidance)
-from riskfields.grid import ScalarField, VectorField
+from riskfields.grid import FieldSampler, ScalarField, VectorField, point_xy
 from riskfields.safety import GuidanceFieldBundle, SafetyFunction
 
 from test_grid import box_grid
@@ -26,6 +26,14 @@ def affine_setup(h0=0.8, hx=0.35, hy=-0.2, vx=-1.1, vy=0.4, d=0.25):
         VectorField(ScalarField(g, np.full((g.nx, g.ny), vx)),
                     ScalarField(g, np.full((g.nx, g.ny), vy))))
     return g, sf, gf
+
+
+def k_v_safe(y, sf, gf, cfg):
+    """The barrier's velocity k_v_safe at y, from cfg's nominal there."""
+    p = point_xy(y)
+    s = FieldSampler(sf, gf, snapshot=False).at(*p, True)
+    return np.array(_k_v_safe(p, point_xy(cfg.nominal(y)), s, cfg,
+                              _eps2(sf.grid)))
 
 
 # -- config and state ----------------------------------------------------------
@@ -115,23 +123,38 @@ def test_k_v_requires_guidance():
 # -- jacobian --------------------------------------------------------------------
 
 def test_k_v_jacobian_matches_analytic_on_affine():
-    g, sf, gf = affine_setup()
+    # J of k_v_safe = k_v + lambda_s(a_s) Dh / (||Dh||^2 + eps^2), with
+    # a_s = Dh.k_v + gamma h: J_kv plus the outer product of that direction
+    # with lambda_s'(a_s) grad a_s.  d = 0.1 keeps the central differences'
+    # truncation error (step d/2) well below the bound
+    g, sf, gf = affine_setup(d=0.1)
     h0, hx, hy = 0.8, 0.35, -0.2
     v = np.array([-1.1, 0.4])
+    Dh = np.array([hx, hy])
     A = np.array([[0.3, -0.5], [0.2, 0.1]])
     b = np.array([0.4, -0.1])
     cfg = BackstepConfig(mu=1.0, gamma=1.2, sigma_s=0.4,
                          k_nom_v=lambda p: A @ np.asarray(p) + b)
     nv2 = float(v @ v)
-    grad_a = A.T @ v + cfg.gamma * np.array([hx, hy])
+    toward = Dh / (float(Dh @ Dh) + _eps2(g))
+    grad_a = A.T @ v + cfg.gamma * Dh
     rng = np.random.default_rng(0)
     for _ in range(40):
         p = g.cell_center(4, 4) + rng.random(2) * 8 * g.d
-        a = float(v @ (A @ p + b)) + cfg.gamma * (h0 + hx * p[0] + hy * p[1])
+        h = h0 + hx * p[0] + hy * p[1]
+        a = float(v @ (A @ p + b)) + cfg.gamma * h
         r = math.hypot(a, cfg.sigma_s)
-        J_exact = A + np.outer(v / nv2, 0.5 * (a / r - 1.0) * grad_a)
+        kv = A @ p + b + 0.5 * (-a + r) / nv2 * v
+        J_kv = A + np.outer(v / nv2, 0.5 * (a / r - 1.0) * grad_a)
+        a_s = float(Dh @ kv) + cfg.gamma * h
+        r_s = math.hypot(a_s, cfg.sigma_s)
+        J_exact = J_kv + np.outer(
+            toward, 0.5 * (a_s / r_s - 1.0) * (J_kv.T @ Dh + cfg.gamma * Dh))
         J = k_v_jacobian(p, sf, gf, cfg)
-        assert np.abs(J - J_exact).max() < 2e-4  # measured 1.4e-5
+        assert np.abs(J - J_exact).max() < 2e-4  # measured 2.7e-5
+        # the Dh correction's own term is far above the bound (0.019 at
+        # least), so J_kv alone would fail
+        assert np.abs(J_exact - J_kv).max() > 50 * 2e-4
 
 
 def test_k_v_jacobian_column_order():
@@ -197,8 +220,7 @@ def test_h_B_tight_on_the_manifold(disk_build):
     _, res = disk_build
     cfg = bs_cfg()
     y = np.array([0.3, 0.2])
-    kv = k_v_smooth(y, cfg.nominal(y), res.sf, res.gf, cfg)
-    st = ExtendedState(y, kv)
+    st = ExtendedState(y, k_v_safe(y, res.sf, res.gf, cfg))
     assert h_B(st, res.sf, res.gf, cfg) == pytest.approx(res.sf.value(y))
 
 
@@ -249,7 +271,7 @@ def test_filter_accel_zeroes_active_residual(disk_build):
     active = 0
     for y in pts[rng.choice(len(pts), 80, replace=False)]:
         try:
-            kv = k_v_smooth(y, cfg.nominal(y), sf, gf, cfg)
+            kv = k_v_safe(y, sf, gf, cfg)
         except (OutOfDomain, VanishingGuidance):
             continue
         e = rng.normal(0, 0.5, 2)
@@ -275,25 +297,87 @@ def test_filter_accel_zeroes_active_residual(disk_build):
     assert active >= 10
 
 
+def _manifold_residual(y, w, sf, gf, cfg):
+    """(state, hdot_B(w) + gamma h_B) on the manifold ydot = k_v_safe(y),
+    where that residual is Dh.k_v_safe + gamma h - e.(...) with e = 0."""
+    st = ExtendedState(y, k_v_safe(y, sf, gf, cfg))
+    return st, (hdot_B(st, w, sf, gf, cfg) + cfg.gamma * h_B(st, sf, gf, cfg))
+
+
 def test_filter_accel_degenerate_coefficient(disk_build):
     # on the manifold (e = 0) the constraint has no lever arm; a violated
-    # residual there must raise instead of silently passing w through
+    # residual there must raise instead of silently passing w through.
+    # There the residual is Dh.k_v_safe + gamma h, which k_v_safe keeps
+    # positive wherever ||Dh|| >> eps: a nominal straight into the obstacle
+    # finds no violation on the disk ...
     _, res = disk_build
     sf, gf = res.sf, res.gf
     cfg = BackstepConfig(mu=1.0, gamma=1.0, sigma_s=0.1,
                          k_nom_v=lambda y: -5.0 * sf.grad_at(y))
-    hit = None
+    checked = 0
+    for y in res.grid.free_centers()[::7]:
+        try:
+            _, resid = _manifold_residual(y, np.zeros(2), sf, gf, cfg)
+        except (OutOfDomain, VanishingGuidance):
+            continue
+        assert resid > 0.0
+        checked += 1
+    assert checked >= 100
+    # ... but where h is nearly flat (||Dh||^2 = 1e-4 against eps^2 =
+    # 2.5e-3) the regularised correction is too weak for a nominal of
+    # 1000 against Dh, and the violation must raise
+    g, sf, gf = affine_setup(h0=0.8, hx=0.01, hy=0.0)
+    cfg = BackstepConfig(mu=1.0, gamma=1.0, sigma_s=0.1,
+                         k_nom_v=lambda y: np.array([-1000.0, 0.0]))
+    hit, resid = _manifold_residual(g.cell_center(8, 8), np.zeros(2), sf, gf,
+                                    cfg)
+    assert resid < -1e-3
+    with pytest.raises(DegenerateCoefficient):
+        filter_accel(hit, np.zeros(2), sf, gf, cfg)
+
+
+def test_k_v_safe_is_safe_for_h(disk_build):
+    # Dh.k_v_safe + gamma h > 0 where Dh.k_v + gamma h < 0, for a nominal
+    # straight into the obstacle; the guidance margin v.k_v + gamma h stays
+    # k_v_smooth's
+    _, res = disk_build
+    sf, gf = res.sf, res.gf
+    cfg = BackstepConfig(mu=1.0, gamma=1.0, sigma_s=0.1,
+                         k_nom_v=lambda y: -5.0 * sf.grad_at(y))
+    unsafe = 0
     for y in res.grid.free_centers()[::7]:
         try:
             kv = k_v_smooth(y, cfg.nominal(y), sf, gf, cfg)
-            st = ExtendedState(y, kv)
-            resid = hdot_B(st, np.zeros(2), sf, gf, cfg) \
-                + cfg.gamma * h_B(st, sf, gf, cfg)
+            ks = k_v_safe(y, sf, gf, cfg)
         except (OutOfDomain, VanishingGuidance):
             continue
-        if resid < -1e-3:
-            hit = st
-            break
-    assert hit is not None
-    with pytest.raises(DegenerateCoefficient):
-        filter_accel(hit, np.zeros(2), sf, gf, cfg)
+        Dh, h = sf.grad_at(y), sf.value(y)
+        unsafe += float(Dh @ kv) + cfg.gamma * h < 0.0
+        assert float(Dh @ ks) + cfg.gamma * h > 0.0
+    assert unsafe >= 50
+
+
+def test_k_v_safe_bounded_at_the_maximum_of_h():
+    # Dh = 0 at the top of a paraboloid h: the correction vanishes there
+    # and stays below lambda_s / (2 eps) next to it, where an unregularised
+    # lambda_s Dh / ||Dh||^2 grows without bound
+    g = box_grid(20, 18, d=0.25)
+    x = g.centers_x()[:, None] - g.cell_center(10, 9)[0]
+    y = g.centers_y()[None, :] - g.cell_center(10, 9)[1]
+    sf = SafetyFunction(ScalarField(g, 4.0 - x * x - y * y))
+    _, _, gf = affine_setup()
+    cfg = BackstepConfig(sigma_s=0.1, k_nom_v=lambda p: np.array([0.3, 0.1]))
+    top = g.cell_center(10, 9)
+    fs = FieldSampler(sf, gf, snapshot=False)
+    eps = math.sqrt(_eps2(g))
+    for off in (0.0, 1e-9, 1e-4, 1e-2, 0.1):
+        p = tuple(top + off * g.d)
+        s = fs.at(*p, True)
+        kv = k_v_smooth(p, cfg.nominal(p), sf, gf, cfg)
+        ks = _k_v_safe(p, point_xy(cfg.nominal(p)), s, cfg, _eps2(g))
+        a_s = s[3] * kv[0] + s[4] * kv[1] + cfg.gamma * s[0]
+        lam = smooth_margin(a_s, cfg.sigma_s) - a_s
+        gap = math.hypot(ks[0] - kv[0], ks[1] - kv[1])
+        assert gap <= lam / (2.0 * eps) * (1 + 1e-12)
+        if off == 0.0:
+            assert gap == 0.0

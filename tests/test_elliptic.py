@@ -1,12 +1,15 @@
 """Poisson / Laplace solves: oracles, contracts, and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
+from riskfields import elliptic
 from riskfields.elliptic import (SOR, ForcingSpec, SolverConfig, _fields,
                                  _guidance, _poisson, _sweep_solve,
                                  _sweep_stack, check_divergence_identity,
-                                 hopf_margins, solve_guidance,
+                                 hopf_margins, solve_fields, solve_guidance,
                                  solve_laplace_component, solve_poisson)
 from riskfields.errors import (GridMismatch, MalformedGrid,
                                NegativeForcingViolation, NonConvergence)
@@ -182,6 +185,90 @@ def test_stack_of_two_grids_matches_solo_solves():
             assert h.stats == stacked[1][0][1]
         else:
             assert all(converged)
+
+
+def _pocket_grid():
+    pocket = np.full((24, 20), OCCUPIED, dtype=np.int8)
+    pocket[2:7, 3:9] = FREE
+    return OccupancyGrid(pocket, 0.05)
+
+
+def test_auto_omega_has_the_same_bits_alone_and_in_any_stack(monkeypatch):
+    # each distinct mask of a stack gets one estimate, read from the mask
+    # alone, so a system's omega, values and stats are those of its solo
+    # solve; vx and vy share one mask and one estimate
+    g = block_grid()
+    box = [s[:3] for s in _frame_systems(g)]
+    pocket = [s[:3] for s in _frame_systems(_pocket_grid())]
+    alone = {u.tobytes(): elliptic._auto_omega(u) for u, _, _ in box + pocket}
+    assert len(alone) == 4
+    estimate = elliptic._auto_omega
+    seen = []
+
+    def logged(unknown):
+        seen.append((unknown.tobytes(), estimate(unknown)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(elliptic, "_auto_omega", logged)
+    for stack in (box, pocket, box + pocket, pocket[::-1] + box[:1],
+                  box[1:] + pocket[:1] + box[:1]):
+        seen.clear()
+        got = _sweep_solve(g, stack, SOR_CFG)
+        assert len(seen) == len({u.tobytes() for u, _, _ in stack})
+        for key, omega in seen:
+            assert np.float64(omega).view(np.int64) == \
+                np.float64(alone[key]).view(np.int64)
+        for (w, stats), system in zip(got, stack):
+            want_w, want_stats = _sweep_solve(g, [system], SOR_CFG)[0]
+            assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+            assert stats == want_stats
+
+
+def _one_cell_corridor(n, axis):
+    s = np.full((3, n), OCCUPIED, dtype=np.int8)
+    s[1, 1:-1] = FREE
+    return OccupancyGrid(s if axis == 1 else s.T.copy(), 0.1)
+
+
+@pytest.mark.parametrize("case", ["empty", "single", "corridor_x_6",
+                                  "corridor_y_5", "corridor_x_40"])
+def test_auto_omega_on_degenerate_masks(case):
+    # no unknowns, an isolated unknown and one-cell corridors: the Lanczos
+    # run ends at once or exhausts its Krylov space within a few steps
+    if case == "empty":
+        g = box_grid(8, 8)
+        unknown = np.zeros((8, 8), dtype=bool)
+        system = (unknown, np.ones((8, 8)), np.zeros((8, 8)))
+    else:
+        if case == "single":
+            s = np.full((3, 3), OCCUPIED, dtype=np.int8)
+            s[1, 1] = FREE
+            g = OccupancyGrid(s, 0.5)
+        else:
+            _, axis, n = case.split("_")
+            g = _one_cell_corridor(int(n), axis == "y")
+        system = (g.free, np.zeros((g.nx, g.ny)),
+                  np.where(g.free, -4.0 * g.d * g.d, 0.0))
+    omega = SOR_CFG.resolved_omega(system[0])
+    assert 1.0 <= omega < 2.0
+    (w, stats), = _sweep_solve(g, [system], SOR_CFG)
+    assert stats.converged
+    assert np.abs(w - dense_reference(*system)).max() < 1e-9
+
+
+def test_auto_omega_needs_fewer_sweeps_than_the_box_formula(three_build):
+    # obstacles shrink each system's domain, so its optimal omega falls
+    # below the empty box's 2/(1 + sin(pi/N)), and the mask-derived omega
+    # stops every system in fewer sweeps
+    sc, b = three_build
+    assert sc.solver_cfg.omega == "auto"
+    n = max(b.grid.nx, b.grid.ny)
+    box = SolverConfig(method=SOR, omega=2.0 / (1.0 + math.sin(math.pi / n)),
+                       tol=sc.solver_cfg.tol)
+    h, v = solve_fields(b.grid, b.boundary, ForcingSpec(), box)
+    for auto, slow in ((b.sf.h, h), (b.gf.v.x, v.x), (b.gf.v.y, v.y)):
+        assert auto.stats.converged and slow.stats.converged
+        assert auto.stats.iterations < 0.8 * slow.stats.iterations
 
 
 def test_stack_needs_one_lattice_shape():

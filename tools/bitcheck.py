@@ -1,6 +1,6 @@
 """Bit-identity and field-diff harness.
 
-    python tools/bitcheck.py --dump OUT.npz [--size full|tiny]
+    python tools/bitcheck.py --dump OUT.npz [--size full|tiny] [--omega W]
     python tools/bitcheck.py --compare A.npz B.npz
 
 --dump runs a standard set of builds and closed-loop runs with the
@@ -23,7 +23,9 @@ produces to OUT.npz:
   and the trajectory.
 
 Documents come from perfbench/inputs.py and runs from the workloads in
-perfbench/workloads.py, so the set follows the benchmark's inputs.
+perfbench/workloads.py, so the set follows the benchmark's inputs.  With
+--omega W every document's solver.omega is set to the number W before it
+is parsed, which checks the builds that do not resolve omega "auto".
 
 --compare prints a one-line verdict, then one line per array that differs:
 the largest absolute difference, the largest difference in units in the
@@ -119,8 +121,25 @@ def _modules():
     return inputs, workloads, cli, elliptic, safety, scenario, sim
 
 
-def dump(path, seeds, dynamic_seeds, size="full"):
+def dump(path, seeds, dynamic_seeds, size="full", omega=None):
     inputs, workloads, cli, elliptic, safety, scenario, sim = _modules()
+    parse = scenario.Scenario._parse
+    if omega is not None:
+        def numeric(sc):
+            sc.doc = {**sc.doc, "solver": {**sc.doc.get("solver", {}),
+                                           "omega": omega}}
+            parse(sc)
+
+        scenario.Scenario._parse = numeric
+    try:
+        return _dump(path, seeds, dynamic_seeds, size, inputs, workloads,
+                     cli, elliptic, safety, scenario, sim)
+    finally:
+        scenario.Scenario._parse = parse
+
+
+def _dump(path, seeds, dynamic_seeds, size, inputs, workloads, cli, elliptic,
+          safety, scenario, sim):
     out = Dump(elliptic._band_nodes)
 
     def zone_of(sc, b):
@@ -257,9 +276,12 @@ def main(argv=None):
     p.add_argument("--seeds", type=_seeds, default=[12, 31])
     p.add_argument("--dynamic-seeds", type=_seeds, default=[12, 41])
     p.add_argument("--size", choices=("full", "tiny"), default="full")
+    p.add_argument("--omega", type=float, help="a numeric solver.omega for "
+                   "every document")
     args = p.parse_args(argv)
     if args.dump:
-        n = dump(args.dump, args.seeds, args.dynamic_seeds, args.size)
+        n = dump(args.dump, args.seeds, args.dynamic_seeds, args.size,
+                 args.omega)
         print(f"wrote {n} arrays to {args.dump}")
         return 0
     same, lines = compare(*args.compare)
