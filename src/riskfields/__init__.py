@@ -15,7 +15,7 @@ from .errors import (DegenerateCoefficient, DegenerateNormal,
                      UnorderedBoundary, VanishingGuidance)
 from .grid import (FREE, OCCUPIED, BoundarySet, FieldSampler, OccupancyGrid,
                    ScalarField, VectorField, estimate_normals,
-                   extract_boundary, load_grid, sample_gradient,
+                   extract_boundary, sample_gradient,
                    sample_scalar, sample_vector)
 from .elliptic import (SOR, ForcingSpec, SolverConfig,
                        check_divergence_identity, solve_fields,

@@ -235,16 +235,27 @@ def _sweep_one(job):
             "termination": traj.termination}
 
 
+def _positive_list(text, flag):
+    """The comma-separated numbers of a flag, each positive and finite; a
+    typed error naming the flag before any job starts (FilterConfig's own
+    check raises ValueError, a bad scale would fail inside a job)."""
+    values = []
+    for s in text.split(","):
+        try:
+            v = float(s)
+        except ValueError:
+            raise RiskFieldsError(f"{flag}: {s!r} is not a number")
+        if not 0 < v < math.inf:
+            raise RiskFieldsError(f"{flag}: {v} is not positive and finite")
+        values.append(v)
+    return values
+
+
 def cmd_sweep(args, scenario):
     out = args.out
-    scales = [float(s) for s in args.scales.split(",")]
-    gammas = [float(s) for s in args.gammas.split(",")] if args.gammas \
+    scales = _positive_list(args.scales, "--scales")
+    gammas = _positive_list(args.gammas, "--gammas") if args.gammas \
         else [scenario.filter_cfg.gamma]
-    for gm in gammas:
-        # a typed error before any job starts; FilterConfig's own check
-        # raises ValueError
-        if not 0 < gm < math.inf:
-            raise RiskFieldsError(f"--gammas: {gm} is not positive and finite")
     jobs = [(args.scenario, s, gm) for gm in gammas for s in scales]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:

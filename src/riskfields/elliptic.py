@@ -454,15 +454,46 @@ def _laplace(grid, boundary, dirichlet_values, nodes):
     return grid.free & ~node_mask, fixed, np.zeros_like(fixed), finish
 
 
-def _guidance(grid, boundary, nodes=None):
-    """The two Laplace systems of v = -beta * n_hat; nodes is
-    _band_nodes(grid, boundary), made here when not given."""
+def _guidance(grid, boundary, nodes=None, comp=None):
+    """The two Laplace systems of v = -beta * n_hat, or with comp, of that
+    data on the nodes of component comp and 0 on every other node; nodes
+    is _band_nodes(grid, boundary), made here when not given."""
     if boundary.flux is None:
         raise MalformedGrid("boundary flux magnitudes must be assigned first")
     if nodes is None:
         nodes = _band_nodes(grid, boundary)
-    return [_laplace(grid, boundary, -boundary.flux * boundary.normals[:, c],
-                     nodes) for c in (0, 1)]
+    systems = []
+    for c in (0, 1):
+        data = -boundary.flux * boundary.normals[:, c]
+        if comp is not None:
+            data = np.where(boundary.comp == comp, data, 0.0)
+        systems.append(_laplace(grid, boundary, data, nodes))
+    return systems
+
+
+def _superpose(grid, terms):
+    """The guidance components sum_k a_k (vx_k, vy_k) over terms
+    [(a_k, (vx_k, vy_k), (stats_x_k, stats_y_k))], in order, as fresh
+    ScalarFields; one term with a_0 = 1 gives a copy of its values and
+    stats.  The discrete Laplacian is linear, so a component's residual
+    is at most sum |a_k| r_k; its stats carry that bound, with target
+    sum |a_k| t_k and the terms' sweeps added up."""
+    fields = []
+    weights = [abs(a) for a, _, _ in terms]
+    for axis in (0, 1):
+        (a, values, _), rest = terms[0], terms[1:]
+        w = values[axis] * a
+        for coef, vals, _ in rest:
+            w += coef * vals[axis]
+        stats = [st[axis] for _, _, st in terms]
+        field = ScalarField(grid, w)
+        field.stats = SolveStats(
+            stats[0].method, sum(st.iterations for st in stats),
+            sum(c * st.residual for c, st in zip(weights, stats)),
+            sum(c * st.target for c, st in zip(weights, stats)),
+            stats[0].unknowns, all(st.converged for st in stats))
+        fields.append(field)
+    return fields
 
 
 def _vector(fx, fy, boundary):

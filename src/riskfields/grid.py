@@ -693,13 +693,6 @@ def gradient_field(field):
                        ScalarField(grid, gy, mask=field.mask))
 
 
-def load_grid(source):
-    """OccupancyGrid from a scenario document (path, dict, or Scenario)."""
-    from .scenario import Scenario
-    sc = source if isinstance(source, Scenario) else Scenario(source)
-    return sc.rasterize(0.0)
-
-
 # -- CSV dumps --------------------------------------------------------------
 
 def dump_csv(array, path):
@@ -707,7 +700,3 @@ def dump_csv(array, path):
     np.savetxt(path, np.asarray(array, dtype=float), fmt="%.17g",
                delimiter=",")
 
-
-def load_csv(path):
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    return arr

@@ -68,18 +68,6 @@ class PriorityRule:
         return p
 
 
-class CompositeMaxPriority:
-    """Fuses several (rule, reading) pairs per node by taking the max."""
-
-    def __init__(self, rules):
-        self.rules = list(rules)
-
-    def priority(self, readings):
-        if len(readings) != len(self.rules):
-            raise MalformedGrid("one reading per fused rule required")
-        return max(r.priority(x) for r, x in zip(self.rules, readings))
-
-
 @dataclass
 class RiskAssign:
     """Normalizes priority into [0,1], monotone nondecreasing."""
@@ -132,7 +120,7 @@ def assign_flux(boundary, features, rule, w, phi):
     memo = {}   # by (kind, value), as FeatureReading is unhashable
     flux = np.empty(boundary.n)
     for k, r in enumerate(features):    # in node order: first bad one raises
-        key = (r.kind, r.value) if isinstance(r, FeatureReading) else k
+        key = (r.kind, r.value)
         if key not in memo:
             memo[key] = phi(risk_value(rule.priority(r), w))
         flux[k] = memo[key]

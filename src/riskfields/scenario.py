@@ -120,13 +120,29 @@ def _chains_copy(chains):
     return {c: None if a is None else a.copy() for c, a in chains.items()}
 
 
+class _Pair:
+    """Private copies of one solved guidance pair, the (x, y) values and
+    stats of v0 or of a basis field v_c; values stays None until the frame
+    that solves it is finished (keep)."""
+
+    values = None
+
+    def keep(self, fx, fy):
+        self.values = (fx.values.copy(), fy.values.copy())
+        self.stats = (replace(fx.stats), replace(fy.stats))
+
+
 class _Geometry:
     """Private copies of what a build derives from its free mask alone: the
     flux-free boundary, its nearest-node map as index arrays, h with its
-    stats, and grad h.  The boundary and map are copied when the frame that
-    solves this geometry is prepared, h and grad h when it is finished
-    (keep).  Every field handed out is a fresh copy on the grid it is asked
-    for."""
+    stats, and grad h; and the guidance solved on it for one smoothed,
+    unscaled flux beta0.  The boundary and map are copied when the frame
+    that solves this geometry is prepared, h and grad h when it is finished
+    (keep).  guide is (beta0.tobytes(), v0, {component: v_c}) of the last
+    successful build, its _Pairs those that build used or solved: v0 the
+    harmonic extension of -beta0 n_hat, v_c that of -beta0 n_hat on the
+    nodes of component c and 0 on every other node.  Every field handed
+    out is a fresh copy on the grid it is asked for."""
 
     def __init__(self, boundary, nodes):
         self.arrays = (boundary.cells.copy(), boundary.normals.copy(),
@@ -134,6 +150,7 @@ class _Geometry:
         self.chains = _chains_copy(boundary.chains)
         self.nodes = nodes      # read only by the guidance solve
         self.h = None
+        self.guide = None
 
     def keep(self, h):
         self.h = h.values.copy()
@@ -155,8 +172,9 @@ class _Geometry:
 
 
 # The geometry of the last successful build, {key: _Geometry}, one entry at
-# most.  The key is everything the boundary, h and grad h depend on: the
-# free mask, the lattice and the solver config.
+# most, with the v0 and basis pairs of that build's beta0 (_Geometry.guide).
+# The key is everything the boundary, h, grad h and, for a given beta0, the
+# guidance depend on: the free mask, the lattice and the solver config.
 _GEOMETRY = {}
 
 
@@ -169,13 +187,19 @@ def _geometry_key(grid, cfg):
 class _Pending:
     """A frame prepared for the stacked solve: its systems, and for a full
     build (report not None) the boundary with flux.  geo is the geometry
-    the frame reuses or, with h still None, the one it solves."""
+    the frame reuses or, with h still None, the one it solves.  guide is
+    _Geometry.guide once the frame is built, terms its field's
+    [(component or None for v0, coefficient, _Pair)] and pairs the _Pairs
+    whose systems follow h's, in order."""
     grid: object
     key: tuple
     geo: object
     systems: list
     boundary: object = None
     report: dict = None
+    guide: tuple = None
+    terms: list = None
+    pairs: list = None
 
 
 @dataclass
@@ -541,10 +565,22 @@ class Scenario:
                 for idx, m in enumerate(self._masks)}
 
     def build(self, t=0.0, flux_scale=None):
-        """Full chain at time t; flux_scale is a factor (all nodes) or a
-        {obstacle_index: factor} map applied after smoothing.  When the
-        last successful build had this geometry (_GEOMETRY), its boundary,
-        h and grad h are reused and only the guidance field is solved.
+        """Full chain at time t; flux_scale is a factor a (all nodes) or a
+        {obstacle_index: factor} map applied after smoothing, each factor
+        finite and positive, each key an obstacle's index; anything else
+        raises MalformedDocument before any work.
+
+        The guidance is linear in its boundary data, so it is one sum,
+        v = a v0 + sum_c (s_c - a) v_c, over the components c whose factor
+        s_c (the product of the scales of the obstacles that own c) is not
+        a; a is 1 for a map or no scale, so an unscaled build's v is v0.
+        v0 and v_c are solved for the smoothed, unscaled flux beta0 (see
+        _Geometry).  A build reuses what the last successful build of its
+        geometry (_GEOMETRY) holds: the boundary, h and grad h, and for the
+        same beta0, v0 and the v_c; only what is missing is solved.  So a
+        one-off map-scaled build solves five systems (h, v0 and one basis
+        pair), two more than a direct solve of its scaled flux, while later
+        scales of the same obstacles solve none.
         The one-frame case of _build_frames; run_dynamic asks it for two
         frames per stacked solve, so it prepares at most one frame ahead
         of the one its dh/dt needs."""
@@ -567,15 +603,19 @@ class Scenario:
         are solved in one elliptic._sweep_stack, where each keeps the values
         and stats of a solve on its own.  Each frame is finished when it is
         asked for.  A frame whose mask is the last successful build's, or
-        an earlier frame's here, reuses that geometry as build does, so
-        every field, stats, report and _GEOMETRY entry is that of builds
-        made one at a time.  A frame that fails raises when it is asked
-        for, and no frame after it is prepared.
+        an earlier frame's here, reuses that geometry, and v0 and basis
+        pairs of its beta0, as build does, so every field, stats, report
+        and _GEOMETRY entry is that of builds made one at a time.  A frame
+        that fails raises when it is asked for, and no frame after it is
+        prepared.
         """
         frames, failure = [], None
-        # (key, geometry) that the next frame finds, as in _GEOMETRY after
-        # the frames before it were built one at a time
-        memo = next(iter(_GEOMETRY.items()), (None, None))
+        flux_scale = self._checked_scale(flux_scale)
+        # (key, geometry, guide) that the next frame finds, as in _GEOMETRY
+        # after the frames before it were built one at a time
+        memo = (None, None, None)
+        for key, geo in _GEOMETRY.items():
+            memo = (key, geo, geo.guide)
         for n, t in enumerate(times):
             try:
                 fr = self._prepare(t, flux_scale, memo,
@@ -587,7 +627,7 @@ class Scenario:
                 break
             frames.append(fr)
             if fr.report is not None:
-                memo = (fr.key, fr.geo)
+                memo = (fr.key, fr.geo, fr.guide)
         start = time.perf_counter()
         solved = elliptic._sweep_stack([(fr.grid, fr.systems)
                                         for fr in frames], self.solver_cfg)
@@ -600,8 +640,8 @@ class Scenario:
             raise failure
 
     def _prepare(self, t, flux_scale, memo, h_only):
-        """Frame t up to its systems; memo is (key, geometry) of the build
-        before it."""
+        """Frame t up to its systems; memo is (key, geometry, guide) of the
+        build before it."""
         start = time.perf_counter()
         grid = self.rasterize(t)
         key = _geometry_key(grid, self.solver_cfg)
@@ -625,20 +665,16 @@ class Scenario:
         start = time.perf_counter()
         feats = self.node_features(grid, shape)
         rule = self.priority_rule()
-        boundary = riskmap.assign_flux(shape, feats, rule, self.assign,
-                                       self.flux_map)
-        boundary = riskmap.smooth_flux(boundary, self.smooth_window)
+        base = riskmap.assign_flux(shape, feats, rule, self.assign,
+                                   self.flux_map)
+        base = riskmap.smooth_flux(base, self.smooth_window)     # beta0
+        a, scales = self._component_scales(flux_scale, grid, base)
+        boundary = base
         if flux_scale is not None:
-            flux = boundary.flux.copy()
-            if isinstance(flux_scale, dict):
-                owners = self.obstacle_components(grid, boundary)
-                for idx, c in flux_scale.items():
-                    comps = owners.get(int(idx), set())
-                    pick = np.isin(boundary.comp, list(comps))
-                    flux[pick] = flux[pick] * float(c)
-            else:
-                flux = flux * float(flux_scale)
-            boundary = boundary.with_flux(flux)
+            factor = np.full(base.n, a)
+            for c, s in scales.items():
+                factor[base.comp == c] = s
+            boundary = base.with_flux(base.flux * factor)
         report["stages"].append("risk")
         report["flux"] = {"min": float(boundary.flux.min()),
                           "max": float(boundary.flux.max()),
@@ -651,13 +687,67 @@ class Scenario:
             geo = _Geometry(shape, elliptic._band_nodes(grid, boundary))
             systems.append(elliptic._poisson(grid, boundary,
                                              elliptic.ForcingSpec()))
-        systems += elliptic._guidance(grid, boundary, geo.nodes)
+        # the v0 and basis pairs of beta0 this frame finds, and those it
+        # adds; every pair missing is solved in this frame's stack
+        flux_key = base.flux.tobytes()
+        guide = memo[2] if geo is memo[1] else None
+        _, v0, basis = (guide if guide is not None and guide[0] == flux_key
+                        else (flux_key, None, {}))
+        pairs = []
+        if v0 is None:
+            v0 = _Pair()
+            pairs.append((v0, None))
+        basis = dict(basis)
+        for c in scales:
+            if c not in basis:
+                basis[c] = _Pair()
+                pairs.append((basis[c], c))
+        for _, c in pairs:
+            systems += elliptic._guidance(grid, base, geo.nodes, comp=c)
+        terms = [(None, a, v0)] + [(c, s - a, basis[c])
+                                   for c, s in scales.items()]
         timings["solve"] = 1e3 * (time.perf_counter() - start)
-        return _Pending(grid, key, geo, systems, boundary, report)
+        return _Pending(grid, key, geo, systems, boundary, report,
+                        (flux_key, v0, basis), terms, [p for p, _ in pairs])
+
+    def _checked_scale(self, flux_scale):
+        """flux_scale as build takes it, with float factors and int keys;
+        a bad factor or key raises MalformedDocument."""
+        if flux_scale is None:
+            return None
+        if not isinstance(flux_scale, dict):
+            return _num(flux_scale, "flux_scale", positive=True)
+        out = {}
+        for idx, s in flux_scale.items():
+            i = _int(idx, "flux_scale key")
+            if i >= len(self.obstacles):
+                raise MalformedDocument(
+                    f"flux_scale key: no obstacle {i}, the document has "
+                    f"{len(self.obstacles)}")
+            out[i] = _num(s, f"flux_scale[{i}]", positive=True)
+        return out
+
+    def _component_scales(self, flux_scale, grid, boundary):
+        """(a, {c: s_c}): the factor a of every node, and the factor s_c of
+        each component c where it is not a, the product of the scales of
+        the obstacles that own c, in the map's order."""
+        if not isinstance(flux_scale, dict):
+            return (1.0 if flux_scale is None else flux_scale), {}
+        owners = self.obstacle_components(grid, boundary)
+        scales = {}
+        for c in boundary.components():
+            s = 1.0
+            for idx, x in flux_scale.items():
+                if c in owners[idx]:
+                    s *= x
+            if s != 1.0:
+                scales[c] = s
+        return 1.0, scales
 
     def _finish(self, fr, solved, per_system):
         """The frame's build, or its h alone, from its systems' (values,
-        stats); a geometry solved here becomes the _GEOMETRY entry."""
+        stats); the frame's geometry, with the guidance pairs it used,
+        becomes the _GEOMETRY entry."""
         start = time.perf_counter()
         fields = elliptic._fields(fr.systems, solved)
         if fr.report is None:
@@ -665,14 +755,24 @@ class Scenario:
         grid, boundary, report = fr.grid, fr.boundary, fr.report
         solved_here = fr.geo.h is None
         if solved_here:
-            h, fx, fy = fields
+            h = fields.pop(0)
         else:   # h is the one solved for this geometry: same bits, stats
             h = fr.geo.h_on(grid, boundary)
-            fx, fy = fields
+        for pair, fx, fy in zip(fr.pairs, fields[::2], fields[1::2]):
+            pair.keep(fx, fy)
+        fx, fy = elliptic._superpose(
+            grid, [(s, p.values, p.stats) for _, s, p in fr.terms])
         v = elliptic._vector(fx, fy, boundary)
         report["stages"] += ["poisson", "laplace"]
         report["poisson"] = asdict(h.stats)
         report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
+        origin = {True: "solved", False: "reused"}
+        report["guidance"] = {
+            "v0": origin[fr.terms[0][2] in fr.pairs],
+            "terms": [{"component": c, "coefficient": s,
+                       "basis": origin[p in fr.pairs],
+                       "stats": [asdict(x) for x in p.stats]}
+                      for c, s, p in fr.terms]}
         now = time.perf_counter()
         report["timings_ms"]["solve"] += 1e3 * (
             per_system * len(fr.systems) + now - start)
@@ -692,8 +792,9 @@ class Scenario:
             bcfg.k_nom_v = self.controller(res)
         if solved_here:
             fr.geo.keep(h)
-            _GEOMETRY.clear()
-            _GEOMETRY[fr.key] = fr.geo
+        fr.geo.guide = fr.guide
+        _GEOMETRY.clear()
+        _GEOMETRY[fr.key] = fr.geo
         report["timings_ms"]["filter"] = 1e3 * (time.perf_counter() - start)
         return res
 

@@ -13,11 +13,8 @@ from riskfields.errors import (DisconnectedFreeSpace, MalformedGrid,
 from riskfields.grid import (FREE, NB4, OCCUPIED, FieldSampler, OccupancyGrid,
                              ScalarField, _box_blur, _dilate8, _label,
                              _label_free, dump_csv, extract_boundary,
-                             fill_band, gradient_field, load_csv, load_grid,
-                             nearest_node_map, sample_gradient, sample_scalar,
-                             sample_vector)
-
-from conftest import SCENARIOS
+                             fill_band, gradient_field, nearest_node_map,
+                             sample_gradient, sample_scalar, sample_vector)
 
 
 def box_state(nx, ny):
@@ -515,14 +512,7 @@ def test_csv_round_trip(tmp_path):
     arr[0, 0] = np.pi
     path = tmp_path / "field.csv"
     dump_csv(arr, path)
-    back = load_csv(path)
+    back = np.loadtxt(path, delimiter=",", ndmin=2)
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)  # %.17g keeps doubles exact
 
-
-def test_load_grid_from_scenario_path():
-    g = load_grid(str(SCENARIOS / "single_obstacle.yaml"))
-    assert (g.nx, g.ny) == (64, 64)
-    assert g.d == 0.05
-    assert not g.free[g.cell_of((1.6, 1.6))]  # obstacle core occupied
-    assert g.free[g.cell_of((0.35, 1.5))]

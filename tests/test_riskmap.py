@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from riskfields.errors import MalformedGrid, UnmappedLabel, UnorderedBoundary
 from riskfields.grid import OCCUPIED, OccupancyGrid, extract_boundary
 from riskfields.riskmap import (EXPONENTIAL, IDENTITY, LABEL, PROBABILITY,
-                                SATURATING, SPEED, CompositeMaxPriority,
-                                FeatureReading, FluxMap, PriorityRule,
-                                RiskAssign, assign_flux, risk_value,
-                                smooth_flux)
+                                SATURATING, SPEED, FeatureReading, FluxMap,
+                                PriorityRule, RiskAssign, assign_flux,
+                                risk_value, smooth_flux)
 
 from test_grid import box_state
 
@@ -75,16 +74,6 @@ def test_rule_rejects_wrong_reading_kind():
     rule = PriorityRule(SPEED)
     with pytest.raises(MalformedGrid):
         rule.priority(FeatureReading(PROBABILITY, 0.5))
-
-
-def test_composite_takes_max():
-    fuse = CompositeMaxPriority([PriorityRule(PROBABILITY),
-                                 PriorityRule(SPEED)])
-    got = fuse.priority([FeatureReading(PROBABILITY, 0.9),
-                         FeatureReading(SPEED, 1.7)])
-    assert got == 1.7
-    with pytest.raises(MalformedGrid):
-        fuse.priority([FeatureReading(SPEED, 1.0)])
 
 
 # -- risk values --------------------------------------------------------------

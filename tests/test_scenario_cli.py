@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riskfields import cli, safety, scenario
+from riskfields import cli, elliptic, safety, scenario
 from riskfields.cli import main
 from riskfields.errors import MalformedDocument, NonConvergence
 from riskfields.scenario import Scenario, load_scenario
@@ -630,6 +632,218 @@ def test_flux_scale_scalar_and_dict(three_build):
                           base.boundary.flux[~pick])
 
 
+# -- flux scales by superposition -------------------------------------------------
+
+def _flux_sweep_doc(seed):
+    """The benchmark's flux_sweep document and first scale for a seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", SCENARIOS.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc, scales = inputs.flux_sweep_inputs(seed)
+    return doc, {0: next(scales)}
+
+
+def _touching_doc():
+    """Two rects that overlap into one blob: one boundary component, owned
+    by both obstacles."""
+    return minimal_doc(obstacles=[
+        {"kind": "rect", "min": [0.8, 0.8], "max": [1.3, 1.2],
+         "label": "wall", "prob": 0.9},
+        {"kind": "rect", "min": [1.2, 1.1], "max": [1.6, 1.6],
+         "label": "wall", "prob": 0.4},
+        {"kind": "disk", "center": [0.6, 1.8], "radius": 0.2,
+         "label": "wall", "prob": 0.7}])
+
+
+def _assert_superposed_equals_direct(sc, b):
+    direct = elliptic.solve_guidance(b.grid, b.boundary, sc.solver_cfg)
+    for got, want in ((b.gf.v.x, direct.x), (b.gf.v.y, direct.y)):
+        fin = np.isfinite(want.values)
+        assert np.array_equal(np.isfinite(got.values), fin)
+        scale = np.abs(want.values[fin]).max()
+        assert np.abs(got.values[fin] - want.values[fin]).max() \
+            <= 1e-10 * scale
+    bd = b.boundary
+    ci, cj = bd.cells[:, 0], bd.cells[:, 1]
+    got = np.stack([b.gf.v.x.values[ci, cj], b.gf.v.y.values[ci, cj]], 1)
+    assert np.abs(got + bd.flux[:, None] * bd.normals).max() <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["three0", "three02", "three_scalar",
+                                  "sweep12", "sweep41", "touching"])
+def test_superposed_guidance_equals_a_direct_solve(case):
+    if case.startswith("three"):
+        doc = load_doc("three_obstacles")
+        fs = {"three0": {0: 3.0}, "three02": {0: 0.5, 2: 2.0},
+              "three_scalar": 2.5}[case]
+    elif case == "touching":
+        doc, fs = _touching_doc(), {0: 2.0, 1: 3.0, 2: 0.5}
+    else:
+        doc, fs = _flux_sweep_doc(int(case[5:]))
+    sc = Scenario(doc)
+    b = sc.build(flux_scale=fs)
+    terms = b.report["guidance"]["terms"]
+    assert terms[0]["component"] is None
+    if isinstance(fs, dict):
+        assert terms[0]["coefficient"] == 1.0 and len(terms) > 1
+    else:
+        assert [t["coefficient"] for t in terms] == [fs]
+    if case == "touching":
+        # the shared component's factor is the product of both scales
+        owners = sc.obstacle_components(b.grid, b.boundary)
+        shared, = owners[0] & owners[1]
+        coef = {t["component"]: t["coefficient"] for t in terms[1:]}
+        assert coef[shared] == 2.0 * 3.0 - 1.0
+        assert len(coef) == 2 and 0.5 - 1.0 in coef.values()
+    _assert_superposed_equals_direct(sc, b)
+
+
+def test_superposed_stats_bound_the_residual(three_build):
+    sc, _ = three_build
+    b = sc.build(flux_scale={0: 0.5, 2: 2.0})
+    terms = b.report["guidance"]["terms"]
+    for axis, field in enumerate((b.gf.v.x, b.gf.v.y)):
+        st = field.stats
+        stats = [t["stats"][axis] for t in terms]
+        assert st.residual == sum(abs(t["coefficient"]) * s["residual"]
+                                  for t, s in zip(terms, stats))
+        assert st.target == sum(abs(t["coefficient"]) * s["target"]
+                                for t, s in zip(terms, stats))
+        assert st.iterations == sum(s["iterations"] for s in stats)
+        assert st.converged and st.residual != stats[0]["residual"]
+        assert b.report["laplace"][axis] == dataclasses.asdict(st)
+
+
+@pytest.mark.parametrize("one", [{0: 1.0}, {1: 1.0}, 1.0, {}])
+def test_flux_scale_of_one_is_the_unscaled_build(three_build, one):
+    sc, _ = three_build
+    base = sc.build()
+    _assert_same_build(sc, sc.build(flux_scale=one), base)
+
+
+def _count_systems(monkeypatch):
+    counts = []
+    sweep = elliptic._sweep_solve
+
+    def counted(grid, systems, cfg):
+        counts.append(len(systems))
+        return sweep(grid, systems, cfg)
+
+    monkeypatch.setattr(elliptic, "_sweep_solve", counted)
+    return counts
+
+
+def test_flux_sweep_solve_counts(monkeypatch):
+    counts = _count_systems(monkeypatch)
+    scenario._GEOMETRY.clear()
+    sc = Scenario(load_doc("three_obstacles"))
+
+    def solved(fs=None, over=None):
+        counts.clear()
+        s = sc if over is None else Scenario(over)
+        b = s.build(flux_scale=fs)
+        return sum(counts), b.report["guidance"]
+
+    n, guide = solved({0: 2.0})         # h, v0 and obstacle 0's pair
+    assert n == 5 and guide["v0"] == "solved"
+    n, guide = solved({0: 3.0})         # a second scale of obstacle 0
+    assert n == 0 and guide["v0"] == "reused"
+    assert [t["basis"] for t in guide["terms"]] == ["reused", "reused"]
+    n, guide = solved({0: 3.0, 1: 2.0})     # a new obstacle: one pair
+    assert n == 2
+    assert sorted(t["basis"] for t in guide["terms"]) \
+        == ["reused", "reused", "solved"]
+    assert solved({1: 0.7})[0] == 0
+    assert solved()[0] == 0             # a repeat build
+    assert solved(2.5)[0] == 0
+    doc = load_doc("three_obstacles")
+    doc["obstacles"][0]["prob"] = 0.5   # same mask, a new beta0
+    n, guide = solved(over=doc)
+    assert n == 2 and guide["v0"] == "solved"
+    room = load_doc("semantic_room")
+    solved(over=room)
+    room["obstacles"][0]["label"] = "person"
+    n, guide = solved(over=room)
+    assert n == 2 and guide["v0"] == "solved"
+    assert solved(over=room)[0] == 0
+
+
+def test_handed_out_guidance_is_a_copy(three_build):
+    sc, _ = three_build
+    for fs in (None, {0: 2.0}):
+        first = sc.build(flux_scale=fs)
+        keep = [f.values.copy() for f in (first.gf.v.x, first.gf.v.y)]
+        stats = dataclasses.replace(first.gf.v.x.stats)
+        first.gf.v.x.values[...] = 3.0
+        first.gf.v.y.values[...] = 3.0
+        first.gf.v.x.stats.iterations = -1
+        again = sc.build(flux_scale=fs)
+        for f, want in zip((again.gf.v.x, again.gf.v.y), keep):
+            _same_arrays(f.values, want)
+        assert again.gf.v.x.stats == stats
+
+
+def test_failed_basis_solve_leaves_the_memo(monkeypatch):
+    scenario._GEOMETRY.clear()
+    sc = Scenario(load_doc("three_obstacles"))
+    sc.build()
+    (key, geo), = scenario._GEOMETRY.items()
+    guide = geo.guide
+    sweep = elliptic._sweep_solve
+
+    def one_sweep(grid, systems, cfg):
+        return sweep(grid, systems, dataclasses.replace(cfg, max_iters=1))
+
+    monkeypatch.setattr(elliptic, "_sweep_solve", one_sweep)
+    with pytest.raises(NonConvergence):
+        sc.build(flux_scale={0: 2.0})
+    assert list(scenario._GEOMETRY.items()) == [(key, geo)]
+    assert geo.guide is guide and not guide[2]
+    monkeypatch.setattr(elliptic, "_sweep_solve", sweep)
+    counts = _count_systems(monkeypatch)
+    assert sc.build(flux_scale={0: 2.0}).report["guidance"]["terms"][1][
+        "basis"] == "solved"
+    assert counts == [2]
+
+
+@pytest.mark.parametrize("fs", [None, {0: 2.0}])
+def test_stacked_frame_picks_up_a_pending_guidance(monkeypatch, fs):
+    counts = _count_systems(monkeypatch)
+    scenario._GEOMETRY.clear()
+    sc = Scenario(load_doc("three_obstacles"))
+    first, second = sc._build_frames([0.0, 0.0], fs)
+    # one stack: h, v0 and, when scaled, obstacle 0's pair, each once
+    assert counts == [3 if fs is None else 5]
+    assert first.report["guidance"]["v0"] == "solved"
+    assert second.report["geometry"] == "reused"
+    assert {t["basis"] for t in second.report["guidance"]["terms"]} \
+        == {"reused"}
+    scenario._GEOMETRY.clear()
+    alone = sc.build(flux_scale=fs)
+    for b in (first, second):
+        for got, want in ((b.gf.v.x, alone.gf.v.x), (b.gf.v.y, alone.gf.v.y)):
+            _same_arrays(got.values, want.values)
+            assert got.stats == want.stats
+
+
+@pytest.mark.parametrize("fs, match", [
+    (math.nan, "flux_scale"), (math.inf, "flux_scale"), (0.0, "flux_scale"),
+    (-1.0, "flux_scale"), ("a", "flux_scale"), ({0: math.nan}, r"\[0\]"),
+    ({0: -2.0}, r"\[0\]"), ({0: 0}, r"\[0\]"), ({7: 2.0}, "no obstacle 7"),
+    ({3: 2.0}, "no obstacle 3"), ({-1: 2.0}, "key"), ({0.0: 2.0}, "key"),
+    ({True: 2.0}, "key"), ({"0": 2.0}, "key")])
+def test_bad_flux_scales_rejected_before_any_work(monkeypatch, fs, match):
+    sc = Scenario(load_doc("three_obstacles"))
+
+    def never(*args, **kw):
+        raise AssertionError("rasterized")
+
+    monkeypatch.setattr(sc, "rasterize", never)
+    with pytest.raises(MalformedDocument, match=match):
+        sc.build(flux_scale=fs)
+
+
 def test_backstep_wiring(single_build):
     sc, res = single_build
     bcfg = res.backstep_cfg
@@ -849,7 +1063,7 @@ def test_cli_time_step_errors_write_failed_marker(tmp_path, command,
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("gammas", ["nan", "inf", "1,-2"])
+@pytest.mark.parametrize("gammas", ["nan", "inf", "1,-2", "a"])
 def test_cli_sweep_rejects_bad_gammas(tmp_path, gammas):
     out = tmp_path / "sweep_bad"
     rc = run_cli("sweep", "--scenario",
@@ -857,6 +1071,20 @@ def test_cli_sweep_rejects_bad_gammas(tmp_path, gammas):
                  "--scales", "1", "--gammas", gammas)
     assert rc == 2
     assert "--gammas" in (out / "FAILED.txt").read_text()
+
+
+@pytest.mark.parametrize("scales", ["a", "1,0", "nan", "2,-1", "1,,2"])
+def test_cli_sweep_rejects_bad_scales_before_any_job(tmp_path, monkeypatch,
+                                                     scales):
+    jobs = []
+    monkeypatch.setattr(cli, "_sweep_one", jobs.append)
+    out = tmp_path / "sweep_bad"
+    rc = run_cli("sweep", "--scenario",
+                 str(SCENARIOS / "three_obstacles.yaml"), "--out", str(out),
+                 "--scales", scales, "--gammas", "1")
+    assert rc == 2 and not jobs
+    assert (out / "FAILED.txt").read_text().startswith(
+        "RiskFieldsError: --scales")
 
 
 def test_sweep_job_gamma_goes_through_filter_validation():

@@ -584,13 +584,15 @@ def _assert_same_build(got, want):
 
 
 def _memo_state():
-    """The one _GEOMETRY entry, as key, array bits, stats and chains."""
+    """The one _GEOMETRY entry, as key, array bits, stats and chains, with
+    its guidance: beta0, v0's bits and stats and the basis components."""
     (key, geo), = scenario._GEOMETRY.items()
     (ii, jj), k = geo.nodes
-    arrays = geo.arrays + (geo.h,) + geo.grad + (ii, jj, k)
+    flux, v0, basis = geo.guide
+    arrays = geo.arrays + (geo.h,) + geo.grad + (ii, jj, k) + v0.values
     return (key, [a.tobytes() for a in arrays], geo.stats,
             {c: None if a is None else a.tolist()
-             for c, a in geo.chains.items()})
+             for c, a in geo.chains.items()}, flux, v0.stats, sorted(basis))
 
 
 def _one_at_a_time(sc, nf, dt_frame):
@@ -742,8 +744,9 @@ def test_run_dynamic_stacks_two_frames_per_sweep(monkeypatch):
     run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
     assert len(built) == 41
     # 21 stacks; the block rests from t = 7, so frames 36-39 reuse frame
-    # 35's h and the closing h, its stack alone, needs no sweep
-    assert sizes == [6] * 18 + [4, 4]
+    # 35's h and, with its speed-0 flux, its v, and the closing h its h:
+    # the last two stacks and the closing one need no sweep
+    assert sizes == [6] * 18
 
 
 def test_closing_frame_h_is_the_build_h():

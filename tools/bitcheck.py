@@ -7,16 +7,19 @@
 riskfields of the checkout this script sits in, and writes every array it
 produces to OUT.npz:
 
-- per input seed (--seeds, default 12 and 31), 21 builds: the five static
+- per input seed (--seeds, default 12 and 31), 27 builds: the five static
   scenarios, moving_block at t = 0, 1 and 3 (with safety_field at each),
-  six map_solve documents, five disk documents and two flux_sweep builds.
-  Per build: h, grad h, v, the SolveStats, the report without timings_ms,
-  every BoundarySet array and chain, the ghost-band node map (the
+  six map_solve documents, five disk documents, two flux_sweep builds and
+  three_obstacles at the flux scales of FLUX_SCALES, in that order.  Per
+  build: h, grad h, v, the SolveStats, the report without timings_ms and
+  guidance, the guidance report on its own (a build that has one), every
+  BoundarySet array and chain, the ghost-band node map (the
   elliptic._band_nodes index arrays, as rows ii, jj and node) and the
   activation zone;
-- the trajectories of the two flux_sweep builds, of two rollout-workload
-  starts (double and single integrator) with their inputs, and of the
-  single-integrator `simulate` run of every static scenario;
+- the trajectories of the two flux_sweep builds, of the FLUX_SCALES
+  builds, of two rollout-workload starts (double and single integrator)
+  with their inputs, and of the single-integrator `simulate` run of every
+  static scenario;
 - per dynamic seed (--dynamic-seeds, default 12 and 41), six
   dynamic_replay documents, and moving_block at T = 0.2, 0.4, 2 and 8 and
   with the block at rest: every frame's build as above, dh/dt and zone,
@@ -50,6 +53,9 @@ ROOT = Path(__file__).resolve().parent.parent
 STATIC = ("single_obstacle", "three_obstacles", "uncertain_wall",
           "disk_oracle", "semantic_room")
 MOVING_T = (0.2, 0.4, 2.0, 8.0)
+# three_obstacles flux scales, built in this order: a repeat of an
+# obstacle's scale, a scalar and two obstacles at once
+FLUX_SCALES = (1.0, {0: 2.0}, {0: 3.0}, {0: 2.0}, 2.5, {0: 0.5, 2: 2.0})
 
 
 # -- dump ---------------------------------------------------------------------
@@ -78,7 +84,9 @@ class Dump:
         for key, f in (("h", h), ("v_x", v.x), ("v_y", v.y)):
             self.text(f"{name}/stats_{key}", asdict(f.stats))
         self.text(f"{name}/report", {k: x for k, x in b.report.items()
-                                     if k != "timings_ms"})
+                                     if k not in ("timings_ms", "guidance")})
+        if "guidance" in b.report:
+            self.text(f"{name}/guidance", b.report["guidance"])
         bd = b.boundary
         for key in ("cells", "normals", "arcw", "comp", "flux"):
             self.add(f"{name}/boundary_{key}", getattr(bd, key))
@@ -177,6 +185,12 @@ def _dump(path, seeds, dynamic_seeds, size, inputs, workloads, cli, elliptic,
             out.build(f"{pre}/sweep{k}", b)
             out.zone(f"{pre}/sweep{k}", z)
             out.trajectory(f"{pre}/sweep{k}/trajectory", tr)
+        sc = scenario.Scenario(inputs.load_doc(ROOT, "three_obstacles"))
+        for k, fs in enumerate(FLUX_SCALES):
+            b = sc.build(flux_scale=fs)
+            out.build(f"{pre}/scale{k}", b)
+            out.zone(f"{pre}/scale{k}", zone_of(sc, b))
+            out.trajectory(f"{pre}/scale{k}/trajectory", cli._simulate(sc, b))
         ro = workloads.Rollout(ROOT, seed, size)
         for k, x in enumerate(itertools.islice(ro.inputs, 2)):
             out.text(f"{pre}/rollout{k}/inputs", x)
