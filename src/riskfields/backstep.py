@@ -69,18 +69,6 @@ class BackstepConfig:
         return _point_form(self._k_nom(), sf)[1]
 
 
-def smooth_margin(a, sigma_s):
-    """(a + sqrt(a^2 + sigma_s^2)) / 2 evaluated without cancellation.
-
-    This is the value of v.k_v + gamma h after the smooth correction; it is
-    positive for every finite a.
-    """
-    r = math.hypot(a, sigma_s)
-    if a >= 0.0:
-        return 0.5 * (a + r)
-    return sigma_s * sigma_s / (2.0 * (r - a))
-
-
 def _k_v(p, k, s, cfg):
     """k_v at the point p as two floats, from k = k_nom there and a sample
     s = (h, vx, vy, ...) of the fields; p and k are pairs of floats."""

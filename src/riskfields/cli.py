@@ -131,6 +131,16 @@ def _simulate(scenario, build):
                                 goal=sc.get("goal"))
 
 
+def _run_summary(traj):
+    """A run's summary, filter activity included, read off its trajectory."""
+    du = traj.u_filt - traj.u_nom
+    return {"termination": traj.termination, "samples": traj.n,
+            "min_h": traj.min_h(), "audit_min": float(traj.audit.min()),
+            "filter_active": int((du != 0.0).any(axis=1).sum()),
+            "max_correction": float(np.hypot(*du.T).max()),
+            "end": {"t": float(traj.t[-1]), "y": traj.y[-1].tolist()}}
+
+
 def cmd_simulate(args, scenario):
     out = args.out
     build = scenario.build()
@@ -142,9 +152,7 @@ def cmd_simulate(args, scenario):
         fh.write("t,constraint\n")
         for t, c in zip(traj.t, traj.audit):
             fh.write("%.17g,%.17g\n" % (t, c))
-    summary = {"termination": traj.termination, "samples": traj.n,
-               "min_h": traj.min_h(), "path_length": traj.path_length(),
-               "audit_min": float(traj.audit.min())}
+    summary = {**_run_summary(traj), "path_length": traj.path_length()}
     jp = os.path.join(out, "sim_summary.json")
     _write_json(jp, summary)
     print(f"simulated {scenario.name}: {traj.termination} after "
@@ -179,9 +187,7 @@ def cmd_dynamic(args, scenario):
         for k, fr in enumerate(res.frames):
             outputs += _dump_fields(out, f"frame{k:04d}_", fr.build)
     traj = res.trajectory
-    summary = {"termination": traj.termination, "samples": traj.n,
-               "min_h": traj.min_h(), "frames": len(res.frames),
-               "audit_min": float(traj.audit.min())}
+    summary = {**_run_summary(traj), "frames": len(res.frames)}
     jp = os.path.join(out, "dynamic_summary.json")
     _write_json(jp, summary)
     outputs.append(jp)

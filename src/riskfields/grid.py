@@ -116,15 +116,6 @@ class OccupancyGrid:
     def centers_y(self):
         return self.origin[1] + self.d * np.arange(self.ny)
 
-    def cell_of(self, p):
-        """Index of the cell whose center is nearest to p."""
-        g = (np.asarray(p, dtype=float) - self.origin) / self.d
-        return int(math.floor(g[0] + 0.5)), int(math.floor(g[1] + 0.5))
-
-    def free_cells(self):
-        ii, jj = np.nonzero(self.free)
-        return ii, jj
-
     def free_centers(self):
         ii, jj = np.nonzero(self.free)
         return self.origin + self.d * np.stack([ii, jj], axis=1).astype(float)
@@ -234,10 +225,6 @@ class BoundarySet:
         self.chains = chains
         self.flux = None if flux is None else np.asarray(flux, dtype=float)
 
-    @functools.cached_property
-    def _index(self):
-        return {(int(i), int(j)): k for k, (i, j) in enumerate(self.cells)}
-
     def with_flux(self, flux):
         flux = np.asarray(flux, dtype=float)
         if flux.shape != (self.n,):
@@ -247,14 +234,8 @@ class BoundarySet:
         return BoundarySet(self.grid, self.cells, self.normals, self.arcw,
                            self.comp, self.chains, flux=flux)
 
-    def node_at_cell(self, i, j):
-        return self._index.get((int(i), int(j)))
-
     def components(self):
         return np.unique(self.comp).tolist()
-
-    def nodes_of(self, comp_id):
-        return np.nonzero(self.comp == comp_id)[0]
 
 
 def nb4_of(cells):

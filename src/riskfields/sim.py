@@ -21,7 +21,8 @@ from .grid import FieldSampler, ScalarField, fill_band
 # they stay importable from this module, where perfbench's tracer wraps them.
 from .safety import (_point_form, activation,  # noqa: F401
                      activation_dynamic, activation_zone, filter_control,
-                     filter_control_dynamic, lattice_activation, min_norm)
+                     filter_control_dynamic, inactive_cells,
+                     lattice_activation, min_norm)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -141,7 +142,9 @@ def nominal_adversarial(y, mu, sf):
 def goal_controller(mu, goal):
     """nominal_goal as a controller over points or (n,2) blocks; k.at(px, py,
     s) is the same arithmetic on Python floats (s, the point's sample, is
-    not read)."""
+    not read).  k.mu and k.goal declare the affine form: a static rollout
+    skips a stage's sample where inactive_cells proves a > 0 (exact: there
+    min_norm returns k_nom itself)."""
     goal = np.asarray(goal, dtype=float)
     gx, gy = goal.tolist()
     m = -mu
@@ -152,6 +155,7 @@ def goal_controller(mu, goal):
     def at(px, py, s):
         return m * (px - gx), m * (py - gy)
 
+    k_nom.mu = mu
     k_nom.goal = goal
     k_nom.at = at
     return k_nom
@@ -243,24 +247,21 @@ def _goal_check(goal, d):
     return reached
 
 
-_COLUMNS = ("t", "y", "u_nom", "u_filt", "h", "a", "audit", "ydot", "h_B")
+_COLUMNS = (("y", slice(0, 2)), ("u_nom", slice(2, 4)),
+            ("u_filt", slice(4, 6)), ("h", 6), ("a", 7), ("audit", 8),
+            ("ydot", slice(9, 11)), ("h_B", 11))
 
 
-class _Recorder:
-    """Trajectory rows of floats and float pairs; a double-integrator row
-    adds ydot and h_B.  build makes each column an array once."""
-
-    def __init__(self, double=False):
-        self.width = 9 if double else 7
-        self.rows = []
-
-    def add(self, t, row):
-        self.rows.append((t,) + row)
-
-    def build(self, dt, termination):
-        cols = list(zip(*self.rows)) or [()] * self.width
-        return Trajectory(dt=dt, termination=termination,
-                          **{k: np.array(c) for k, c in zip(_COLUMNS, cols)})
+def _trajectory(rows, double, dt, termination):
+    """The Trajectory of rows recorded as one flat list of floats, 9 a row
+    or 12 with the double integrator's ydot and h_B: each column (placed
+    by _COLUMNS) is copied out of one (n, width) array; t is k dt at row k."""
+    table = np.fromiter(rows, float).reshape(-1, 12 if double else 9)
+    cols = {k: table[:, c].copy() for k, c in _COLUMNS[:8 if double else 6]}
+    cols["t"] = np.arange(len(table)) * dt
+    if not len(table):      # every column of an empty run has shape (0,)
+        cols = {k: np.array(()) for k in cols}
+    return Trajectory(dt=dt, termination=termination, **cols)
 
 
 def _samples(segments):
@@ -278,22 +279,22 @@ def _rollout(z, segments, dt, goal, d):
 
     z is the state as a tuple of floats: (x, y), or (x, y, vx, vy) for the
     double integrator.  segments yields (record, stage, steps): stage(z) is
-    the RK4 right-hand side as a tuple of floats; record(z) returns the row
-    that _Recorder.add takes after t, together with stage(z), which it
+    the RK4 right-hand side as a tuple of floats; record(z) returns the
+    run's next row as a tuple of floats, together with stage(z), which it
     computes on the way and which serves as the step's first RK4 stage;
     the segment runs for steps steps.  After the last segment its record
     takes the closing sample.  Any sample with z[:2] within d of goal ends
     the run; a degenerate filter ends it as DEGENERATE and a point off the
     lattice as LEFT_DOMAIN.
     """
-    rec = _Recorder(double=len(z) == 4)
+    rows = []
     reached = _goal_check(goal, d)
     rk4 = _rk4_xy if len(z) == 2 else _rk4
     term = TIME_LIMIT
     try:
-        for k, (record, stage) in enumerate(_samples(segments)):
+        for record, stage in _samples(segments):
             row, zdot = record(z)
-            rec.add(k * dt, row)
+            rows.extend(row)
             if reached is not None and reached(z[0], z[1]):
                 term = GOAL_REACHED
                 break
@@ -303,28 +304,41 @@ def _rollout(z, segments, dt, goal, d):
         term = DEGENERATE
     except OutOfDomain:
         term = LEFT_DOMAIN
-    return rec.build(dt, term)
+    return _trajectory(rows, len(z) == 4, dt, term)
 
 
 def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
     """(record, stage, steps) of ydot = the closed-form filter of
     controller(y), with one field sample, one controller call and one
     min_norm per point, all on floats; with dh_dt the time-varying
-    filter.  An adversarial controller over sf reads Dh from the sample."""
+    filter.  An adversarial controller over sf reads Dh from the sample.
+    Under a goal controller (k.mu) the static filter's stage returns k_nom
+    without a sample in the cells of inactive_cells, where a > 0 and
+    min_norm returns k_nom unchanged; the record keeps its full sample."""
     fs = FieldSampler(sf, gf, dh_dt)
     kgrad, k = _point_form(controller, sf)
     grad = kgrad or dh_dt is not None
     at = fs.at
+    mu = getattr(controller, "mu", None)
+    skip = None if grad or mu is None else inactive_cells(
+        sf, gf, cfg, mu, controller.goal).tolist()
+    g = fs.grid
+    (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
 
     def record(y):
         px, py = y
         s = at(px, py, grad)
         u_nom = k(px, py, s)
         u, a, audit = min_norm(y, u_nom, s, cfg)
-        return (y, u_nom, u, s[0], a, audit), u
+        return (px, py, *u_nom, *u, s[0], a, audit), u
 
     def stage(y):
         px, py = y
+        if skip is not None:    # _cell's floor; bounds first, NaN fails them
+            gx, gy = (px - ox) / d, (py - oy) / d
+            if (0.0 <= gx < nx1 and 0.0 <= gy < ny1
+                    and skip[int(gx)][int(gy)]):
+                return k(px, py, None)
         s = at(px, py, grad)
         return min_norm(y, k(px, py, s), s, cfg)[0]
 
@@ -368,8 +382,8 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
         terms, w_nom = terms_at(z)
         w, resid_nom = terms.filter(w_nom, bcfg)
         resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
-        return ((z[:2], w_nom, w, terms.h, resid_nom, resid, z[2:],
-                 terms.h_B), z[2:] + w)
+        return ((z[0], z[1], *w_nom, *w, terms.h, resid_nom, resid, z[2],
+                 z[3], terms.h_B), z[2:] + w)
 
     def stage(z):
         terms, w_nom = terms_at(z)

@@ -5,6 +5,7 @@ Fixtures hand back (scenario, build) so tests can reach both the parsed
 document and the realized fields.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -18,6 +19,16 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def build_scenario(name, **kw):
     sc = load_scenario(str(SCENARIOS / f"{name}.yaml"))
     return sc, sc.build(**kw)
+
+
+def flux_sweep_doc(seed):
+    """The benchmark's flux_sweep document and first scale for a seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", SCENARIOS.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc, scales = inputs.flux_sweep_inputs(seed)
+    return doc, {0: next(scales)}
 
 
 @pytest.fixture(scope="session")

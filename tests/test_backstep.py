@@ -7,7 +7,7 @@ import pytest
 
 from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
                                  _k_v_safe, filter_accel, h_B, hdot_B,
-                                 k_v_jacobian, k_v_smooth, smooth_margin)
+                                 k_v_jacobian, k_v_smooth)
 from riskfields.errors import (DegenerateCoefficient, OutOfDomain,
                                VanishingGuidance)
 from riskfields.grid import FieldSampler, ScalarField, VectorField, point_xy
@@ -65,6 +65,16 @@ def test_backstep_config_rejects_nonfinite(name, value):
 
 
 # -- smooth margin ---------------------------------------------------------------
+
+def smooth_margin(a, sigma_s):
+    """(a + sqrt(a^2 + sigma_s^2)) / 2 evaluated without cancellation: the
+    value of v.k_v + gamma h after the smooth correction, positive for every
+    finite a.  The oracle for k_v below."""
+    r = math.hypot(a, sigma_s)
+    if a >= 0.0:
+        return 0.5 * (a + r)
+    return sigma_s * sigma_s / (2.0 * (r - a))
+
 
 def test_smooth_margin_matches_naive_form():
     for a in (-5.0, -0.3, 0.0, 0.7, 12.0):

@@ -24,7 +24,6 @@ import math
 import numpy as np
 import pytest
 import yaml
-from scipy import ndimage
 
 from riskfields import elliptic, riskmap, sim
 from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
@@ -119,7 +118,8 @@ def reference_nearest_hits(cells, target, radius):
 def reference_nearest_node_map(grid, boundary):
     """Per-cell scan of the 7x7 window, keeping the first strict minimum."""
     out = {}
-    cell_idx = boundary._index
+    cell_idx = {(i, j): k
+                for k, (i, j) in enumerate(boundary.cells.tolist())}
     band = np.nonzero(grid.band1 | grid.band2)
     for i, j in zip(*band):
         best = None
@@ -232,6 +232,8 @@ def ref_arc_weights(grid, cells):
 
 def ref_estimate_normals(grid, cells):
     """Per-cell reads of the twice-blurred occupancy gradient."""
+    from scipy import ndimage
+
     ind = (~grid.free).astype(float)
     blur = ndimage.uniform_filter(ind, size=3, mode="nearest")
     blur = ndimage.uniform_filter(blur, size=3, mode="nearest")
@@ -301,6 +303,8 @@ def ref_trace_component(grid, occ_comp, comp_id):
 
 def ref_extract_boundary(grid):
     """Component by component: its loops, a count per loop and a seen map."""
+    from scipy import ndimage
+
     occ_comp, n_comp = ndimage.label(~grid.free, structure=np.ones((3, 3)))
     cells, comp_of, chains, seen = [], [], {}, {}
     for cid in range(1, n_comp + 1):
@@ -691,6 +695,8 @@ def test_boundary_walk_matches_face_set_on_shipped(name, request):
 def _fuzz_grid(seed):
     """A small random map: 15-50% cover inside the perimeter, free space
     cut down to its largest 4-connected piece."""
+    from scipy import ndimage
+
     rng = np.random.default_rng(seed)
     nx, ny = rng.integers(5, 10, 2)
     occ = rng.random((nx, ny)) < rng.uniform(0.15, 0.5)
@@ -713,6 +719,8 @@ def test_boundary_walk_matches_face_set_on_fuzz():
 
 
 def test_boundary_walk_matches_face_set_on_normal_fallback():
+    from scipy import ndimage
+
     # fuzz seed 111: the blurred gradient vanishes at node (3, 2), whose
     # normal comes from its one occupied 4-neighbour, (3, 3)
     g = _fuzz_grid(111)
@@ -721,7 +729,7 @@ def test_boundary_walk_matches_face_set_on_normal_fallback():
                                mode="nearest"), size=3, mode="nearest")
     assert blur[4, 2] - blur[2, 2] == 0.0 == blur[3, 3] - blur[3, 1]
     b = _same_boundary(g)
-    assert b.normals[b.node_at_cell(3, 2)].tolist() == [0.0, 1.0]
+    assert b.normals[b.cells.tolist().index([3, 2])].tolist() == [0.0, 1.0]
 
 
 # -- per-node features -------------------------------------------------------
@@ -771,7 +779,7 @@ def test_node_features_match_loop():
         sc.feature = feature
         want = ref_node_features(sc, g, b)
         assert _repr(sc.node_features(g, b)) == _repr(want)
-    k = b.node_at_cell(9, 10)
+    k = b.cells.tolist().index([9, 10])
     assert sorted({int(g.label[8, 10]), int(g.label[10, 10])}) == [2, 3]
     assert want[k].value == 2          # the tie goes to the smaller id
     assert len({f.value for f in want}) >= 3

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskfields.errors import GridMismatch, VanishingGuidance
 from riskfields.grid import ScalarField, VectorField, sample_scalar
@@ -12,8 +13,11 @@ from riskfields.safety import (ActivationZone, FilterConfig,
                                GuidanceFieldBundle, SafetyFunction,
                                activation, activation_dynamic,
                                activation_zone, eval_controller,
-                               filter_control, filter_control_dynamic)
+                               filter_control, filter_control_dynamic,
+                               inactive_cells)
+from riskfields.scenario import Scenario
 
+from conftest import build_scenario, flux_sweep_doc
 from test_grid import box_grid
 
 
@@ -135,6 +139,8 @@ def test_filter_matches_kkt_oracle(single_build):
 
 
 def test_filter_matches_slsqp_on_spot_checks(single_build):
+    from scipy.optimize import minimize
+
     _, res = single_build
     sf = SafetyFunction(res.sf.h)
     gf = res.gf
@@ -247,7 +253,7 @@ def test_zone_recounts_pointwise(single_build):
     g = res.grid
     # recompute a on the lattice straight from the fields
     ks = eval_controller(k_nom, g.free_centers())
-    ii, jj = g.free_cells()
+    ii, jj = np.nonzero(g.free)
     vk = (res.gf.v.x.values[ii, jj] * ks[:, 0]
           + res.gf.v.y.values[ii, jj] * ks[:, 1])
     a = vk + cfg.gamma * res.sf.h.values[ii, jj]
@@ -301,7 +307,7 @@ def test_zone_dynamic_zero_matches_static(single_build):
     z0 = activation_zone(res.grid, k_nom, res.sf, res.gf, res.filter_cfg)
     z1 = activation_zone(res.grid, k_nom, res.sf, res.gf, res.filter_cfg,
                          dh_dt=zero_field(res.grid))
-    ii, jj = res.grid.free_cells()
+    ii, jj = np.nonzero(res.grid.free)
     assert np.array_equal(z0.a.values[ii, jj], z1.a.values[ii, jj])
     assert np.array_equal(z0.active, z1.active)
 
@@ -324,3 +330,117 @@ def test_zone_csv_outputs(tmp_path, single_build):
     assert all(len(r) == 3 for r in rows)
     ids = sorted({int(r[0]) for r in rows})
     assert ids == list(range(len(zone.polylines)))
+
+
+# -- cells where the filter provably stays idle ----------------------------------
+
+# offsets of the 5x5 sub-grid per cell, both edges included
+_SUB = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -40])
+
+
+def _a_in_marked(sf, gf, cfg, mu, goal, px, py):
+    """a at the points of arrays px, py that fall in a cell of
+    inactive_cells, in FieldSampler.at's and min_norm's operation order
+    (numpy gives the same doubles), and the share of points that do."""
+    g = sf.grid
+    mark = inactive_cells(sf, gf, cfg, mu, goal)
+    ox, oy = g.origin_xy
+    gx = (px - ox) / g.d
+    gy = (py - oy) / g.d
+    i0 = np.floor(gx).astype(int)
+    j0 = np.floor(gy).astype(int)
+    inside = (i0 >= 0) & (j0 >= 0) & (i0 < g.nx - 1) & (j0 < g.ny - 1)
+    keep = np.zeros_like(inside)
+    keep[inside] = mark[i0[inside], j0[inside]]
+    i0, j0, gx, gy = i0[keep], j0[keep], gx[keep], gy[keep]
+    fx, fy = gx - i0, gy - j0
+    ex, ey = 1.0 - fx, 1.0 - fy
+
+    def blend(v):
+        return (v[i0, j0] * ex * ey + v[i0 + 1, j0] * fx * ey
+                + v[i0, j0 + 1] * ex * fy + v[i0 + 1, j0 + 1] * fx * fy)
+
+    m = -mu
+    kx = m * (px[keep] - goal[0])
+    ky = m * (py[keep] - goal[1])
+    a = ((blend(gf.v.x.values) * kx + blend(gf.v.y.values) * ky)
+         + cfg.gamma * blend(sf.h.values))
+    return a, keep.mean() if len(keep) else 0.0
+
+
+def _sub_grid_points(g, mark):
+    ii, jj = np.nonzero(mark)
+    fx, fy = (f.ravel() for f in np.meshgrid(_SUB, _SUB))
+    ox, oy = g.origin_xy
+    return ((ox + g.d * (ii[:, None] + fx)).ravel(),
+            (oy + g.d * (jj[:, None] + fy)).ravel())
+
+
+def _shipped_fields(single_build, three_build, uncertain_build, disk_build):
+    for sc, b in (single_build, three_build, uncertain_build, disk_build,
+                  build_scenario("moving_block")):
+        yield sc.controller(b), b
+    doc, _ = flux_sweep_doc(12)
+    sc = Scenario(doc)
+    for scale in (0.5, 3.0):
+        b = sc.build(flux_scale={sc.sweep_obstacle: scale})
+        yield sc.controller(b), b
+
+
+def test_inactive_cells_sound_on_shipped_fields(single_build, three_build,
+                                                uncertain_build, disk_build):
+    rng = np.random.default_rng(5)
+    for ctrl, b in _shipped_fields(single_build, three_build,
+                                   uncertain_build, disk_build):
+        cfg = b.filter_cfg
+        mark = inactive_cells(b.sf, b.gf, cfg, ctrl.mu, ctrl.goal)
+        assert mark.shape == (b.grid.nx - 1, b.grid.ny - 1)
+        assert mark.mean() > 0.5
+        px, py = _sub_grid_points(b.grid, mark)
+        a, share = _a_in_marked(b.sf, b.gf, cfg, ctrl.mu, ctrl.goal, px, py)
+        assert share > 0.9
+        assert (a >= 0.0).all(), float(a.min())
+        # the array arithmetic is the scalar path's, bit for bit
+        ii, jj = np.nonzero(mark)
+        pick = rng.integers(0, len(ii), 40)
+        pts = b.grid.origin + b.grid.d * (
+            np.stack([ii[pick], jj[pick]], axis=1)
+            + rng.uniform(0.01, 0.99, (40, 2)))
+        a1, share = _a_in_marked(b.sf, b.gf, cfg, ctrl.mu, ctrl.goal,
+                                 pts[:, 0], pts[:, 1])
+        assert share == 1.0
+        assert a1.tolist() == [activation(p, ctrl(p), b.sf, b.gf, cfg)
+                               for p in pts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), gamma=st.floats(0.05, 20.0),
+       mu=st.floats(-3.0, 3.0), goal=st.tuples(st.floats(-3.0, 6.0),
+                                               st.floats(-3.0, 6.0)),
+       nan=st.booleans())
+def test_inactive_cells_sound_on_random_fields(seed, gamma, mu, goal, nan):
+    rng = np.random.default_rng(seed)
+    g = box_grid(int(rng.integers(3, 9)), int(rng.integers(3, 9)),
+                 d=float(rng.uniform(0.05, 1.0)),
+                 origin=tuple(rng.uniform(-2.0, 2.0, 2)))
+    h, vx, vy = (rng.uniform(lo, 3.0, (g.nx, g.ny)) for lo in (0.0, -1.0,
+                                                                -1.0))
+    if nan:     # a node of the occupied perimeter
+        ni, nj = [(i, j) for i in range(g.nx) for j in range(g.ny)
+                  if not g.free[i, j]][rng.integers(0, 2 * (g.nx + g.ny) - 4)]
+        (h, vx, vy)[rng.integers(0, 3)][ni, nj] = np.nan
+    sf = SafetyFunction(ScalarField(g, h))
+    gf = GuidanceFieldBundle(VectorField(ScalarField(g, vx),
+                                         ScalarField(g, vy)))
+    cfg = FilterConfig(gamma=gamma)
+    goal = np.array(goal)
+    mark = inactive_cells(sf, gf, cfg, mu, goal)
+    if nan:
+        assert not mark[max(ni - 1, 0):ni + 1, max(nj - 1, 0):nj + 1].any()
+    px, py = _sub_grid_points(g, mark)
+    ii, jj = (np.repeat(c, 20) for c in np.nonzero(mark))
+    ox, oy = g.origin_xy
+    px = np.concatenate([px, ox + g.d * (ii + rng.random(len(ii)))])
+    py = np.concatenate([py, oy + g.d * (jj + rng.random(len(jj)))])
+    a, _ = _a_in_marked(sf, gf, cfg, mu, goal, px, py)
+    assert (a >= 0.0).all()

@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from riskfields.cli import main
 from riskfields.errors import MalformedDocument, NonConvergence
 from riskfields.scenario import Scenario, load_scenario
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, flux_sweep_doc
 
 
 def load_doc(name):
@@ -442,10 +441,10 @@ def test_node_features_label_majority_tie_breaks_low():
     from riskfields.grid import extract_boundary
     b = extract_boundary(g)
     feats = sc.node_features(g, b)
-    k = b.node_at_cell(5, 4)  # touches one 'a' and one 'b' neighbor
+    k = b.cells.tolist().index([5, 4])  # touches one 'a' and one 'b' neighbor
     assert k is not None
     assert feats[k].value == sc.label_ids["a"]  # tie goes to the smaller id
-    k2 = b.node_at_cell(3, 4)  # touches only 'a'
+    k2 = b.cells.tolist().index([3, 4])  # touches only 'a'
     assert feats[k2].value == sc.label_ids["a"]
 
 
@@ -634,16 +633,6 @@ def test_flux_scale_scalar_and_dict(three_build):
 
 # -- flux scales by superposition -------------------------------------------------
 
-def _flux_sweep_doc(seed):
-    """The benchmark's flux_sweep document and first scale for a seed."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", SCENARIOS.parent / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    doc, scales = inputs.flux_sweep_inputs(seed)
-    return doc, {0: next(scales)}
-
-
 def _touching_doc():
     """Two rects that overlap into one blob: one boundary component, owned
     by both obstacles."""
@@ -680,7 +669,7 @@ def test_superposed_guidance_equals_a_direct_solve(case):
     elif case == "touching":
         doc, fs = _touching_doc(), {0: 2.0, 1: 3.0, 2: 0.5}
     else:
-        doc, fs = _flux_sweep_doc(int(case[5:]))
+        doc, fs = flux_sweep_doc(int(case[5:]))
     sc = Scenario(doc)
     b = sc.build(flux_scale=fs)
     terms = b.report["guidance"]["terms"]
@@ -959,6 +948,39 @@ def test_cli_simulate_single(tmp_path):
     assert traj[-1].endswith(",goal_reached")
 
 
+def _trajectory_csv(path):
+    rows = path.read_text().splitlines()
+    names = rows[0].split(",")
+    vals = np.array([[float(x) for x in r.split(",")[:-1]] for r in rows[1:]])
+    return {n: vals[:, k] for k, n in enumerate(names[:-1])}
+
+
+def _assert_filter_summary(summary, traj):
+    """filter_active, max_correction and end as read off trajectory.csv."""
+    dx = traj["u_x"] - traj["unom_x"]
+    dy = traj["u_y"] - traj["unom_y"]
+    assert summary["filter_active"] == int(((dx != 0) | (dy != 0)).sum())
+    assert summary["max_correction"] == float(np.hypot(dx, dy).max())
+    assert summary["end"] == {"t": traj["t"][-1],
+                              "y": [traj["x"][-1], traj["y"][-1]]}
+
+
+def test_cli_simulate_reports_filter_activity(tmp_path):
+    out = tmp_path / "sim"
+    rc = run_cli("simulate", "--scenario",
+                 str(SCENARIOS / "single_obstacle.yaml"), "--out", str(out))
+    assert rc == 0
+    summary = json.loads((out / "sim_summary.json").read_text())
+    traj = _trajectory_csv(out / "trajectory.csv")
+    _assert_filter_summary(summary, traj)
+    # the run goes round the obstacle: the filter acts on part of it
+    assert 0 < summary["filter_active"] < summary["samples"]
+    assert summary["max_correction"] > 0.1
+    assert summary["termination"] == "goal_reached"
+    goal = load_doc("single_obstacle")["nominal"]["goal"]
+    assert math.dist(summary["end"]["y"], goal) < 0.05
+
+
 def test_cli_simulate_double(tmp_path):
     doc = load_doc("single_obstacle")
     doc["sim"]["ydot0"] = [2.55, 0.25]  # near k_v(y0): inside the shrunken set
@@ -986,6 +1008,8 @@ def test_cli_dynamic(tmp_path):
     summary = json.loads((out / "dynamic_summary.json").read_text())
     assert summary["frames"] == 3
     assert summary["termination"] == "time_limit"
+    _assert_filter_summary(summary, _trajectory_csv(out / "trajectory.csv"))
+    assert summary["end"]["t"] == pytest.approx(0.6)
 
 
 def test_cli_dynamic_requires_dt_frame(tmp_path):

@@ -13,7 +13,8 @@ from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
 from riskfields.errors import (GridMismatch, MalformedGrid, OutOfDomain,
                                StartUnsafe)
 from riskfields.grid import FieldSampler, ScalarField
-from riskfields.safety import SafetyFunction, activation_zone
+from riskfields.safety import (SafetyFunction, activation_zone,
+                               inactive_cells)
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
@@ -134,6 +135,70 @@ def test_plain_controller_matches_point_form(request, fixture):
     _same_trajectory(*runs)
 
 
+def test_only_a_static_goal_filter_skips(monkeypatch, single_build):
+    sc, res = single_build
+    k = sc.controller(res)
+    cfg = res.filter_cfg
+    zero = ScalarField(res.grid, np.zeros(res.grid.state.shape))
+
+    class Called(Exception):
+        pass
+
+    def called(*args):
+        raise Called
+
+    monkeypatch.setattr(sim, "inactive_cells", called)
+    for ctrl, dh in ((k, zero), (lambda y: k(y), None),
+                     (adversarial_controller(1.0, res.sf), None)):
+        sim._filtered(ctrl, res.sf, res.gf, cfg, 1, dh)
+    with pytest.raises(Called):
+        sim._filtered(k, res.sf, res.gf, cfg, 1)
+
+
+def test_skipping_stage_matches_full_stage(single_build):
+    # a goal controller's stage skips the field sample in the cells of
+    # inactive_cells; at any point, on the hull or off it, finite or not, it
+    # gives the bits of the full stage or raises the same OutOfDomain
+    sc, res = single_build
+    k = sc.controller(res)
+
+    def k_full(y):      # k without the mu that enables the skip
+        return k(y)
+
+    k_full.at, k_full.goal = k.at, k.goal
+    cfg = res.filter_cfg
+    skip = sim._filtered(k, res.sf, res.gf, cfg, 1)[1]
+    stage = sim._filtered(k_full, res.sf, res.gf, cfg, 1)[1]
+    g = res.grid
+    ox, oy = g.origin_xy
+    rng = np.random.default_rng(3)
+    edges = np.concatenate([np.arange(-1.0, g.nx + 1), np.arange(g.nx)
+                            + (1.0 - 2.0 ** -40)])
+    gx = np.concatenate([rng.uniform(-1.0, g.nx, 400), edges,
+                         rng.uniform(0.0, g.nx - 1.0, len(edges))])
+    gy = np.concatenate([rng.uniform(-1.0, g.ny, 400),
+                         rng.uniform(0.0, g.ny - 1.0, len(edges)),
+                         edges * (g.ny / g.nx)])
+    pts = list(zip((ox + g.d * gx).tolist(), (oy + g.d * gy).tolist()))
+    for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300):
+        pts += [(bad, oy + 0.5 * g.d * g.ny), (ox + 0.5 * g.d * g.nx, bad),
+                (bad, bad)]
+    mark = inactive_cells(res.sf, res.gf, cfg, k.mu, k.goal)
+    skipped = 0
+    for p in pts:
+        outs = []
+        for f in (skip, stage):
+            try:
+                outs.append([c.hex() for c in f(p)])
+            except OutOfDomain as e:
+                outs.append(str(e))
+        assert outs[0] == outs[1], p
+        i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
+        skipped += bool(0 <= i < g.nx - 1 and 0 <= j < g.ny - 1
+                        and mark[int(i), int(j)])
+    assert skipped > len(pts) // 2
+
+
 # -- integrator core -----------------------------------------------------------------
 
 def test_rk4_is_fourth_order():
@@ -173,7 +238,7 @@ def test_goal_check_decides_as_numpy_norm_at_distance_d():
     goal, d = (1.0, 2.6), 0.05
 
     def record(z):
-        return (z, (0.0, 0.0), (0.0, 0.0), 1.0, 1.0, 1.0), (0.0, 0.0)
+        return (*z, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), (0.0, 0.0)
 
     naive_differs = 0
     for ang in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False).tolist():
