@@ -20,9 +20,9 @@ import yaml
 
 from . import __version__, backstep, elliptic, sim
 from .errors import RiskFieldsError
-from .grid import dump_csv
+from .grid import OCCUPIED, dump_csv
 from .safety import activation_zone
-from .scenario import Scenario
+from .scenario import _SOLVED, Scenario
 
 
 def _manifest(argv, scenario_path, outputs):
@@ -131,13 +131,26 @@ def _simulate(scenario, build):
                                 goal=sc.get("goal"))
 
 
-def _run_summary(traj):
-    """A run's summary, filter activity included, read off its trajectory."""
+def _inside_occupied(y, grids, m):
+    """The number of samples y whose cell, the nearest centre
+    floor((y - origin)/d + 1/2), is occupied on the grid the sample was
+    filtered on, grids[min(i // m, len(grids) - 1)] for sample i.  Every
+    recorded sample lies in the lattice hull, so its cell exists."""
+    g = grids[0]
+    i, j = np.floor((y - g.origin) / g.d + 0.5).astype(int).T
+    k = np.minimum(np.arange(len(y)) // m, len(grids) - 1)
+    state = np.array([grid.state for grid in grids])
+    return int((state[k, i, j] == OCCUPIED).sum())
+
+
+def _run_summary(traj, grids, m):
+    """A run's summary, filter activity and _inside_occupied included."""
     du = traj.u_filt - traj.u_nom
     return {"termination": traj.termination, "samples": traj.n,
             "min_h": traj.min_h(), "audit_min": float(traj.audit.min()),
             "filter_active": int((du != 0.0).any(axis=1).sum()),
             "max_correction": float(np.hypot(*du.T).max()),
+            "inside_occupied": _inside_occupied(traj.y, grids, m),
             "end": {"t": float(traj.t[-1]), "y": traj.y[-1].tolist()}}
 
 
@@ -152,7 +165,8 @@ def cmd_simulate(args, scenario):
         fh.write("t,constraint\n")
         for t, c in zip(traj.t, traj.audit):
             fh.write("%.17g,%.17g\n" % (t, c))
-    summary = {**_run_summary(traj), "path_length": traj.path_length()}
+    summary = {**_run_summary(traj, [build.grid], 1),
+               "path_length": traj.path_length()}
     jp = os.path.join(out, "sim_summary.json")
     _write_json(jp, summary)
     print(f"simulated {scenario.name}: {traj.termination} after "
@@ -187,7 +201,9 @@ def cmd_dynamic(args, scenario):
         for k, fr in enumerate(res.frames):
             outputs += _dump_fields(out, f"frame{k:04d}_", fr.build)
     traj = res.trajectory
-    summary = {**_run_summary(traj), "frames": len(res.frames)}
+    grids = [fr.build.grid for fr in res.frames]
+    summary = {**_run_summary(traj, grids, round(dt_frame / sc["dt"])),
+               "frames": len(res.frames)}
     jp = os.path.join(out, "dynamic_summary.json")
     _write_json(jp, summary)
     outputs.append(jp)
@@ -216,6 +232,12 @@ def _min_clearance(traj, build, scenario, obstacle_idx):
         d = np.hypot(cx - p[:, :1], cy - p[:, 1:]).min(axis=1)
         dmin = min(dmin, float(np.fmin.reduce(d)))
     return dmin
+
+
+def _start_worker(solved):
+    """Pool initializer: the worker's _SOLVED starts as the parent's."""
+    _SOLVED.clear()
+    _SOLVED.update(solved)
 
 
 def _sweep_one(job):
@@ -259,15 +281,24 @@ def _positive_list(text, flag):
 
 def cmd_sweep(args, scenario):
     out = args.out
+    if args.workers < 1:
+        raise RiskFieldsError(f"--workers: {args.workers} is not at least 1")
     scales = _positive_list(args.scales, "--scales")
     gammas = _positive_list(args.gammas, "--gammas") if args.gammas \
         else [scenario.filter_cfg.gamma]
     jobs = [(args.scenario, s, gm) for gm in gammas for s in scales]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            rows = list(ex.map(_sweep_one, jobs))
+    # a scaled job first, here, so _SOLVED holds every field the others
+    # read (scale 1 needs no basis pair); each worker starts from a copy
+    jobs.sort(key=lambda job: job[1] == 1.0)
+    rows = [_sweep_one(jobs.pop(0))]
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_start_worker,
+                                 initargs=(dict(_SOLVED),)) as ex:
+            rows += ex.map(_sweep_one, jobs)
     else:
-        rows = [_sweep_one(j) for j in jobs]
+        rows += map(_sweep_one, jobs)
     rows.sort(key=lambda r: (r["gamma"], r["scale"]))
     sp = os.path.join(out, "sweep.csv")
     cols = ["scale", "gamma", "zone_cells_restricted", "zone_cells",

@@ -473,19 +473,19 @@ def _guidance(grid, boundary, nodes=None, comp=None):
 
 def _superpose(grid, terms):
     """The guidance components sum_k a_k (vx_k, vy_k) over terms
-    [(a_k, (vx_k, vy_k), (stats_x_k, stats_y_k))], in order, as fresh
+    [(a_k, (vx_k, vy_k))] of solved fields, in order, as fresh
     ScalarFields; one term with a_0 = 1 gives a copy of its values and
     stats.  The discrete Laplacian is linear, so a component's residual
     is at most sum |a_k| r_k; its stats carry that bound, with target
     sum |a_k| t_k and the terms' sweeps added up."""
     fields = []
-    weights = [abs(a) for a, _, _ in terms]
+    weights = [abs(a) for a, _ in terms]
     for axis in (0, 1):
-        (a, values, _), rest = terms[0], terms[1:]
-        w = values[axis] * a
-        for coef, vals, _ in rest:
-            w += coef * vals[axis]
-        stats = [st[axis] for _, _, st in terms]
+        (a, first), rest = terms[0], terms[1:]
+        w = first[axis].values * a
+        for coef, pair in rest:
+            w += coef * pair[axis].values
+        stats = [pair[axis].stats for _, pair in terms]
         field = ScalarField(grid, w)
         field.stats = SolveStats(
             stats[0].method, sum(st.iterations for st in stats),

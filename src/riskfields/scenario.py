@@ -63,6 +63,12 @@ def _mapping(x, path):
     return x
 
 
+def _list(x, path):
+    if not isinstance(x, (list, tuple)):
+        raise MalformedDocument(f"{path}: expected a list, got {x!r}")
+    return x
+
+
 def _point(x, path):
     try:
         p = np.asarray(x, dtype=float)
@@ -92,11 +98,9 @@ def _obstacle_geometry(ob, kind, path, d):
                 f"{path}: min {lo.tolist()} exceeds max {hi.tolist()}")
         return {"min": lo, "max": hi}
     if kind == "cells":
-        cells = _req(ob, "cells", path)
-        if not isinstance(cells, (list, tuple)):
-            raise MalformedDocument(f"{path}.cells: expected a list of [i, j]")
         out = []
-        for k, cell in enumerate(cells):
+        for k, cell in enumerate(_list(_req(ob, "cells", path),
+                                       f"{path}.cells")):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
                     or not all(isinstance(v, (int, np.integer))
                                and not isinstance(v, bool) for v in cell)):
@@ -105,10 +109,8 @@ def _obstacle_geometry(ob, kind, path, d):
                     f"got {cell!r}")
             out.append((int(cell[0]), int(cell[1])))
         return {"cells": out}
-    pts = _req(ob, "points", path)
-    if not isinstance(pts, (list, tuple)):
-        raise MalformedDocument(f"{path}.points: expected a list of [x, y]")
-    pts = [_point(p, f"{path}.points") for p in pts]
+    pts = [_point(p, f"{path}.points")
+           for p in _list(_req(ob, "points", path), f"{path}.points")]
     if len(pts) < 2:
         raise MalformedDocument(f"{path}.points: need at least two")
     return {"points": pts,
@@ -116,66 +118,17 @@ def _obstacle_geometry(ob, kind, path, d):
                               positive=True)}
 
 
-def _chains_copy(chains):
-    return {c: None if a is None else a.copy() for c, a in chains.items()}
-
-
-class _Pair:
-    """Private copies of one solved guidance pair, the (x, y) values and
-    stats of v0 or of a basis field v_c; values stays None until the frame
-    that solves it is finished (keep)."""
-
-    values = None
-
-    def keep(self, fx, fy):
-        self.values = (fx.values.copy(), fy.values.copy())
-        self.stats = (replace(fx.stats), replace(fy.stats))
-
-
-class _Geometry:
-    """Private copies of what a build derives from its free mask alone: the
-    flux-free boundary, its nearest-node map as index arrays, h with its
-    stats, and grad h; and the guidance solved on it for one smoothed,
-    unscaled flux beta0.  The boundary and map are copied when the frame
-    that solves this geometry is prepared, h and grad h when it is finished
-    (keep).  guide is (beta0.tobytes(), v0, {component: v_c}) of the last
-    successful build, its _Pairs those that build used or solved: v0 the
-    harmonic extension of -beta0 n_hat, v_c that of -beta0 n_hat on the
-    nodes of component c and 0 on every other node.  Every field handed
-    out is a fresh copy on the grid it is asked for."""
-
-    def __init__(self, boundary, nodes):
-        self.arrays = (boundary.cells.copy(), boundary.normals.copy(),
-                       boundary.arcw.copy(), boundary.comp.copy())
-        self.chains = _chains_copy(boundary.chains)
-        self.nodes = nodes      # read only by the guidance solve
-        self.h = None
-        self.guide = None
-
-    def keep(self, h):
-        self.h = h.values.copy()
-        self.stats = replace(h.stats)
-        g = h.gradient()
-        self.grad = (g.x.values.copy(), g.y.values.copy())
-
-    def boundary_on(self, grid):
-        return BoundarySet(grid, *(a.copy() for a in self.arrays),
-                           _chains_copy(self.chains))
-
-    def h_on(self, grid, boundary):
-        h = ScalarField(grid, self.h.copy())
-        h.stats = replace(self.stats)
-        h.boundary = boundary
-        h._grad = VectorField(*(ScalarField(grid, g.copy(), mask=h.mask)
-                                for g in self.grad))
-        return h
-
-
-# The geometry of the last successful build, {key: _Geometry}, one entry at
-# most, with the v0 and basis pairs of that build's beta0 (_Geometry.guide).
-# The key is everything the boundary, h, grad h and, for a given beta0, the
+# Private fields solved by earlier builds, keyed by content; G is
+# _geometry_key, all that the boundary, h and (for a given beta0) the
 # guidance depend on: the free mask, the lattice and the solver config.
-_GEOMETRY = {}
+# (G, "shape"): the flux-free BoundarySet and its _band_nodes arrays;
+# (G, "h"): [h], with its stats and cached grad h; (G, beta0 bytes, c):
+# [vx, vy] of the smoothed, unscaled flux beta0, v0 (data -beta0 n_hat)
+# for c None, else v_c (that data on component c's nodes, 0 elsewhere).
+# A successful full build keeps the entries of its own G and beta0 and
+# drops all others; a failed build stores nothing, nor does h alone.
+# Nothing stored is handed out: builds get fresh copies on their grid.
+_SOLVED = {}
 
 
 def _geometry_key(grid, cfg):
@@ -183,23 +136,42 @@ def _geometry_key(grid, cfg):
             cfg.method, cfg.omega, cfg.tol, cfg.max_iters)
 
 
+def _boundary_on(b, grid):
+    """A fresh copy of the flux-free boundary b on grid."""
+    return BoundarySet(grid, b.cells.copy(), b.normals.copy(), b.arcw.copy(),
+                       b.comp.copy(), {c: None if a is None else a.copy()
+                                       for c, a in b.chains.items()})
+
+
+def _h_on(h, grid, boundary):
+    """A fresh copy of the stored h on grid, with its stats and grad h."""
+    out = ScalarField(grid, h.values.copy())
+    out.stats = replace(h.stats)
+    out.boundary = boundary
+    g = h.gradient()
+    out._grad = VectorField(*(ScalarField(grid, c.values.copy(), mask=out.mask)
+                              for c in (g.x, g.y)))
+    return out
+
+
 @dataclass
 class _Pending:
-    """A frame prepared for the stacked solve: its systems, and for a full
-    build (report not None) the boundary with flux.  geo is the geometry
-    the frame reuses or, with h still None, the one it solves.  guide is
-    _Geometry.guide once the frame is built, terms its field's
-    [(component or None for v0, coefficient, _Pair)] and pairs the _Pairs
-    whose systems follow h's, in order."""
+    """A frame prepared for the stacked solve: its grid, G and the
+    [(key, systems)] of the _SOLVED entries it solves, in stack order;
+    store, the entries it reads (None: solved in this stack), is _SOLVED
+    as a full build (report not None) leaves it, or h's entry alone.  A
+    full build has its boundary with flux, terms [(key, coefficient)]."""
     grid: object
     key: tuple
-    geo: object
-    systems: list
+    adds: list
+    store: dict
     boundary: object = None
     report: dict = None
-    guide: tuple = None
     terms: list = None
-    pairs: list = None
+
+    @property
+    def systems(self):
+        return [s for _, group in self.adds for s in group]
 
 
 @dataclass
@@ -231,7 +203,7 @@ class Scenario:
 
     def _parse(self):
         doc = self.doc
-        g = _req(doc, "grid", self.name)
+        g = _mapping(_req(doc, "grid", self.name), "grid")
         self.nx = _int(_req(g, "nx", "grid"), "grid.nx", lo=3)
         self.ny = _int(_req(g, "ny", "grid"), "grid.ny", lo=3)
         if self.nx * self.ny > MAX_CELLS:
@@ -240,7 +212,7 @@ class Scenario:
         self.d = _num(_req(g, "d", "grid"), "grid.d", positive=True)
         self.origin = _point(g.get("origin", [0.0, 0.0]), "grid.origin")
 
-        dom = doc.get("domain", {"kind": "box"})
+        dom = _mapping(doc.get("domain", {"kind": "box"}), "domain")
         self.domain_kind = dom.get("kind", "box")
         if self.domain_kind not in ("box", "disk"):
             raise MalformedDocument(f"domain.kind: unknown {self.domain_kind!r}")
@@ -276,19 +248,22 @@ class Scenario:
         self.smooth_window = win
 
         # label names get small ids in declaration order, starting at 1
-        prio = risk.get("priorities", {"wall": 1.0, "chair": 3.0,
-                                       "person": 6.0})
+        prio = _mapping(risk.get("priorities", {"wall": 1.0, "chair": 3.0,
+                                                "person": 6.0}),
+                        "risk.priorities")
         self.label_ids = {nm: i + 1 for i, nm in enumerate(prio)}
-        self.label_priorities = {self.label_ids[nm]: _num(v, f"priorities.{nm}")
-                                 for nm, v in prio.items()}
+        self.label_priorities = {
+            self.label_ids[nm]: _num(v, f"risk.priorities.{nm}")
+            for nm, v in prio.items()}
         if "wall" not in self.label_ids:
             self.label_ids["wall"] = max(self.label_ids.values(), default=0) + 1
             self.label_priorities[self.label_ids["wall"]] = 1.0
 
         self.obstacles = []
-        for idx, ob in enumerate(doc.get("obstacles", [])):
+        for idx, ob in enumerate(_list(doc.get("obstacles", []),
+                                       "obstacles")):
             path = f"obstacles[{idx}]"
-            kind = _req(ob, "kind", path)
+            kind = _req(_mapping(ob, path), "kind", path)
             if kind not in ("disk", "rect", "cells", "polyline"):
                 raise MalformedDocument(f"{path}.kind: unknown {kind!r}")
             lab = ob.get("label", "wall")
@@ -313,7 +288,7 @@ class Scenario:
                 geom["speed"] = _num(ob["speed"], f"{path}.speed")
             self.obstacles.append(dict(ob, label=lab, prob=prob, **geom))
 
-        flt = doc.get("filter", {})
+        flt = _mapping(doc.get("filter", {}), "filter")
         self.filter_cfg = FilterConfig(
             gamma=_num(flt.get("gamma", 1.0), "filter.gamma", positive=True),
             eps=_num(flt.get("eps", 0.1), "filter.eps", positive=True),
@@ -328,7 +303,7 @@ class Scenario:
                 for key, default in (("mu", 1.0), ("sigma_s", 0.1),
                                      ("eta_c", 1e-8))}
 
-        nom = _req(doc, "nominal", self.name)
+        nom = _mapping(_req(doc, "nominal", self.name), "nominal")
         self.nominal_kind = _req(nom, "kind", "nominal")
         if self.nominal_kind not in ("goal", "adversarial"):
             raise MalformedDocument(
@@ -340,7 +315,7 @@ class Scenario:
             self.nominal_goal = _point(_req(nom, "goal", "nominal"),
                                        "nominal.goal")
 
-        sol = doc.get("solver", {})
+        sol = _mapping(doc.get("solver", {}), "solver")
         method = sol.get("method", elliptic.SOR)
         if method in ("gauss_seidel", "dense_direct"):
             raise MalformedDocument(
@@ -358,7 +333,7 @@ class Scenario:
             tol=_num(sol.get("tol", 1e-8), "solver.tol", positive=True),
             max_iters=_int(sol.get("max_iters", 0), "solver.max_iters"))
 
-        sc = doc.get("sim", {})
+        sc = _mapping(doc.get("sim", {}), "sim")
         self.sim_cfg = {}
         if sc:
             self.sim_cfg["y0"] = _point(_req(sc, "y0", "sim"), "sim.y0")
@@ -377,30 +352,37 @@ class Scenario:
                                                 "sim.dt_frame", positive=True)
 
         self.motion = []
-        for idx, mo in enumerate(doc.get("motion", [])):
+        for idx, mo in enumerate(_list(doc.get("motion", []), "motion")):
             path = f"motion[{idx}]"
-            ob = _int(_req(mo, "obstacle", path), f"{path}.obstacle")
+            ob = _int(_req(_mapping(mo, path), "obstacle", path),
+                      f"{path}.obstacle")
             if not (0 <= ob < len(self.obstacles)):
                 raise MalformedDocument(f"{path}.obstacle: index out of range")
             heading = _point(_req(mo, "heading", path), f"{path}.heading")
             prof = _req(mo, "profile", path)
-            pk = prof.get("kind", "constant")
-            if pk == "trapezoid":
-                profile = sim.MotionProfile.trapezoid(
-                    _num(_req(prof, "v_max", path), f"{path}.v_max"),
-                    _num(_req(prof, "t_rise", path), f"{path}.t_rise"),
-                    _num(prof.get("t_hold", 0.0), f"{path}.t_hold"),
-                    _num(_req(prof, "t_fall", path), f"{path}.t_fall"),
-                    heading)
-            elif pk == "constant":
-                profile = sim.MotionProfile.constant(
-                    _num(_req(prof, "speed", path), f"{path}.speed"), heading)
-            elif pk == "piecewise":
-                profile = sim.MotionProfile(
-                    [float(x) for x in _req(prof, "times", path)],
-                    [float(x) for x in _req(prof, "speeds", path)], heading)
-            else:
-                raise MalformedDocument(f"{path}.profile.kind: unknown {pk!r}")
+            path += ".profile"
+            pk = _mapping(prof, path).get("kind", "constant")
+            try:    # MotionProfile's own checks raise ValueError
+                if pk == "trapezoid":
+                    profile = sim.MotionProfile.trapezoid(
+                        _num(_req(prof, "v_max", path), f"{path}.v_max"),
+                        _num(_req(prof, "t_rise", path), f"{path}.t_rise"),
+                        _num(prof.get("t_hold", 0.0), f"{path}.t_hold"),
+                        _num(_req(prof, "t_fall", path), f"{path}.t_fall"),
+                        heading)
+                elif pk == "constant":
+                    profile = sim.MotionProfile.constant(
+                        _num(_req(prof, "speed", path), f"{path}.speed"),
+                        heading)
+                elif pk == "piecewise":
+                    profile = sim.MotionProfile(*(
+                        [_num(x, f"{path}.{key}") for x in
+                         _list(_req(prof, key, path), f"{path}.{key}")]
+                        for key in ("times", "speeds")), heading)
+                else:
+                    raise MalformedDocument(f"{path}.kind: unknown {pk!r}")
+            except ValueError as exc:
+                raise MalformedDocument(f"{path}: {exc}") from None
             self.motion.append((ob, profile))
 
         self.sweep_obstacle = doc.get("sweep_obstacle")
@@ -574,10 +556,11 @@ class Scenario:
         v = a v0 + sum_c (s_c - a) v_c, over the components c whose factor
         s_c (the product of the scales of the obstacles that own c) is not
         a; a is 1 for a map or no scale, so an unscaled build's v is v0.
-        v0 and v_c are solved for the smoothed, unscaled flux beta0 (see
-        _Geometry).  A build reuses what the last successful build of its
-        geometry (_GEOMETRY) holds: the boundary, h and grad h, and for the
-        same beta0, v0 and the v_c; only what is missing is solved.  So a
+        v0 and v_c are solved for the smoothed, unscaled flux beta0.  A
+        build reads what _SOLVED holds for its geometry G: the boundary and
+        node map (G, "shape"), h with grad h (G, "h"), and v0 and the v_c
+        of its beta0 (G, beta0, c); only what is missing is solved, and a
+        successful build keeps the entries of its own G and beta0.  So a
         one-off map-scaled build solves five systems (h, v0 and one basis
         pair), two more than a direct solve of its scaled flux, while later
         scales of the same obstacles solve none.
@@ -589,8 +572,8 @@ class Scenario:
     def safety_field(self, t=0.0):
         """h at time t alone: the Poisson solve of build(t), without the
         boundary, flux and guidance stages, so with the same values; taken
-        from the last build when it had this geometry.  The one-frame case
-        of _build_frames with h_last; a dynamic run solves its closing
+        from _SOLVED when the last build had this geometry.  The one-frame
+        case of _build_frames with h_last; a dynamic run solves its closing
         frame's h this way, as the last item of its last pair."""
         return next(self._build_frames([t], h_last=True))
 
@@ -602,23 +585,20 @@ class Scenario:
         prepared (rasterize, boundary, flux) and the systems of all of them
         are solved in one elliptic._sweep_stack, where each keeps the values
         and stats of a solve on its own.  Each frame is finished when it is
-        asked for.  A frame whose mask is the last successful build's, or
-        an earlier frame's here, reuses that geometry, and v0 and basis
-        pairs of its beta0, as build does, so every field, stats, report
-        and _GEOMETRY entry is that of builds made one at a time.  A frame
-        that fails raises when it is asked for, and no frame after it is
-        prepared.
+        asked for.  Each frame is prepared on _SOLVED as the builds before
+        it, made one at a time, would leave it: its three key kinds, with
+        only the entries of the last full build's G and beta0 kept, where
+        an entry an earlier frame here solves reads None until that frame
+        is finished.  So every field, stats, report and _SOLVED entry is
+        that of builds made one at a time.  A frame that fails raises when
+        it is asked for, and no frame after it is prepared.
         """
         frames, failure = [], None
         flux_scale = self._checked_scale(flux_scale)
-        # (key, geometry, guide) that the next frame finds, as in _GEOMETRY
-        # after the frames before it were built one at a time
-        memo = (None, None, None)
-        for key, geo in _GEOMETRY.items():
-            memo = (key, geo, geo.guide)
+        store = dict(_SOLVED)
         for n, t in enumerate(times):
             try:
-                fr = self._prepare(t, flux_scale, memo,
+                fr = self._prepare(t, flux_scale, store,
                                    h_last and n == len(times) - 1)
             except Exception as exc:
                 # any error, raised when its frame is asked for: where a
@@ -627,38 +607,41 @@ class Scenario:
                 break
             frames.append(fr)
             if fr.report is not None:
-                memo = (fr.key, fr.geo, fr.guide)
+                store = fr.store
         start = time.perf_counter()
         solved = elliptic._sweep_stack([(fr.grid, fr.systems)
                                         for fr in frames], self.solver_cfg)
         # each frame's share of the stacked sweep, by its number of systems
         per_system = ((time.perf_counter() - start)
                       / max(1, sum(len(fr.systems) for fr in frames)))
+        made = {}       # the fields each frame solved, by _SOLVED key
         for fr, values in zip(frames, solved):
-            yield self._finish(fr, values, per_system)
+            yield self._finish(fr, values, per_system, made)
         if failure is not None:
             raise failure
 
-    def _prepare(self, t, flux_scale, memo, h_only):
-        """Frame t up to its systems; memo is (key, geometry, guide) of the
-        build before it."""
+    def _prepare(self, t, flux_scale, store, h_only):
+        """Frame t up to its systems; store is _SOLVED as the builds before
+        it leave it."""
         start = time.perf_counter()
         grid = self.rasterize(t)
-        key = _geometry_key(grid, self.solver_cfg)
-        geo = memo[1] if memo[0] == key else None
-        if h_only:
-            return _Pending(grid, key, geo, [] if geo is not None else [
-                elliptic._poisson(grid, None, elliptic.ForcingSpec())])
+        G = _geometry_key(grid, self.solver_cfg)
+        if h_only:      # the stored h, or its own solve
+            key = (G, "h")
+            return _Pending(grid, G, [] if key in store else [(key, [
+                elliptic._poisson(grid, None, elliptic.ForcingSpec())])],
+                {key: store.get(key)})
         report = {"stages": [], "scenario": self.name, "t": t}
         timings = report["timings_ms"] = {
             "rasterize": 1e3 * (time.perf_counter() - start)}
 
         start = time.perf_counter()
-        shape = (extract_boundary(grid) if geo is None
-                 else geo.boundary_on(grid))
+        shape = store.get((G, "shape"))
+        report["geometry"] = "solved" if shape is None else "reused"
+        shape = (extract_boundary(grid) if shape is None
+                 else _boundary_on(shape[0], grid))
         timings["boundary"] = 1e3 * (time.perf_counter() - start)
         report["stages"].append("discretize")
-        report["geometry"] = "solved" if geo is None else "reused"
         report["nodes"] = shape.n
         report["components"] = [int(c) for c in shape.components()]
 
@@ -682,33 +665,25 @@ class Scenario:
         timings["risk"] = 1e3 * (time.perf_counter() - start)
 
         start = time.perf_counter()
-        systems = []
-        if geo is None:
-            geo = _Geometry(shape, elliptic._band_nodes(grid, boundary))
-            systems.append(elliptic._poisson(grid, boundary,
-                                             elliptic.ForcingSpec()))
-        # the v0 and basis pairs of beta0 this frame finds, and those it
-        # adds; every pair missing is solved in this frame's stack
         flux_key = base.flux.tobytes()
-        guide = memo[2] if geo is memo[1] else None
-        _, v0, basis = (guide if guide is not None and guide[0] == flux_key
-                        else (flux_key, None, {}))
-        pairs = []
-        if v0 is None:
-            v0 = _Pair()
-            pairs.append((v0, None))
-        basis = dict(basis)
-        for c in scales:
-            if c not in basis:
-                basis[c] = _Pair()
-                pairs.append((basis[c], c))
-        for _, c in pairs:
-            systems += elliptic._guidance(grid, base, geo.nodes, comp=c)
-        terms = [(None, a, v0)] + [(c, s - a, basis[c])
-                                   for c, s in scales.items()]
+        kept = {k: v for k, v in store.items()
+                if k[0] == G and k[1] in ("shape", "h", flux_key)}
+        adds = []
+        if (G, "shape") not in kept:
+            kept[G, "shape"] = (_boundary_on(shape, grid),
+                                elliptic._band_nodes(grid, boundary))
+            adds.append(((G, "h"), [elliptic._poisson(
+                grid, boundary, elliptic.ForcingSpec())]))
+        nodes = kept[G, "shape"][1]
+        terms = [((G, flux_key, None), a)] + [((G, flux_key, c), s - a)
+                                              for c, s in scales.items()]
+        for key, _ in terms:
+            if key not in kept:
+                adds.append((key, elliptic._guidance(grid, base, nodes,
+                                                     comp=key[2])))
+        kept.update((key, None) for key, _ in adds)
         timings["solve"] = 1e3 * (time.perf_counter() - start)
-        return _Pending(grid, key, geo, systems, boundary, report,
-                        (flux_key, v0, basis), terms, [p for p, _ in pairs])
+        return _Pending(grid, G, adds, kept, boundary, report, terms)
 
     def _checked_scale(self, flux_scale):
         """flux_scale as build takes it, with float factors and int keys;
@@ -744,35 +719,32 @@ class Scenario:
                 scales[c] = s
         return 1.0, scales
 
-    def _finish(self, fr, solved, per_system):
+    def _finish(self, fr, solved, per_system, made):
         """The frame's build, or its h alone, from its systems' (values,
-        stats); the frame's geometry, with the guidance pairs it used,
-        becomes the _GEOMETRY entry."""
+        stats), which go into made; a build then makes _SOLVED its store."""
         start = time.perf_counter()
-        fields = elliptic._fields(fr.systems, solved)
-        if fr.report is None:
-            return fields[0] if fields else fr.geo.h_on(fr.grid, None)
+        fields = iter(elliptic._fields(fr.systems, solved))
+        made.update((key, [next(fields) for _ in group])
+                    for key, group in fr.adds)
+        store = {k: made[k] if v is None else v for k, v in fr.store.items()}
+        h, = store[fr.key, "h"]
+        if fr.report is None:   # h alone: its own solve, or a copy
+            return h if fr.adds else _h_on(h, fr.grid, None)
         grid, boundary, report = fr.grid, fr.boundary, fr.report
-        solved_here = fr.geo.h is None
-        if solved_here:
-            h = fields.pop(0)
-        else:   # h is the one solved for this geometry: same bits, stats
-            h = fr.geo.h_on(grid, boundary)
-        for pair, fx, fy in zip(fr.pairs, fields[::2], fields[1::2]):
-            pair.keep(fx, fy)
-        fx, fy = elliptic._superpose(
-            grid, [(s, p.values, p.stats) for _, s, p in fr.terms])
+        h = _h_on(h, grid, boundary)
+        fx, fy = elliptic._superpose(grid, [(s, store[key])
+                                            for key, s in fr.terms])
         v = elliptic._vector(fx, fy, boundary)
         report["stages"] += ["poisson", "laplace"]
         report["poisson"] = asdict(h.stats)
         report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
-        origin = {True: "solved", False: "reused"}
+        origin = {key: "solved" for key, _ in fr.adds}
         report["guidance"] = {
-            "v0": origin[fr.terms[0][2] in fr.pairs],
-            "terms": [{"component": c, "coefficient": s,
-                       "basis": origin[p in fr.pairs],
-                       "stats": [asdict(x) for x in p.stats]}
-                      for c, s, p in fr.terms]}
+            "v0": origin.get(fr.terms[0][0], "reused"),
+            "terms": [{"component": key[2], "coefficient": s,
+                       "basis": origin.get(key, "reused"),
+                       "stats": [asdict(f.stats) for f in store[key]]}
+                      for key, s in fr.terms]}
         now = time.perf_counter()
         report["timings_ms"]["solve"] += 1e3 * (
             per_system * len(fr.systems) + now - start)
@@ -790,11 +762,8 @@ class Scenario:
                           report)
         if bcfg is not None:
             bcfg.k_nom_v = self.controller(res)
-        if solved_here:
-            fr.geo.keep(h)
-        fr.geo.guide = fr.guide
-        _GEOMETRY.clear()
-        _GEOMETRY[fr.key] = fr.geo
+        _SOLVED.clear()
+        _SOLVED.update(store)
         report["timings_ms"]["filter"] = 1e3 * (time.perf_counter() - start)
         return res
 

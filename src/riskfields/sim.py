@@ -82,7 +82,7 @@ class MotionProfile:
         self.speeds = np.asarray(speeds, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.speeds.shape:
             raise ValueError("times and speeds must be matching 1-d arrays")
-        if self.times[0] != 0.0 or (np.diff(self.times) < 0).any():
+        if self.times[:1].tolist() != [0.0] or (np.diff(self.times) < 0).any():
             raise ValueError("times must start at 0 and be nondecreasing")
         if (self.speeds < 0).any():
             raise ValueError("speeds must be nonnegative")

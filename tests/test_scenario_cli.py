@@ -88,6 +88,69 @@ def test_sim_section_requires_core_keys():
         Scenario(minimal_doc(sim={"y0": [1.0, 1.0], "dt": 0.01}))  # no T
 
 
+def _replaced(name, path, value):
+    """Shipped document name with the value at path, a list of keys and
+    list indices, replaced (mappings on the way made as needed)."""
+    doc = load_doc(name)
+    node = doc
+    for key in path[:-1]:
+        if isinstance(key, str):
+            node = node.setdefault(key, {})
+        else:
+            node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_PIECEWISE = {"kind": "piecewise", "times": [0.0, 1.0], "speeds": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (["filter"], None, "filter"),
+    (["solver"], None, "solver"),
+    (["domain"], None, "domain"),
+    (["grid"], None, "grid"),
+    (["nominal"], None, "nominal"),
+    (["sim"], None, "sim"),
+    (["motion", 0, "profile"], None, r"motion\[0\]\.profile"),
+    (["risk", "priorities"], [1], "risk.priorities"),
+    (["risk", "priorities"], None, "risk.priorities"),
+    (["obstacles"], [1], r"obstacles\[0\]"),
+    (["obstacles"], "abc", "obstacles: expected a list"),
+    (["motion"], [1], r"motion\[0\]"),
+    (["motion"], "ab", "motion: expected a list"),
+    (["motion", 0, "profile"], dict(_PIECEWISE, times="ab"),
+     r"motion\[0\]\.profile\.times"),
+    (["motion", 0, "profile"], dict(_PIECEWISE, times=[0.0, "a"]),
+     r"motion\[0\]\.profile\.times"),
+    (["motion", 0, "profile"], dict(_PIECEWISE, times=[1, 0]),
+     r"motion\[0\]\.profile: times must start at 0"),
+    (["motion", 0, "profile"], dict(_PIECEWISE, times=[], speeds=[]),
+     r"motion\[0\]\.profile: times must start at 0"),
+    (["motion", 0, "profile"], dict(_PIECEWISE, speeds=[0.0]),
+     r"motion\[0\]\.profile: times and speeds"),
+    (["motion", 0, "profile"], {"kind": "constant", "speed": -1.0},
+     r"motion\[0\]\.profile: speeds must be nonnegative"),
+])
+def test_null_or_mistyped_sections_are_malformed(path, value, match):
+    doc = _replaced("moving_block", path, value)
+    with pytest.raises(MalformedDocument, match=match):
+        Scenario(doc).build()
+
+
+def test_cli_dynamic_rejects_a_bad_profile_with_failed_marker(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(_replaced(
+        "moving_block", ["motion", 0, "profile"],
+        dict(_PIECEWISE, times=[1, 0]))))
+    out = tmp_path / "bad_out"
+    assert run_cli("dynamic", "--scenario", str(bad), "--out", str(out)) == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") \
+        and "motion[0].profile" in text
+    assert not (out / "manifest.json").exists()
+
+
 def test_motion_validation():
     doc = minimal_doc(motion=[{"obstacle": 3, "heading": [1, 0],
                                "profile": {"kind": "constant", "speed": 0.1}}])
@@ -524,11 +587,11 @@ def _cells_doc(**over):
 
 def test_reused_geometry_matches_a_solved_build():
     sc = Scenario(load_doc("three_obstacles"))
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     assert sc.build().report["geometry"] == "solved"
     hit = sc.build(flux_scale={0: 2.5})
     assert hit.report["geometry"] == "reused"
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     cold = sc.build(flux_scale={0: 2.5})
     assert cold.report["geometry"] == "solved"
     _assert_same_build(sc, hit, cold)
@@ -549,7 +612,7 @@ def _geometry_arrays(b):
 
 def test_reused_geometry_is_a_fresh_copy_on_the_new_grid():
     sc = Scenario(load_doc("three_obstacles"))
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     last = sc.build()
     keep = {n: a.copy() for n, a in _geometry_arrays(last).items()}
     stats = dataclasses.replace(last.sf.h.stats)
@@ -581,7 +644,7 @@ def test_reused_geometry_is_a_fresh_copy_on_the_new_grid():
     {"solver": {"max_iters": 4000}},
 ])
 def test_geometry_key_covers_mask_lattice_and_solver(change):
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     Scenario(_cells_doc()).build()
     same = Scenario(_cells_doc(risk={"flux": {"beta_min": 2.0}}))
     assert same.build().report["geometry"] == "reused"
@@ -590,30 +653,45 @@ def test_geometry_key_covers_mask_lattice_and_solver(change):
         == "solved"
 
 
+def _solved_entries():
+    """_SOLVED as {key: the stored entry's id}."""
+    return {k: id(v) for k, v in scenario._SOLVED.items()}
+
+
 def test_failed_builds_are_not_stored():
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     with pytest.raises(NonConvergence):
         Scenario(_cells_doc(solver={"max_iters": 1})).build()
     # fails at parse time, before any solve, on the backstep block
     with pytest.raises(MalformedDocument):
         Scenario(_cells_doc(backstep={"mu": -1.0})).build()
-    assert not scenario._GEOMETRY
+    assert not scenario._SOLVED
     Scenario(_cells_doc()).build()
-    before = list(scenario._GEOMETRY.items())
+    before = _solved_entries()
     with pytest.raises(NonConvergence):
         Scenario(_cells_doc(solver={"max_iters": 1})).build()
-    assert list(scenario._GEOMETRY.items()) == before
+    assert _solved_entries() == before
+
+
+def _stored_geometries():
+    """The geometries of _SOLVED, and its keys by kind: "shape", "h" and
+    the component (None for v0) of each guidance pair."""
+    return ({k[0] for k in scenario._SOLVED},
+            sorted(k[1] if len(k) == 2 else str(k[2])
+                   for k in scenario._SOLVED))
 
 
 def test_geometry_memo_holds_one_entry():
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     Scenario(_cells_doc()).build()
-    assert len(scenario._GEOMETRY) == 1
+    geometries, kinds = _stored_geometries()
+    assert len(geometries) == 1 and kinds == ["None", "h", "shape"]
     Scenario(minimal_doc()).build()
     Scenario(minimal_doc()).build()
-    assert len(scenario._GEOMETRY) == 1
-    key, = scenario._GEOMETRY
-    assert key[0] == Scenario(minimal_doc()).rasterize().free.tobytes()
+    geometries, kinds = _stored_geometries()
+    assert len(geometries) == 1 and kinds == ["None", "h", "shape"]
+    G, = geometries
+    assert G[0] == Scenario(minimal_doc()).rasterize().free.tobytes()
 
 
 def test_flux_scale_scalar_and_dict(three_build):
@@ -725,7 +803,7 @@ def _count_systems(monkeypatch):
 
 def test_flux_sweep_solve_counts(monkeypatch):
     counts = _count_systems(monkeypatch)
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     sc = Scenario(load_doc("three_obstacles"))
 
     def solved(fs=None, over=None):
@@ -774,11 +852,12 @@ def test_handed_out_guidance_is_a_copy(three_build):
 
 
 def test_failed_basis_solve_leaves_the_memo(monkeypatch):
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     sc = Scenario(load_doc("three_obstacles"))
     sc.build()
-    (key, geo), = scenario._GEOMETRY.items()
-    guide = geo.guide
+    before = _solved_entries()
+    # h, the shape and v0, no basis pair
+    assert [k[2] for k in before if len(k) == 3] == [None]
     sweep = elliptic._sweep_solve
 
     def one_sweep(grid, systems, cfg):
@@ -787,8 +866,7 @@ def test_failed_basis_solve_leaves_the_memo(monkeypatch):
     monkeypatch.setattr(elliptic, "_sweep_solve", one_sweep)
     with pytest.raises(NonConvergence):
         sc.build(flux_scale={0: 2.0})
-    assert list(scenario._GEOMETRY.items()) == [(key, geo)]
-    assert geo.guide is guide and not guide[2]
+    assert _solved_entries() == before
     monkeypatch.setattr(elliptic, "_sweep_solve", sweep)
     counts = _count_systems(monkeypatch)
     assert sc.build(flux_scale={0: 2.0}).report["guidance"]["terms"][1][
@@ -799,7 +877,7 @@ def test_failed_basis_solve_leaves_the_memo(monkeypatch):
 @pytest.mark.parametrize("fs", [None, {0: 2.0}])
 def test_stacked_frame_picks_up_a_pending_guidance(monkeypatch, fs):
     counts = _count_systems(monkeypatch)
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     sc = Scenario(load_doc("three_obstacles"))
     first, second = sc._build_frames([0.0, 0.0], fs)
     # one stack: h, v0 and, when scaled, obstacle 0's pair, each once
@@ -808,7 +886,7 @@ def test_stacked_frame_picks_up_a_pending_guidance(monkeypatch, fs):
     assert second.report["geometry"] == "reused"
     assert {t["basis"] for t in second.report["guidance"]["terms"]} \
         == {"reused"}
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     alone = sc.build(flux_scale=fs)
     for b in (first, second):
         for got, want in ((b.gf.v.x, alone.gf.v.x), (b.gf.v.y, alone.gf.v.y)):
@@ -863,7 +941,7 @@ def run_cli(*argv):
 
 def test_cli_solve_disk(tmp_path):
     out = tmp_path / "solve"
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     rc = run_cli("solve", "--scenario",
                  str(SCENARIOS / "disk_oracle.yaml"), "--out", str(out),
                  "--dump-fields")
@@ -976,6 +1054,8 @@ def test_cli_simulate_reports_filter_activity(tmp_path):
     # the run goes round the obstacle: the filter acts on part of it
     assert 0 < summary["filter_active"] < summary["samples"]
     assert summary["max_correction"] > 0.1
+    # samples whose nearest cell centre is occupied
+    assert summary["inside_occupied"] == 266
     assert summary["termination"] == "goal_reached"
     goal = load_doc("single_obstacle")["nominal"]["goal"]
     assert math.dist(summary["end"]["y"], goal) < 0.05
@@ -1008,8 +1088,19 @@ def test_cli_dynamic(tmp_path):
     summary = json.loads((out / "dynamic_summary.json").read_text())
     assert summary["frames"] == 3
     assert summary["termination"] == "time_limit"
-    _assert_filter_summary(summary, _trajectory_csv(out / "trajectory.csv"))
+    traj = _trajectory_csv(out / "trajectory.csv")
+    _assert_filter_summary(summary, traj)
     assert summary["end"]["t"] == pytest.approx(0.6)
+    # sample i lies in a cell of frame min(i // 50, 2), dt_frame / dt = 50
+    sc = Scenario(load_doc("moving_block"))
+    grids = [sc.rasterize(k * 0.2) for k in range(3)]
+    inside = 0
+    for i, p in enumerate(zip(traj["x"], traj["y"])):
+        g = grids[min(i // 50, 2)]
+        cell = tuple(int(math.floor((c - o) / g.d + 0.5))
+                     for c, o in zip(p, g.origin))
+        inside += int(not g.free[cell])
+    assert summary["inside_occupied"] == inside
 
 
 def test_cli_dynamic_requires_dt_frame(tmp_path):
@@ -1037,13 +1128,95 @@ def test_cli_sweep(tmp_path):
     assert int(rows[1][2]) > int(rows[0][2])
     assert all(np.isfinite(float(r[5])) for r in rows)
     # the second job reuses the first one's geometry, to the same row
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     rc = run_cli("sweep", "--scenario",
                  str(SCENARIOS / "three_obstacles.yaml"), "--out", str(out),
                  "--scales", "1,1")
     assert rc == 0
     again = (out / "sweep.csv").read_text().splitlines()
     assert len(again) == 3 and again[1] == again[2] == lines[1]
+
+
+def test_cli_sweep_workers_write_the_same_csv(tmp_path):
+    csv = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}"
+        scenario._SOLVED.clear()
+        assert run_cli("sweep", "--scenario",
+                       str(SCENARIOS / "three_obstacles.yaml"), "--out",
+                       str(out), "--scales", "1,2,3",
+                       "--workers", workers) == 0
+        csv.append((out / "sweep.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
+def test_sweep_worker_starts_from_the_parents_store(monkeypatch):
+    path = str(SCENARIOS / "three_obstacles.yaml")
+    scenario._SOLVED.clear()
+    cli._sweep_one((path, 2.0, 1.0))        # the job the parent runs
+    parent = dict(scenario._SOLVED)
+    scenario._SOLVED.clear()
+    cli._start_worker(parent)
+    counts = _count_systems(monkeypatch)
+    reports = []
+    build = Scenario.build
+
+    def logged(self, *args, **kw):
+        res = build(self, *args, **kw)
+        reports.append(res.report)
+        return res
+
+    monkeypatch.setattr(Scenario, "build", logged)
+    cli._sweep_one((path, 3.0, 0.5))
+    assert sum(counts) == 0
+    report, = reports
+    assert report["geometry"] == "reused"
+    assert report["guidance"]["v0"] == "reused"
+
+
+class _PoolStub:
+    """ProcessPoolExecutor that records max_workers and runs in-process."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, pools", [("64", [2]), ("2", [2]),
+                                            ("1", [])])
+def test_sweep_forks_no_more_workers_than_jobs(tmp_path, monkeypatch,
+                                               workers, pools):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolStub)
+    monkeypatch.setattr(_PoolStub, "made", [])
+    rc = run_cli("sweep", "--scenario",
+                 str(SCENARIOS / "three_obstacles.yaml"), "--out",
+                 str(tmp_path / "sweep"), "--scales", "1,2,3",
+                 "--workers", workers)
+    assert rc == 0 and _PoolStub.made == pools
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_sweep_rejects_workers_below_1(tmp_path, monkeypatch, workers):
+    jobs = []
+    monkeypatch.setattr(cli, "_sweep_one", jobs.append)
+    out = tmp_path / "sweep_bad"
+    rc = run_cli("sweep", "--scenario",
+                 str(SCENARIOS / "three_obstacles.yaml"), "--out", str(out),
+                 "--workers", workers)
+    assert rc == 2 and not jobs
+    assert (out / "FAILED.txt").read_text().startswith(
+        "RiskFieldsError: --workers")
 
 
 def test_min_clearance_matches_per_sample_loop(three_build, monkeypatch):

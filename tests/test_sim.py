@@ -516,7 +516,7 @@ def test_run_dynamic_zero_speed_matches_static():
     assert [f.build.report["geometry"] for f in dyn.frames[1:]] \
         == ["reused"] * 9
 
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     res = sc.build()
     assert res.report["geometry"] == "solved"
     k = sc.controller(res)
@@ -649,21 +649,28 @@ def _assert_same_build(got, want):
 
 
 def _memo_state():
-    """The one _GEOMETRY entry, as key, array bits, stats and chains, with
-    its guidance: beta0, v0's bits and stats and the basis components."""
-    (key, geo), = scenario._GEOMETRY.items()
-    (ii, jj), k = geo.nodes
-    flux, v0, basis = geo.guide
-    arrays = geo.arrays + (geo.h,) + geo.grad + (ii, jj, k) + v0.values
-    return (key, [a.tobytes() for a in arrays], geo.stats,
-            {c: None if a is None else a.tolist()
-             for c, a in geo.chains.items()}, flux, v0.stats, sorted(basis))
+    """_SOLVED as {key: its entry's array bits, stats and chains}: the
+    shape's boundary arrays, chains and node map, and h with grad h or a
+    guidance pair as each field's bits and stats."""
+    state = {}
+    for key, entry in scenario._SOLVED.items():
+        if key[1] == "shape":
+            b, ((ii, jj), k) = entry
+            arrays = (b.cells, b.normals, b.arcw, b.comp, ii, jj, k)
+            state[key] = ([a.tobytes() for a in arrays],
+                          {c: None if a is None else a.tolist()
+                           for c, a in b.chains.items()})
+        else:
+            g = entry[0]._grad if key[1] == "h" else None
+            fields = entry + ([] if g is None else [g.x, g.y])
+            state[key] = [(f.values.tobytes(), f.stats) for f in fields]
+    return state
 
 
 def _one_at_a_time(sc, nf, dt_frame):
     """build(t) of frames 0 .. nf-1 and safety_field of frame nf, one at a
     time from an empty memo, with the memo state after each."""
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     out, memos = [], []
     for k in range(nf + 1):
         t = k * dt_frame if k else 0.0
@@ -702,7 +709,7 @@ def test_paired_frames_match_one_at_a_time(kind, T):
         pair_memos.append(_memo_state())    # once the pair is finished
 
     sc._build_frames = tracked
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T)
     pair_memos.append(_memo_state())        # the last pair
     assert len(dyn.frames) == nf
@@ -797,13 +804,13 @@ def test_run_dynamic_stacks_two_frames_per_sweep(monkeypatch):
         return sweep(grid, systems, cfg)
 
     monkeypatch.setattr(elliptic, "_sweep_solve", counted)
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     run_dynamic(Scenario(load_doc("moving_block")), dt_frame=0.2,
                 dt_sim=0.004, T=1.0)
     # (F0, F1), (F2, F3), (F4, h5): three systems per build, one for h
     assert sizes == [6, 6, 4]
     sizes.clear()
-    scenario._GEOMETRY.clear()
+    scenario._SOLVED.clear()
     sc = Scenario(load_doc("moving_block"))
     built = _log_frames(monkeypatch, sc)
     run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
