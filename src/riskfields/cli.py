@@ -20,7 +20,7 @@ import yaml
 
 from . import __version__, backstep, elliptic, sim
 from .errors import RiskFieldsError
-from .grid import OCCUPIED, dump_csv
+from .grid import OCCUPIED, FieldSampler, dump_csv
 from .safety import activation_zone
 from .scenario import _SOLVED, Scenario
 
@@ -131,26 +131,100 @@ def _simulate(scenario, build):
                                 goal=sc.get("goal"))
 
 
-def _inside_occupied(y, grids, m):
-    """The number of samples y whose cell, the nearest centre
-    floor((y - origin)/d + 1/2), is occupied on the grid the sample was
-    filtered on, grids[min(i // m, len(grids) - 1)] for sample i.  Every
-    recorded sample lies in the lattice hull, so its cell exists."""
-    g = grids[0]
-    i, j = np.floor((y - g.origin) / g.d + 0.5).astype(int).T
-    k = np.minimum(np.arange(len(y)) // m, len(grids) - 1)
-    state = np.array([grid.state for grid in grids])
-    return int((state[k, i, j] == OCCUPIED).sum())
+# points x squares per block of _nearest_square (2 MB of floats)
+_CLEARANCE_BLOCK = 1 << 18
 
 
-def _run_summary(traj, grids, m):
-    """A run's summary, filter activity and _inside_occupied included."""
+def _nearest_square(y, cx, cy, half):
+    """Per point of y, the distance to the nearest square of side 2 half
+    centred at (cx, cy), in blocks of about _CLEARANCE_BLOCK pairs; half 0
+    is the distance to the nearest centre."""
+    out = np.empty(len(y))
+    step = max(1, _CLEARANCE_BLOCK // len(cx))
+    for k in range(0, len(y), step):
+        p = y[k:k + step]
+        dx = np.maximum(np.abs(cx - p[:, :1]) - half, 0.0)
+        dy = np.maximum(np.abs(cy - p[:, 1:]) - half, 0.0)
+        out[k:k + step] = np.hypot(dx, dy).min(axis=1)
+    return out
+
+
+def _depths(y, grid):
+    """Per point of y, each in an occupied cell's square, its distance to
+    the union of grid's free cell squares.  The nearest point of the union
+    then lies on the square of a free cell with an occupied 4-neighbour
+    (the perimeter is occupied), so only those are searched."""
+    free = grid.free
+    edge = free[1:-1, 1:-1] & ~(free[2:, 1:-1] & free[:-2, 1:-1]
+                                & free[1:-1, 2:] & free[1:-1, :-2])
+    ii, jj = np.nonzero(edge)
+    cx, cy = grid.origin[:, None] + grid.d * np.array([ii + 1, jj + 1])
+    return _nearest_square(y, cx, cy, 0.5 * grid.d)
+
+
+def _safety_counts(traj, builds, m):
+    """The trajectory's checks against the fields each sample was filtered
+    on, builds[min(i // m, len(builds) - 1)] for sample i, with the frozen
+    h of its frame (no dh/dt):
+
+    - inside_occupied: samples whose cell, the nearest centre
+      floor((y - origin)/d + 1/2), is occupied; every recorded sample lies
+      in the lattice hull, so its cell exists;
+    - max_depth: the largest distance of those samples to the union of the
+      free cell squares (0 without any);
+    - grad_h_negative: samples with grad h . u + gamma h < 0, u the
+      filtered input of a single integrator or the velocity of a double;
+    - k_v_safe_negative, double integrator only: samples with
+      grad h . k_v_safe + gamma h < 0, 0 when h_B is a valid barrier.
+    """
+    k = np.minimum(np.arange(traj.n) // m, len(builds) - 1)
+    double = traj.ydot is not None
+    u = traj.ydot if double else traj.u_filt
+    counts = {"inside_occupied": 0, "max_depth": 0.0, "grad_h_negative": 0}
+    if double:
+        counts["k_v_safe_negative"] = 0
+    for f in np.unique(k).tolist():
+        b = builds[f]
+        g, sel = b.grid, k == f
+        y = traj.y[sel]
+        i, j = np.floor((y - g.origin) / g.d + 0.5).astype(int).T
+        inside = g.state[i, j] == OCCUPIED
+        counts["inside_occupied"] += int(inside.sum())
+        if inside.any():
+            counts["max_depth"] = max(counts["max_depth"],
+                                      float(_depths(y[inside], g).max()))
+        gamma = b.filter_cfg.gamma
+        grad = b.sf.grad_at(y)
+        gu = (grad * u[sel]).sum(axis=1) + gamma * traj.h[sel]
+        counts["grad_h_negative"] += int((gu < 0.0).sum())
+        if double:
+            counts["k_v_safe_negative"] += _k_v_safe_negative(y, b)
+    return counts
+
+
+def _k_v_safe_negative(y, build):
+    """The number of points of y where grad h . k_v_safe + gamma h < 0."""
+    bcfg = build.backstep_cfg
+    at = bcfg.nominal_at(build.sf)
+    fs = FieldSampler(build.sf, build.gf)
+    eps2 = backstep._eps2(build.grid)
+    n = 0
+    for px, py in y.tolist():
+        s = fs.at(px, py, True)
+        kx, ky = backstep._k_v_safe((px, py), at(px, py, s), s, bcfg, eps2)
+        if s[3] * kx + s[4] * ky + bcfg.gamma * s[0] < 0.0:
+            n += 1
+    return n
+
+
+def _run_summary(traj, builds, m):
+    """A run's summary: filter activity and _safety_counts."""
     du = traj.u_filt - traj.u_nom
     return {"termination": traj.termination, "samples": traj.n,
             "min_h": traj.min_h(), "audit_min": float(traj.audit.min()),
             "filter_active": int((du != 0.0).any(axis=1).sum()),
             "max_correction": float(np.hypot(*du.T).max()),
-            "inside_occupied": _inside_occupied(traj.y, grids, m),
+            **_safety_counts(traj, builds, m),
             "end": {"t": float(traj.t[-1]), "y": traj.y[-1].tolist()}}
 
 
@@ -165,7 +239,7 @@ def cmd_simulate(args, scenario):
         fh.write("t,constraint\n")
         for t, c in zip(traj.t, traj.audit):
             fh.write("%.17g,%.17g\n" % (t, c))
-    summary = {**_run_summary(traj, [build.grid], 1),
+    summary = {**_run_summary(traj, [build], 1),
                "path_length": traj.path_length()}
     jp = os.path.join(out, "sim_summary.json")
     _write_json(jp, summary)
@@ -201,8 +275,8 @@ def cmd_dynamic(args, scenario):
         for k, fr in enumerate(res.frames):
             outputs += _dump_fields(out, f"frame{k:04d}_", fr.build)
     traj = res.trajectory
-    grids = [fr.build.grid for fr in res.frames]
-    summary = {**_run_summary(traj, grids, round(dt_frame / sc["dt"])),
+    builds = [fr.build for fr in res.frames]
+    summary = {**_run_summary(traj, builds, round(dt_frame / sc["dt"])),
                "frames": len(res.frames)}
     jp = os.path.join(out, "dynamic_summary.json")
     _write_json(jp, summary)
@@ -212,26 +286,15 @@ def cmd_dynamic(args, scenario):
     return outputs
 
 
-# samples x occupied centres per block of _min_clearance (2 MB of floats)
-_CLEARANCE_BLOCK = 1 << 18
-
-
 def _min_clearance(traj, build, scenario, obstacle_idx):
     mask = scenario._masks[obstacle_idx]
     g = build.grid
     ii, jj = np.nonzero(mask & ~g.free)
     if len(ii) == 0:
         return float("nan")
-    centers = g.origin + g.d * np.column_stack([ii, jj]).astype(float)
-    cx, cy = centers.T
-    dmin = np.inf
-    step = max(1, _CLEARANCE_BLOCK // len(ii))
-    for k in range(0, len(traj.y), step):
-        p = traj.y[k:k + step]
-        # np.min per sample, then Python's min, which skips a NaN sample
-        d = np.hypot(cx - p[:, :1], cy - p[:, 1:]).min(axis=1)
-        dmin = min(dmin, float(np.fmin.reduce(d)))
-    return dmin
+    cx, cy = g.origin[:, None] + g.d * np.array([ii, jj], dtype=float)
+    # fmin skips a NaN sample
+    return float(np.fmin.reduce(_nearest_square(traj.y, cx, cy, 0.0)))
 
 
 def _start_worker(solved):

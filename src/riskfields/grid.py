@@ -520,7 +520,8 @@ class FieldSampler:
     per 64x64 channel): Python-float arithmetic on list entries costs about
     a fifth of the same arithmetic on numpy scalars and gives the same bits.
     snapshot=False reads the arrays in place, for callers that sample only
-    a few points.
+    a few points.  grad=False leaves out the grad h channels, for callers
+    that never ask at(..., grad=True), which then raises TypeError.
 
     at(px, py, grad=False) is (h, vx, vy), or with grad (h, vx, vy, dh/dx,
     dh/dy, dh/dt), dh/dt None without its channel: one _cell lookup, then
@@ -528,7 +529,7 @@ class FieldSampler:
     OutOfDomain messages.
     """
 
-    def __init__(self, sf, gf, dh_dt=None, snapshot=True):
+    def __init__(self, sf, gf, dh_dt=None, snapshot=True, grad=True):
         grid = sf.grid
         others = [gf.grid] if dh_dt is None else [gf.grid, dh_dt.grid]
         if any(g is not grid and not grid.same_geometry(g) for g in others):
@@ -538,8 +539,8 @@ class FieldSampler:
             return field.values.tolist() if snapshot else field.values
 
         self.grid = grid
-        H, VX, VY, HX, HY = (rows(f) for f in (sf.h, gf.v.x, gf.v.y,
-                                                sf.grad.x, sf.grad.y))
+        H, VX, VY = (rows(f) for f in (sf.h, gf.v.x, gf.v.y))
+        HX, HY = (rows(sf.grad.x), rows(sf.grad.y)) if grad else (None, None)
         DT = None if dh_dt is None else rows(dh_dt)
 
         def at(px, py, grad=False):

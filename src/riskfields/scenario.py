@@ -564,9 +564,10 @@ class Scenario:
         one-off map-scaled build solves five systems (h, v0 and one basis
         pair), two more than a direct solve of its scaled flux, while later
         scales of the same obstacles solve none.
-        The one-frame case of _build_frames; run_dynamic asks it for two
-        frames per stacked solve, so it prepares at most one frame ahead
-        of the one its dh/dt needs."""
+        The one-frame case of _build_frames; run_dynamic asks it for a
+        stack of frames per solve (at least two, more on small lattices),
+        so it prepares at most one stack ahead of the frame its dh/dt
+        needs."""
         return next(self._build_frames([t], flux_scale))
 
     def safety_field(self, t=0.0):
@@ -574,7 +575,7 @@ class Scenario:
         boundary, flux and guidance stages, so with the same values; taken
         from _SOLVED when the last build had this geometry.  The one-frame
         case of _build_frames with h_last; a dynamic run solves its closing
-        frame's h this way, as the last item of its last pair."""
+        frame's h this way, as the last item of its last stack."""
         return next(self._build_frames([t], h_last=True))
 
     def _build_frames(self, times, flux_scale=None, h_last=False):
@@ -590,8 +591,10 @@ class Scenario:
         only the entries of the last full build's G and beta0 kept, where
         an entry an earlier frame here solves reads None until that frame
         is finished.  So every field, stats, report and _SOLVED entry is
-        that of builds made one at a time.  A frame that fails raises when
-        it is asked for, and no frame after it is prepared.
+        that of builds made one at a time, whatever the number of frames.
+        A frame that fails raises when it is asked for, and no frame after
+        it is prepared.  build and safety_field ask for one frame,
+        run_dynamic for stacks of two or more (sim._STACK_CELLS).
         """
         frames, failure = [], None
         flux_scale = self._checked_scale(flux_scale)

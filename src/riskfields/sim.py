@@ -82,6 +82,10 @@ class MotionProfile:
         self.speeds = np.asarray(speeds, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.speeds.shape:
             raise ValueError("times and speeds must be matching 1-d arrays")
+        if not (np.isfinite(self.times).all()
+                and np.isfinite(self.speeds).all()):
+            # NaN passes the order and sign checks below
+            raise ValueError("times and speeds must be finite")
         if self.times[:1].tolist() != [0.0] or (np.diff(self.times) < 0).any():
             raise ValueError("times must start at 0 and be nondecreasing")
         if (self.speeds < 0).any():
@@ -315,9 +319,9 @@ def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
     Under a goal controller (k.mu) the static filter's stage returns k_nom
     without a sample in the cells of inactive_cells, where a > 0 and
     min_norm returns k_nom unchanged; the record keeps its full sample."""
-    fs = FieldSampler(sf, gf, dh_dt)
     kgrad, k = _point_form(controller, sf)
     grad = kgrad or dh_dt is not None
+    fs = FieldSampler(sf, gf, dh_dt, grad=grad)
     at = fs.at
     mu = getattr(controller, "mu", None)
     skip = None if grad or mu is None else inactive_cells(
@@ -418,6 +422,12 @@ def time_derivative(h_prev, h_next, dt):
     return out
 
 
+# run_dynamic's stacked solves stay within this many lattice cells: a
+# sweep's cost per cell falls as a stack grows to about this size and rises
+# past it (measured on moving_block frames at 64x48 and 96^2)
+_STACK_CELLS = 1 << 16
+
+
 @dataclass
 class Frame:
     t: float
@@ -439,15 +449,18 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
     Per frame: re-rasterize, re-solve h and v, difference consecutive h for
     dh/dt, extract the dynamic activation zone, then integrate with the
     time-varying filter while the fields stay frozen.  Frames are solved
-    two at a time, in one stacked solve each (Scenario._build_frames),
-    counted from frame 0: (0, 1), (2, 3), ...; the frame at t = T only
-    feeds dh/dt, solves for h alone and comes last, so a 5-frame run
-    solves (0, 1), (2, 3), (4, h5).  A pair is solved when the run first
-    needs its first frame, so a run that stops early builds at most one
-    frame past the one its dh/dt needs, and a frame's failure raises only
-    when the run reaches it.  The closing sample at t = T uses the last
-    frame's fields.  With all obstacle speeds zero every step reduces bit
-    for bit to the static pipeline.
+    in stacks, each in one stacked solve (Scenario._build_frames), counted
+    from frame 0: as many frames per stack as keep it within _STACK_CELLS
+    lattice cells at three systems per frame, and at least two, so 7 on a
+    64x48 lattice and 2 from about 86^2 up.  The frame at t = T only feeds
+    dh/dt, solves for h alone and comes last, so a 5-frame run on 64x48
+    solves (0, ..., 4, h5) in one stack, and on 96^2 (0, 1), (2, 3),
+    (4, h5).  A stack is solved when the run first needs its first frame,
+    so a run that stops early builds at most one stack past the frame its
+    dh/dt needs, and a frame's failure raises only when the run reaches
+    it.  The closing sample at t = T uses the last frame's fields.  With
+    all obstacle speeds zero every step reduces bit for bit to the static
+    pipeline.
     """
     m = dt_frame / dt_sim
     if abs(m - round(m)) > 1e-9:
@@ -458,11 +471,14 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
         raise InvalidTimeStep("dt_frame must divide T, T > 0")
     nf = int(round(nf))
 
-    def builds():       # frames 0 .. nf, the last one h alone, in pairs
-        for k in range(0, nf + 1, 2):
-            pair = range(k, min(k + 2, nf + 1))
+    per = max(2, _STACK_CELLS // (3 * scenario.nx * scenario.ny))
+
+    def builds():       # frames 0 .. nf, the last one h alone, in stacks
+        for k in range(0, nf + 1, per):
+            stack = range(k, min(k + per, nf + 1))
             yield from scenario._build_frames(
-                [j * dt_frame if j else 0.0 for j in pair], h_last=nf in pair)
+                [j * dt_frame if j else 0.0 for j in stack],
+                h_last=nf in stack)
 
     frame_builds = builds()
     b0 = next(frame_builds)

@@ -18,6 +18,7 @@ import yaml
 from riskfields import cli, elliptic, safety, scenario
 from riskfields.cli import main
 from riskfields.errors import MalformedDocument, NonConvergence
+from riskfields.grid import FieldSampler
 from riskfields.scenario import Scenario, load_scenario
 
 from conftest import SCENARIOS, flux_sweep_doc
@@ -148,6 +149,43 @@ def test_cli_dynamic_rejects_a_bad_profile_with_failed_marker(tmp_path):
     text = (out / "FAILED.txt").read_text()
     assert text.startswith("MalformedDocument") \
         and "motion[0].profile" in text
+    assert not (out / "manifest.json").exists()
+
+
+_NONFINITE_PROFILES = {
+    "piecewise.times": lambda x: dict(_PIECEWISE, times=[0.0, x, 1.0],
+                                      speeds=[0.0, 0.5, 0.5]),
+    "piecewise.speeds": lambda x: dict(_PIECEWISE, speeds=[0.0, x]),
+    "trapezoid.v_max": lambda x: {"kind": "trapezoid", "v_max": x,
+                                  "t_rise": 1.0, "t_fall": 1.0},
+    "trapezoid.t_hold": lambda x: {"kind": "trapezoid", "v_max": 0.5,
+                                   "t_rise": 1.0, "t_hold": x,
+                                   "t_fall": 1.0},
+    "constant.speed": lambda x: {"kind": "constant", "speed": x},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("profile", sorted(_NONFINITE_PROFILES))
+def test_nonfinite_profile_times_and_speeds_are_malformed(profile, value):
+    # NaN passes the order and sign checks: such a block left the map
+    doc = _replaced("moving_block", ["motion", 0, "profile"],
+                    _NONFINITE_PROFILES[profile](value))
+    with pytest.raises(MalformedDocument, match=r"motion\[0\]\.profile: "
+                       "times and speeds must be finite"):
+        Scenario(doc)
+
+
+def test_cli_dynamic_rejects_a_nan_profile_with_failed_marker(tmp_path):
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(yaml.safe_dump(_replaced(
+        "moving_block", ["motion", 0, "profile"],
+        {"kind": "constant", "speed": math.nan})))
+    out = tmp_path / "nan_out"
+    assert run_cli("dynamic", "--scenario", str(bad), "--out", str(out)) == 2
+    assert (out / "FAILED.txt").read_text().startswith(
+        "MalformedDocument: motion[0].profile: times and speeds must be "
+        "finite")
     assert not (out / "manifest.json").exists()
 
 
@@ -1043,7 +1081,15 @@ def _assert_filter_summary(summary, traj):
                               "y": [traj["x"][-1], traj["y"][-1]]}
 
 
-def test_cli_simulate_reports_filter_activity(tmp_path):
+def _free_square_distance(p, grid):
+    """The distance from p to the union of every free cell square."""
+    ii, jj = np.nonzero(grid.free)
+    c = grid.origin + grid.d * np.column_stack([ii, jj])
+    gap = np.maximum(np.abs(c - p) - 0.5 * grid.d, 0.0)
+    return float(np.hypot(*gap.T).min())
+
+
+def test_cli_simulate_reports_filter_activity(tmp_path, single_build):
     out = tmp_path / "sim"
     rc = run_cli("simulate", "--scenario",
                  str(SCENARIOS / "single_obstacle.yaml"), "--out", str(out))
@@ -1054,9 +1100,29 @@ def test_cli_simulate_reports_filter_activity(tmp_path):
     # the run goes round the obstacle: the filter acts on part of it
     assert 0 < summary["filter_active"] < summary["samples"]
     assert summary["max_correction"] > 0.1
-    # samples whose nearest cell centre is occupied
+    # samples whose nearest cell centre is occupied, and the largest of
+    # their distances to the free cell squares: 0.61 d
     assert summary["inside_occupied"] == 266
+    assert summary["max_depth"] == pytest.approx(0.030355855188486068,
+                                                 rel=1e-12)
+    # samples where the filtered input breaks the condition on grad h,
+    # which the filter enforces on the guidance v instead
+    assert summary["grad_h_negative"] == 458
+    assert "k_v_safe_negative" not in summary
     assert summary["termination"] == "goal_reached"
+    # the same numbers sample by sample off trajectory.csv
+    _, b = single_build
+    g, fs = b.grid, FieldSampler(b.sf, b.gf)
+    depths, negative = [], 0
+    for x, y, ux, uy in zip(traj["x"], traj["y"], traj["u_x"], traj["u_y"]):
+        i, j = (int(math.floor((c - o) / g.d + 0.5))
+                for c, o in zip((x, y), g.origin))
+        if not g.free[i, j]:
+            depths.append(_free_square_distance((x, y), g))
+        h, _, _, hx, hy, _ = fs.at(x, y, True)
+        negative += hx * ux + hy * uy + b.filter_cfg.gamma * h < 0.0
+    assert len(depths) == 266 and max(depths) == summary["max_depth"]
+    assert negative == 458
     goal = load_doc("single_obstacle")["nominal"]["goal"]
     assert math.dist(summary["end"]["y"], goal) < 0.05
 
@@ -1074,6 +1140,11 @@ def test_cli_simulate_double(tmp_path):
     assert head == "t,x,y,vx,vy,unom_x,unom_y,u_x,u_y,h,h_B,a,flags"
     summary = json.loads((out / "sim_summary.json").read_text())
     assert summary["min_h"] > 0
+    # h_B is a valid barrier: k_v_safe keeps grad h . k_v_safe + gamma h
+    # positive at every sample, while the velocity itself may break it
+    assert summary["k_v_safe_negative"] == 0
+    assert summary["grad_h_negative"] == 283
+    assert summary["inside_occupied"] == 0 and summary["max_depth"] == 0.0
 
 
 def test_cli_dynamic(tmp_path):
@@ -1100,7 +1171,8 @@ def test_cli_dynamic(tmp_path):
         cell = tuple(int(math.floor((c - o) / g.d + 0.5))
                      for c, o in zip(p, g.origin))
         inside += int(not g.free[cell])
-    assert summary["inside_occupied"] == inside
+    assert summary["inside_occupied"] == inside == 0
+    assert summary["max_depth"] == 0.0 and summary["grad_h_negative"] == 0
 
 
 def test_cli_dynamic_requires_dt_frame(tmp_path):
@@ -1217,6 +1289,21 @@ def test_cli_sweep_rejects_workers_below_1(tmp_path, monkeypatch, workers):
     assert rc == 2 and not jobs
     assert (out / "FAILED.txt").read_text().startswith(
         "RiskFieldsError: --workers")
+
+
+def test_depths_match_every_free_square(three_build, monkeypatch):
+    _, b = three_build
+    g = b.grid
+    rng = np.random.default_rng(5)
+    lo, hi = g.origin, g.origin + g.d * (np.array([g.nx, g.ny]) - 1)
+    y = rng.uniform(lo, hi, (2000, 2))
+    i, j = np.floor((y - g.origin) / g.d + 0.5).astype(int).T
+    y = y[~g.free[i, j]]        # points in occupied cell squares
+    want = [_free_square_distance(p, g) for p in y]
+    assert len(want) > 100 and 0 < max(want) < 10 * g.d
+    for block in (cli._CLEARANCE_BLOCK, 1000, 1):
+        monkeypatch.setattr(cli, "_CLEARANCE_BLOCK", block)
+        assert cli._depths(y, g).tolist() == want
 
 
 def test_min_clearance_matches_per_sample_loop(three_build, monkeypatch):

@@ -607,8 +607,9 @@ def test_run_dynamic_builds_no_frame_past_its_end(monkeypatch):
     dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
     assert dyn.trajectory.termination == GOAL_REACHED
     assert dyn.trajectory.n == 1 and len(dyn.frames) == 1
-    # frame 0 and the frame 1 its dh/dt needs; the other 39 never
-    assert built == [("build", 0.0), ("build", 0.2)]
+    # the first stack, frame 0 and the frame 1 its dh/dt needs with the
+    # five after it (7 frames a stack on 64 x 48); the other 34 never
+    assert built == [("build", k * 0.2) for k in range(7)]
 
 
 def test_run_dynamic_solves_h_alone_for_the_closing_frame(monkeypatch):
@@ -619,7 +620,10 @@ def test_run_dynamic_solves_h_alone_for_the_closing_frame(monkeypatch):
     assert built == [("build", 0.0), ("build", 0.2), ("h", 0.4)]
 
 
-# -- frames solved two at a time ---------------------------------------------
+# -- frames solved in stacks ---------------------------------------------------
+
+# frames per stack on moving_block's 64 x 48 lattice: 2^16 // (3 * 3072)
+_PER_STACK = 7
 
 def _bits(x):
     a = np.asarray(x)
@@ -701,19 +705,20 @@ def test_paired_frames_match_one_at_a_time(kind, T):
         assert [b.report["geometry"] for b in ref[:3]] \
             == ["solved", "reused", "solved"]
 
-    pair_memos = []
+    stack_memos = []
     build_frames = sc._build_frames
 
     def tracked(times, flux_scale=None, h_last=False):
         yield from build_frames(times, flux_scale, h_last)
-        pair_memos.append(_memo_state())    # once the pair is finished
+        stack_memos.append(_memo_state())   # once the stack is finished
 
     sc._build_frames = tracked
     scenario._SOLVED.clear()
     dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T)
-    pair_memos.append(_memo_state())        # the last pair
+    stack_memos.append(_memo_state())       # the last stack
     assert len(dyn.frames) == nf
-    assert pair_memos == [memos[min(k + 1, nf)] for k in range(0, nf + 1, 2)]
+    assert stack_memos == [memos[min(k + _PER_STACK - 1, nf)]
+                           for k in range(0, nf + 1, _PER_STACK)]
     for k, fr in enumerate(dyn.frames):
         want = ref[k]
         h1 = ref[k + 1] if k + 1 == nf else ref[k + 1].sf.h
@@ -748,7 +753,7 @@ def _stop_in_segment_1(doc):
     return tr
 
 
-def test_run_dynamic_stopping_in_segment_1_builds_frames_0_to_3(monkeypatch):
+def test_run_dynamic_stopping_in_segment_1_builds_one_stack(monkeypatch):
     doc = load_doc("moving_block")
     full = _stop_in_segment_1(doc)
     sc = Scenario(doc)
@@ -756,14 +761,15 @@ def test_run_dynamic_stopping_in_segment_1_builds_frames_0_to_3(monkeypatch):
     tr = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0).trajectory
     assert tr.termination == GOAL_REACHED and 0.2 <= tr.t[-1] < 0.4
     assert _same(tr.y, full.y[:tr.n])
-    assert built == [("build", k * 0.2) for k in range(4)]
+    # segment 1 needs frame 2, in the first stack; the second never starts
+    assert built == [("build", k * 0.2) for k in range(_PER_STACK)]
 
 
 def test_frame_failure_raises_when_the_run_reaches_it(monkeypatch):
     doc = load_doc("moving_block")
     full = _stop_in_segment_1(doc)
     _break_frame(monkeypatch, 0.6)
-    # frame 3 fails while its pair is solved; a run that ends in segment 1
+    # frame 3 fails while its stack is solved; a run that ends in segment 1
     # never needs it
     tr = run_dynamic(Scenario(doc), dt_frame=0.2, dt_sim=0.004,
                      T=1.0).trajectory
@@ -792,10 +798,12 @@ def test_unsafe_start_wins_over_a_failing_frame_1(monkeypatch):
     built = _log_frames(monkeypatch, sc)
     with pytest.raises(StartUnsafe):
         run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=1.0)
-    assert built == [("build", 0.0), ("build", 0.2)]
+    # the one stack of the run is asked for; frame 1 fails as it is
+    # prepared, and the start is checked on frame 0 before it is reached
+    assert built == [("build", k * 0.2) for k in range(5)] + [("h", 1.0)]
 
 
-def test_run_dynamic_stacks_two_frames_per_sweep(monkeypatch):
+def test_run_dynamic_stacks_frames_within_2_16_cells(monkeypatch):
     sizes = []
     sweep = elliptic._sweep_solve
 
@@ -807,18 +815,36 @@ def test_run_dynamic_stacks_two_frames_per_sweep(monkeypatch):
     scenario._SOLVED.clear()
     run_dynamic(Scenario(load_doc("moving_block")), dt_frame=0.2,
                 dt_sim=0.004, T=1.0)
-    # (F0, F1), (F2, F3), (F4, h5): three systems per build, one for h
-    assert sizes == [6, 6, 4]
+    # F0 .. F4 and h5 in one stack: three systems per build, one for h
+    assert sizes == [16]
     sizes.clear()
     scenario._SOLVED.clear()
     sc = Scenario(load_doc("moving_block"))
     built = _log_frames(monkeypatch, sc)
     run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=8.0)
     assert len(built) == 41
-    # 21 stacks; the block rests from t = 7, so frames 36-39 reuse frame
-    # 35's h and, with its speed-0 flux, its v, and the closing h its h:
-    # the last two stacks and the closing one need no sweep
-    assert sizes == [6] * 18
+    # 6 stacks of up to 7 frames; the block rests from t = 7, so frames
+    # 36-39 reuse frame 35's h and, with its speed-0 flux, its v, and the
+    # closing h its h: the last stack solves frame 35's three systems
+    assert sizes == [21] * 5 + [3]
+
+
+def test_run_dynamic_solves_96_squared_frames_in_pairs(monkeypatch):
+    # 3 * 96^2 cells a frame: more than a third of 2^16, so two a stack
+    doc = load_doc("moving_block")
+    doc["grid"] = {"nx": 96, "ny": 96, "d": 0.04, "origin": [0.0, 0.0]}
+    sc = Scenario(doc)
+    stacks = []
+    build_frames = sc._build_frames
+
+    def logged(times, flux_scale=None, h_last=False):
+        stacks.append((len(times), h_last))
+        return build_frames(times, flux_scale, h_last)
+
+    monkeypatch.setattr(sc, "_build_frames", logged)
+    dyn = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=1.0)
+    assert len(dyn.frames) == 5
+    assert stacks == [(2, False), (2, False), (2, True)]
 
 
 def test_closing_frame_h_is_the_build_h():
