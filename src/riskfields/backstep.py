@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCoefficient, OutOfDomain, VanishingGuidance
-from .grid import FieldSampler, point_xy
+from .grid import FieldSampler, _cell, _too_deep, point_xy
 from .safety import _point_form
 
 
@@ -69,51 +69,10 @@ class BackstepConfig:
         return _point_form(self._k_nom(), sf)[1]
 
 
-def _k_v(p, k, s, cfg):
-    """k_v at the point p as two floats, from k = k_nom there and a sample
-    s = (h, vx, vy, ...) of the fields; p and k are pairs of floats."""
-    h, vx, vy = s[0], s[1], s[2]
-    kx, ky = k
-    nv2 = vx * vx + vy * vy
-    if nv2 < cfg.eta_v * cfg.eta_v:
-        raise VanishingGuidance(
-            f"||v||={math.sqrt(nv2):.3e} below eta_v at {tuple(p)}")
-    a = (vx * kx + vy * ky) + cfg.gamma * h
-    lam = 0.5 * (-a + math.hypot(a, cfg.sigma_s))
-    c = lam / nv2
-    return kx + c * vx, ky + c * vy
-
-
 def _eps2(grid):
-    """eps^2 in _k_v_safe's denominator ||Dh||^2 + eps^2: (d/5)^2, a fifth
+    """eps^2 in k_v_safe's denominator ||Dh||^2 + eps^2: (d/5)^2, a fifth
     of a cell, so 1e-4 at d = 0.05."""
     return 0.04 * grid.d * grid.d
-
-
-def _k_v_safe(p, k, s, cfg, eps2):
-    """k_v_safe at the point p as two floats: k_v, then one correction
-    lambda_s Dh / (||Dh||^2 + eps2) with the same smooth gap lambda_s of
-    a_s = Dh.k_v + gamma h; s = (h, vx, vy, dh/dx, dh/dy, ...) is a sample
-    with grad h.
-
-    Where ||Dh||^2 >> eps2 this makes Dh.k_v_safe + gamma h the smooth
-    margin of a_s, which is positive.  The regularised denominator keeps
-    the correction below lambda_s / (2 eps) where Dh vanishes, at the
-    interior maximum of h, where a_s = gamma h > 0 and lambda_s is small.
-    """
-    kx, ky = _k_v(p, k, s, cfg)
-    hx, hy = s[3], s[4]
-    a = (hx * kx + hy * ky) + cfg.gamma * s[0]
-    c = 0.5 * (-a + math.hypot(a, cfg.sigma_s)) / (hx * hx + hy * hy + eps2)
-    return kx + c * hx, ky + c * hy
-
-
-def k_v_smooth(y, k_nom_value, sf, gf, cfg):
-    """Velocity controller k_nom + lambda/||v||^2 v, smooth in y: the
-    guidance layer, safe for v."""
-    p = point_xy(y)
-    s = FieldSampler(sf, gf, snapshot=False).at(*p)
-    return np.array(_k_v(p, point_xy(k_nom_value), s, cfg))
 
 
 def _h_B(h, e, mu):
@@ -121,53 +80,116 @@ def _h_B(h, e, mu):
     return h - (ex * ex + ey * ey) / (2.0 * mu)
 
 
+def accel_kernel(fs, at, cfg):
+    """terms(px, py, vx, vy): AccelTerms at the extended state
+    ((px, py), (vx, vy)) on Python floats, fs a FieldSampler over (sf, gf)
+    with grad h and at k_nom_v in point form (BackstepConfig.nominal_at).
+    Each point reads fs.rows with FieldSampler.at's lookup and blend
+    written out: the same bits and the same OutOfDomain messages.
+
+    terms.k_v(px, py, safe=True) is (h, dh/dx, dh/dy, kx, ky) with k the
+    guidance layer's k_v = k_nom + lambda/||v||^2 v, lambda the smooth gap
+    (-a + sqrt(a^2 + sigma_s^2))/2 of a = v.k_nom + gamma h, and with safe
+    the barrier's k_v_safe = k_v + lambda_s Dh / (||Dh||^2 + eps^2), the
+    same gap of a_s = Dh.k_v + gamma h.  Where ||Dh||^2 >> eps^2 (_eps2)
+    Dh.k_v_safe + gamma h is the smooth margin of a_s, which is positive;
+    where Dh vanishes, at the maximum of h, the correction stays below
+    lambda_s / (2 eps).  terms.jacobian(px, py, here=None) is the columns
+    (dk/dx, dk/dy) of J of k_v_safe: central differences with step d/2 per
+    axis, one-sided against here = k_v(px, py) (evaluated when needed)
+    where a probe leaves the sampleable region."""
+    grid = fs.grid
+    H, VX, VY, HX, HY = fs.rows[:5]
+    (ox, oy), d, nx1, ny1 = grid.origin_xy, grid.d, grid.nx - 1, grid.ny - 1
+    gamma, sig, mu = cfg.gamma, cfg.sigma_s, cfg.mu
+    eta2, eps2, step = cfg.eta_v * cfg.eta_v, _eps2(grid), 0.5 * d
+
+    def k_v(px, py, safe=True):
+        gx, gy = (px - ox) / d, (py - oy) / d
+        if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
+            _cell(grid, px, py)             # raises with _cell's message
+        i, j = int(gx), int(gy)
+        k, fx, fy = j + 1, gx - i, gy - j
+        ex, ey = 1.0 - fx, 1.0 - fy
+        p, q = H[i], H[i + 1]
+        h = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
+        p, q = VX[i], VX[i + 1]
+        vx = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
+        p, q = VY[i], VY[i + 1]
+        vy = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
+        p, q = HX[i], HX[i + 1]
+        hx = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
+        p, q = HY[i], HY[i + 1]
+        hy = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
+        if h != h or vx != vx or vy != vy or hx != hx or hy != hy:
+            raise _too_deep(px, py)
+        kx, ky = at(px, py, (h, vx, vy, hx, hy, None))
+        nv2 = vx * vx + vy * vy
+        if nv2 < eta2:
+            raise VanishingGuidance(
+                f"||v||={math.sqrt(nv2):.3e} below eta_v at {(px, py)}")
+        gh = gamma * h
+        a = (vx * kx + vy * ky) + gh
+        c = 0.5 * (-a + math.hypot(a, sig)) / nv2
+        kx, ky = kx + c * vx, ky + c * vy
+        if not safe:
+            return h, hx, hy, kx, ky
+        a = (hx * kx + hy * ky) + gh
+        c = 0.5 * (-a + math.hypot(a, sig)) / (hx * hx + hy * hy + eps2)
+        return h, hx, hy, kx + c * hx, ky + c * hy
+
+    def jacobian(px, py, here=None):
+        cols = []
+        for qx, qy, rx, ry in ((px + step, py, px - step, py),
+                               (px, py + step, px, py - step)):
+            hi = lo = None
+            try:
+                hi = k_v(qx, qy)
+            except OutOfDomain:
+                pass
+            try:
+                lo = k_v(rx, ry)
+            except OutOfDomain:
+                pass
+            if hi is None and lo is None:
+                raise OutOfDomain(f"no valid probes around {(px, py)}")
+            w = 2.0 * step
+            if hi is None or lo is None:    # one-sided against here
+                here = k_v(px, py) if here is None else here
+                hi, lo, w = hi or here, lo or here, step
+            cols.append(((hi[3] - lo[3]) / w, (hi[4] - lo[4]) / w))
+        return cols
+
+    def terms(px, py, vx, vy):
+        here = h, hx, hy, kx, ky = k_v(px, py)
+        e = (vx - kx, vy - ky)
+        (j00, j10), (j01, j11) = jacobian(px, py, here)
+        return AccelTerms(h, e, _h_B(h, e, mu), hx * vx + hy * vy,
+                          (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
+
+    terms.k_v, terms.jacobian = k_v, jacobian
+    return terms
+
+
+def _kernel(sf, gf, cfg, at=None):
+    """accel_kernel on (sf, gf) in place, at by default cfg's nominal."""
+    return accel_kernel(FieldSampler(sf, gf, snapshot=False),
+                        cfg.nominal_at(sf) if at is None else at, cfg)
+
+
+def k_v_smooth(y, k_nom_value, sf, gf, cfg):
+    """Velocity controller k_nom + lambda/||v||^2 v, smooth in y: the
+    guidance layer, safe for v."""
+    k = point_xy(k_nom_value)
+    kv = _kernel(sf, gf, cfg, lambda px, py, s: k).k_v(*point_xy(y), False)
+    return np.array(kv[3:])
+
+
 def h_B(state, sf, gf, cfg):
     """Shrunken barrier h - ||ydot - k_v_safe||^2 / (2 mu); never above h."""
-    p = point_xy(state.y)
-    k = point_xy(cfg.nominal(state.y))
-    s = FieldSampler(sf, gf, snapshot=False).at(*p, True)
-    kx, ky = _k_v_safe(p, k, s, cfg, _eps2(sf.grid))
+    h, _, _, kx, ky = _kernel(sf, gf, cfg).k_v(*point_xy(state.y))
     vx, vy = point_xy(state.ydot)
-    return _h_B(s[0], (vx - kx, vy - ky), cfg.mu)
-
-
-def _jacobian(p, kv, at, cfg, fs):
-    """Central differences of k_v_safe with step d/2 per axis, one
-    (h, v, grad h) lookup per probe; one-sided against kv = k_v_safe(p)
-    (computed here when None) when a probe leaves the sampleable region.
-    at is k_nom_v in point form; J comes back as float pairs."""
-    step = 0.5 * fs.grid.d
-    eps2 = _eps2(fs.grid)
-    px, py = p
-
-    def k_v_at(q):
-        qx, qy = q
-        s = fs.at(qx, qy, True)
-        return _k_v_safe(q, at(qx, qy, s), s, cfg, eps2)
-
-    cols = []
-    for hi_p, lo_p in (((px + step, py), (px - step, py)),
-                       ((px, py + step), (px, py - step))):
-        hi = lo = None
-        try:
-            hi = k_v_at(hi_p)
-        except OutOfDomain:
-            pass
-        try:
-            lo = k_v_at(lo_p)
-        except OutOfDomain:
-            pass
-        if hi is not None and lo is not None:
-            w = 2.0 * step
-        elif hi is not None:
-            lo, w = (k_v_at(p) if kv is None else kv), step
-        elif lo is not None:
-            hi, w = (k_v_at(p) if kv is None else kv), step
-        else:
-            raise OutOfDomain(f"no valid probes around {tuple(p)}")
-        cols.append(((hi[0] - lo[0]) / w, (hi[1] - lo[1]) / w))
-    (j00, j10), (j01, j11) = cols
-    return (j00, j01), (j10, j11)
+    return _h_B(h, (vx - kx, vy - ky), cfg.mu)
 
 
 def k_v_jacobian(y, sf, gf, cfg):
@@ -176,9 +198,7 @@ def k_v_jacobian(y, sf, gf, cfg):
     Falls back to one-sided differences when a probe point leaves the
     sampleable region.
     """
-    fs = FieldSampler(sf, gf, snapshot=False)
-    return np.array(_jacobian(point_xy(y), None, cfg.nominal_at(sf), cfg,
-                              fs))
+    return np.column_stack(_kernel(sf, gf, cfg).jacobian(*point_xy(y)))
 
 
 class AccelTerms(NamedTuple):
@@ -227,29 +247,8 @@ class AccelTerms(NamedTuple):
         return (w_nom[0] + g * cx, w_nom[1] + g * cy), resid
 
 
-def accel_terms(y, ydot, at, cfg, fs):
-    """k_v_safe, e, Dh, J and h_B at the extended state (y, ydot), as
-    AccelTerms.
-
-    y and ydot are pairs of floats; at is k_nom_v in point form
-    (BackstepConfig.nominal_at) and fs a FieldSampler over (sf, gf).  One
-    (h, v, grad h) lookup at y plus one per Jacobian probe, all on Python
-    floats.
-    """
-    px, py = y
-    vx, vy = ydot
-    s = fs.at(px, py, True)
-    kx, ky = _k_v_safe(y, at(px, py, s), s, cfg, _eps2(fs.grid))
-    e = (vx - kx, vy - ky)
-    (j00, j01), (j10, j11) = _jacobian(y, (kx, ky), at, cfg, fs)
-    return AccelTerms(s[0], e, _h_B(s[0], e, cfg.mu), s[3] * vx + s[4] * vy,
-                      (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
-
-
 def _terms(state, sf, gf, cfg):
-    return accel_terms(point_xy(state.y), point_xy(state.ydot),
-                       cfg.nominal_at(sf), cfg,
-                       FieldSampler(sf, gf, snapshot=False))
+    return _kernel(sf, gf, cfg)(*point_xy(state.y), *point_xy(state.ydot))
 
 
 def hdot_B(state, w, sf, gf, cfg):

@@ -205,14 +205,12 @@ def _safety_counts(traj, builds, m):
 def _k_v_safe_negative(y, build):
     """The number of points of y where grad h . k_v_safe + gamma h < 0."""
     bcfg = build.backstep_cfg
-    at = bcfg.nominal_at(build.sf)
-    fs = FieldSampler(build.sf, build.gf)
-    eps2 = backstep._eps2(build.grid)
+    k_v = backstep.accel_kernel(FieldSampler(build.sf, build.gf),
+                                bcfg.nominal_at(build.sf), bcfg).k_v
     n = 0
     for px, py in y.tolist():
-        s = fs.at(px, py, True)
-        kx, ky = backstep._k_v_safe((px, py), at(px, py, s), s, bcfg, eps2)
-        if s[3] * kx + s[4] * ky + bcfg.gamma * s[0] < 0.0:
+        h, hx, hy, kx, ky = k_v(px, py)
+        if hx * kx + hy * ky + bcfg.gamma * h < 0.0:
             n += 1
     return n
 

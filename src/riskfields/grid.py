@@ -526,7 +526,9 @@ class FieldSampler:
     at(px, py, grad=False) is (h, vx, vy), or with grad (h, vx, vy, dh/dx,
     dh/dy, dh/dt), dh/dt None without its channel: one _cell lookup, then
     _interp's blend written out per channel, so the same bits and the same
-    OutOfDomain messages.
+    OutOfDomain messages.  rows is the channels as at reads them, (h, vx,
+    vy, dh/dx, dh/dy, dh/dt), None where left out: the rollout kernels
+    backstep.accel_kernel and sim._filtered's static stage read them.
     """
 
     def __init__(self, sf, gf, dh_dt=None, snapshot=True, grad=True):
@@ -542,6 +544,7 @@ class FieldSampler:
         H, VX, VY = (rows(f) for f in (sf.h, gf.v.x, gf.v.y))
         HX, HY = (rows(sf.grad.x), rows(sf.grad.y)) if grad else (None, None)
         DT = None if dh_dt is None else rows(dh_dt)
+        self.rows = H, VX, VY, HX, HY, DT
 
         def at(px, py, grad=False):
             i0, i1, j0, j1, fx, fy, ex, ey = _cell(grid, px, py)

@@ -384,21 +384,24 @@ def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):
     return ActivationZone(grid, afield, active, restricted, segments)
 
 
-def inactive_cells(sf, gf, cfg, mu, goal):
-    """(nx-1, ny-1) booleans: True where a > 0 at every point of the cell
-    spanned by centres (i, j) .. (i+1, j+1), for the static filter under
-    the goal nominal k_nom = -mu (y - goal).
+def goal_lattice(sf, gf, cfg, mu, goal):
+    """(kx, ky, v.k_nom, a, inactive) under the goal nominal
+    k_nom = -mu (y - goal), from one evaluation of a = v.k_nom + gamma h:
+    the first four at every cell centre, with lattice_activation's bits on
+    the free cells (k_nom is affine on every cell); inactive, (nx-1, ny-1)
+    booleans, True where a > 0 on all of the cell spanned by centres
+    (i, j) .. (i+1, j+1), for the static filter.
 
     On a cell h, vx, vy are bilinear (FieldSampler.at's blend) and k_nom
-    affine, so a = v.k_nom + gamma h has degree (2, 2) and its nine
-    Bernstein coefficients bound it from below (Farouki 2012).  A cell is
-    marked when their least exceeds 1e-9 W, W the largest |vx| Kx + |vy| Ky
-    + gamma |h| at its corners; Kx = |mu| (|ox| + d nx + |goal_x|) bounds
-    |mu| (|x| + |goal_x|) and |mu| |x - ox| on the hull, Ky likewise.  The
-    coefficients' round-off, that of min_norm's a (blend, k_nom) and that
-    of (px - ox) / d placing the point are each a few dozen ulps of 3 W at
-    most, under 1e-13 W in all, so min_norm finds a > 0 in a marked cell.
-    A non-finite corner fails the comparison: its cell is never marked."""
+    affine, so a has degree (2, 2) and its nine Bernstein coefficients
+    bound it from below (Farouki 2012).  A cell is marked when their least
+    exceeds 1e-9 W, W the largest |vx| Kx + |vy| Ky + gamma |h| at its
+    corners; Kx = |mu| (|ox| + d nx + |goal_x|) bounds |mu| (|x| + |goal_x|)
+    and |mu| |x - ox| on the hull, Ky likewise.  The coefficients'
+    round-off, that of min_norm's a (blend, k_nom) and that of (px - ox) / d
+    placing the point are each a few dozen ulps of 3 W at most, under
+    1e-13 W in all, so min_norm finds a > 0 in a marked cell.  A non-finite
+    corner fails the comparison: its cell is never marked."""
     g = sf.grid
     m, (gx, gy), (ox, oy) = -float(mu), map(float, goal), g.origin_xy
     kx = (m * (g.centers_x() - gx))[:, None]
@@ -406,10 +409,12 @@ def inactive_cells(sf, gf, cfg, mu, goal):
     h, vx, vy = sf.h.values, gf.v.x.values, gf.v.y.values
     with np.errstate(invalid="ignore", over="ignore"):
         gh, ax, ay = cfg.gamma * h, vx * kx, vy * ky
+        vk = ax + ay
+        corner = vk + gh
         # cross terms of the products raised to degree 2 along x, along y
         bx = vx[:-1] * kx[1:] + vx[1:] * kx[:-1]
         by = vy[:, :-1] * ky[1:] + vy[:, 1:] * ky[:-1]
-        qx, qy, corner = ay + gh, ax + gh, ax + ay + gh
+        qx, qy = ay + gh, ax + gh
         lo = np.minimum(np.minimum(corner[:-1], corner[1:]),
                         0.5 * (bx + qx[:-1] + qx[1:]))
         edge_y = 0.5 * (by + qy[:, :-1] + qy[:, 1:])
@@ -422,4 +427,6 @@ def inactive_cells(sf, gf, cfg, mu, goal):
              + np.abs(vy) * (abs(m) * (abs(oy) + g.d * g.ny + abs(gy)))
              + cfg.gamma * np.abs(h))
         w = np.maximum(w[:-1], w[1:])
-        return lo > 1e-9 * np.maximum(w[:, :-1], w[:, 1:])
+        inactive = lo > 1e-9 * np.maximum(w[:, :-1], w[:, 1:])
+    return (np.broadcast_to(kx, h.shape), np.broadcast_to(ky, h.shape), vk,
+            corner, inactive)

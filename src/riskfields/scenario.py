@@ -267,7 +267,7 @@ class Scenario:
             if kind not in ("disk", "rect", "cells", "polyline"):
                 raise MalformedDocument(f"{path}.kind: unknown {kind!r}")
             lab = ob.get("label", "wall")
-            if lab not in self.label_ids:
+            if isinstance(lab, (list, dict, set)) or lab not in self.label_ids:
                 raise MalformedDocument(
                     f"{path}.label: {lab!r} not in the priority table")
             prob = ob.get("prob", 1.0)

@@ -16,13 +16,13 @@ import numpy as np
 from . import backstep as bs
 from .errors import (DegenerateCoefficient, GridMismatch, InvalidTimeStep,
                      OutOfDomain, StartUnsafe, VanishingGuidance)
-from .grid import FieldSampler, ScalarField, fill_band
+from .grid import FieldSampler, ScalarField, _cell, _too_deep, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
 from .safety import (_point_form, activation,  # noqa: F401
                      activation_dynamic, activation_zone, filter_control,
-                     filter_control_dynamic, inactive_cells,
-                     lattice_activation, min_norm)
+                     filter_control_dynamic, goal_lattice, lattice_activation,
+                     min_norm)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -147,8 +147,8 @@ def goal_controller(mu, goal):
     """nominal_goal as a controller over points or (n,2) blocks; k.at(px, py,
     s) is the same arithmetic on Python floats (s, the point's sample, is
     not read).  k.mu and k.goal declare the affine form: a static rollout
-    skips a stage's sample where inactive_cells proves a > 0 (exact: there
-    min_norm returns k_nom itself)."""
+    skips a stage's sample where goal_lattice's inactive mask proves a > 0
+    (exact: there min_norm returns k_nom itself)."""
     goal = np.asarray(goal, dtype=float)
     gx, gy = goal.tolist()
     m = -mu
@@ -184,39 +184,44 @@ def adversarial_controller(mu, sf):
 
 
 def _check_start(y, controller, sf, gf, cfg, dt, where=""):
-    """Refuses a start with h(y) <= 0 and a dt above the CFL bound."""
+    """Refuses a start with h(y) <= 0 and a dt above the CFL bound, taken
+    from the controller's (kx, ky, v.k, a) at every cell centre: those of
+    _goal_lattice, which it returns for the skip mask, else
+    lattice_activation's."""
     if sf.value(y) <= 0.0:
         raise StartUnsafe(f"h({tuple(y)}) <= 0{where}")
-    grid = sf.grid
-    umax = _u_max_estimate(grid, controller, sf, gf, cfg)
-    if umax > 0 and dt > grid.d / (4.0 * umax):
-        raise InvalidTimeStep(
-            f"dt={dt} too coarse: need <= {grid.d / (4.0 * umax):.3e}"
-            f" (d={grid.d}, u_max~{umax:.3g})")
-
-
-def _u_max_estimate(grid, controller, sf, gf, cfg):
-    """Max filtered-input magnitude over the free lattice, for a CFL guard."""
-    kx, ky, _, a = lattice_activation(grid, controller, sf, gf, cfg)
-    free = grid.free
+    grid, free = sf.grid, sf.grid.free
+    lattice = _goal_lattice(controller, sf, gf, cfg)
+    kx, ky, _, a = (lattice or lattice_activation(grid, controller, sf, gf,
+                                                  cfg))[:4]
     vx, vy, a = gf.v.x.values[free], gf.v.y.values[free], a[free]
     nv2 = vx * vx + vy * vy
     corr = np.where((a < 0.0) & (nv2 >= cfg.eta_v ** 2),
                     -a / np.where(nv2 > 0, nv2, 1.0), 0.0)
     u = np.hypot(kx[free] + corr * vx, ky[free] + corr * vy)
-    return float(u.max()) if len(u) else 0.0
+    umax = float(u.max()) if len(u) else 0.0
+    if umax > 0 and dt > grid.d / (4.0 * umax):
+        raise InvalidTimeStep(
+            f"dt={dt} too coarse: need <= {grid.d / (4.0 * umax):.3e}"
+            f" (d={grid.d}, u_max~{umax:.3g})")
+    return lattice
 
 
-def _rk4(y, k1, f, dt):
-    """One classical RK4 step of y' = f(y) on a tuple of floats, from
-    k1 = f(y)."""
+def _rk4(z, k1, f, dt):
+    """One classical RK4 step of z' = f(z) on a tuple of four floats, from
+    k1 = f(z): z + dt/6 (k1 + 2 k2 + 2 k3 + k4), elementwise in that order."""
+    px, py, vx, vy = z
+    a0, a1, a2, a3 = k1
     h = 0.5 * dt
-    k2 = f(tuple([a + h * b for a, b in zip(y, k1)]))
-    k3 = f(tuple([a + h * b for a, b in zip(y, k2)]))
-    k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]))
+    b0, b1, b2, b3 = f((px + h * a0, py + h * a1, vx + h * a2, vy + h * a3))
+    c0, c1, c2, c3 = f((px + h * b0, py + h * b1, vx + h * b2, vy + h * b3))
+    d0, d1, d2, d3 = f((px + dt * c0, py + dt * c1, vx + dt * c2,
+                        vy + dt * c3))
     w = dt / 6.0
-    return tuple([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    return (px + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            py + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            vx + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            vy + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
 
 
 def _rk4_xy(y, k1, f, dt):
@@ -311,23 +316,27 @@ def _rollout(z, segments, dt, goal, d):
     return _trajectory(rows, len(z) == 4, dt, term)
 
 
-def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
+def _goal_lattice(controller, sf, gf, cfg):
+    """goal_lattice under a goal controller (k.mu, k.goal), else None."""
+    mu = getattr(controller, "mu", None)
+    if mu is None or _point_form(controller, sf)[0]:
+        return None
+    return goal_lattice(sf, gf, cfg, mu, controller.goal)
+
+
+def _filtered(controller, sf, gf, cfg, steps, dh_dt=None, lattice=None):
     """(record, stage, steps) of ydot = the closed-form filter of
     controller(y), with one field sample, one controller call and one
     min_norm per point, all on floats; with dh_dt the time-varying
     filter.  An adversarial controller over sf reads Dh from the sample.
-    Under a goal controller (k.mu) the static filter's stage returns k_nom
-    without a sample in the cells of inactive_cells, where a > 0 and
-    min_norm returns k_nom unchanged; the record keeps its full sample."""
+    The static stage writes out FieldSampler.at and min_norm on fs.rows
+    (the same bits and errors), and under a goal controller returns k_nom
+    unsampled in the cells of lattice's (_goal_lattice's) inactive mask,
+    where a > 0 and min_norm returns k_nom unchanged."""
     kgrad, k = _point_form(controller, sf)
     grad = kgrad or dh_dt is not None
     fs = FieldSampler(sf, gf, dh_dt, grad=grad)
     at = fs.at
-    mu = getattr(controller, "mu", None)
-    skip = None if grad or mu is None else inactive_cells(
-        sf, gf, cfg, mu, controller.goal).tolist()
-    g = fs.grid
-    (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
 
     def record(y):
         px, py = y
@@ -336,15 +345,61 @@ def _filtered(controller, sf, gf, cfg, steps, dh_dt=None):
         u, a, audit = min_norm(y, u_nom, s, cfg)
         return (px, py, *u_nom, *u, s[0], a, audit), u
 
+    if dh_dt is not None:
+        def stage(y):
+            px, py = y
+            s = at(px, py, True)
+            return min_norm(y, k(px, py, s), s, cfg)[0]
+
+        return record, stage, steps
+
+    if lattice is None:
+        lattice = _goal_lattice(controller, sf, gf, cfg)
+    skip = None if lattice is None else lattice[4].tolist()
+    H, VX, VY, HX, HY = fs.rows[:5]
+    g = fs.grid
+    (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
+    gamma, eta2 = cfg.gamma, cfg.eta_v * cfg.eta_v
+
     def stage(y):
         px, py = y
-        if skip is not None:    # _cell's floor; bounds first, NaN fails them
-            gx, gy = (px - ox) / d, (py - oy) / d
-            if (0.0 <= gx < nx1 and 0.0 <= gy < ny1
-                    and skip[int(gx)][int(gy)]):
-                return k(px, py, None)
-        s = at(px, py, grad)
-        return min_norm(y, k(px, py, s), s, cfg)[0]
+        gx, gy = (px - ox) / d, (py - oy) / d
+        if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
+            _cell(g, px, py)                # raises with _cell's message
+        i, j = int(gx), int(gy)
+        if skip is not None and skip[i][j]:
+            return k(px, py, None)
+        m, fx, fy = j + 1, gx - i, gy - j
+        ex, ey = 1.0 - fx, 1.0 - fy
+        p, q = H[i], H[i + 1]
+        h = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        p, q = VX[i], VX[i + 1]
+        vx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        p, q = VY[i], VY[i + 1]
+        vy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        if h != h or vx != vx or vy != vy:
+            raise _too_deep(px, py)
+        s = (h, vx, vy)
+        if grad:
+            p, q = HX[i], HX[i + 1]
+            hx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
+                + q[m] * fx * fy
+            p, q = HY[i], HY[i + 1]
+            hy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
+                + q[m] * fx * fy
+            if hx != hx or hy != hy:
+                raise _too_deep(px, py)
+            s = (h, vx, vy, hx, hy, None)
+        u = kx, ky = k(px, py, s)
+        a = (vx * kx + vy * ky) + gamma * h
+        if a >= 0.0:
+            return u
+        nv2 = vx * vx + vy * vy
+        if nv2 < eta2:
+            raise VanishingGuidance(f"a={a:.3e} < 0 with ||v||="
+                                    f"{math.sqrt(nv2):.3e} at {tuple(y)}")
+        c = -a / nv2
+        return kx + c * vx, ky + c * vy
 
     return record, stage, steps
 
@@ -356,12 +411,12 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     domain exit, or a degenerate filter evaluation.
     """
     y = np.array(y0, dtype=float)
-    _check_start(y, controller, sf, gf, cfg, dt)
+    lattice = _check_start(y, controller, sf, gf, cfg, dt)
     if goal is None:
         goal = getattr(controller, "goal", None)
     n = int(math.floor(T / dt + 1e-9))
-    return _rollout(tuple(y.tolist()), [_filtered(controller, sf, gf, cfg, n)],
-                    dt, goal, sf.grid.d)
+    segment = _filtered(controller, sf, gf, cfg, n, lattice=lattice)
+    return _rollout(tuple(y.tolist()), [segment], dt, goal, sf.grid.d)
 
 
 def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
@@ -373,14 +428,12 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     st = bs.ExtendedState(np.array(state0.y), np.array(state0.ydot))
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
-    fs = FieldSampler(sf, gf)
-    at = bcfg.nominal_at(sf)
+    kernel = bs.accel_kernel(FieldSampler(sf, gf), bcfg.nominal_at(sf), bcfg)
 
     def terms_at(z):        # (AccelTerms, w_nom as two floats)
-        y, ydot = z[:2], z[2:]
-        w_nom = np.asarray(accel_nom(np.array(y), np.array(ydot)),
+        w_nom = np.asarray(accel_nom(np.array(z[:2]), np.array(z[2:])),
                            dtype=float)
-        return bs.accel_terms(y, ydot, at, bcfg, fs), tuple(w_nom.tolist())
+        return kernel(*z), tuple(w_nom.tolist())
 
     def record(z):
         terms, w_nom = terms_at(z)

@@ -1,12 +1,14 @@
 """Velocity-level smooth controller, shrunken barrier, acceleration filter."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
-                                 _k_v_safe, filter_accel, h_B, hdot_B,
+                                 accel_kernel, filter_accel, h_B, hdot_B,
                                  k_v_jacobian, k_v_smooth)
 from riskfields.errors import (DegenerateCoefficient, OutOfDomain,
                                VanishingGuidance)
@@ -30,10 +32,10 @@ def affine_setup(h0=0.8, hx=0.35, hy=-0.2, vx=-1.1, vy=0.4, d=0.25):
 
 def k_v_safe(y, sf, gf, cfg):
     """The barrier's velocity k_v_safe at y, from cfg's nominal there."""
-    p = point_xy(y)
-    s = FieldSampler(sf, gf, snapshot=False).at(*p, True)
-    return np.array(_k_v_safe(p, point_xy(cfg.nominal(y)), s, cfg,
-                              _eps2(sf.grid)))
+    p, k = point_xy(y), point_xy(cfg.nominal(y))
+    kernel = accel_kernel(FieldSampler(sf, gf, snapshot=False),
+                          lambda px, py, s: k, cfg)
+    return np.array(kernel.k_v(*p)[3:])
 
 
 # -- config and state ----------------------------------------------------------
@@ -384,10 +386,165 @@ def test_k_v_safe_bounded_at_the_maximum_of_h():
         p = tuple(top + off * g.d)
         s = fs.at(*p, True)
         kv = k_v_smooth(p, cfg.nominal(p), sf, gf, cfg)
-        ks = _k_v_safe(p, point_xy(cfg.nominal(p)), s, cfg, _eps2(g))
+        ks = k_v_safe(p, sf, gf, cfg)
         a_s = s[3] * kv[0] + s[4] * kv[1] + cfg.gamma * s[0]
         lam = smooth_margin(a_s, cfg.sigma_s) - a_s
         gap = math.hypot(ks[0] - kv[0], ks[1] - kv[1])
         assert gap <= lam / (2.0 * eps) * (1 + 1e-12)
         if off == 0.0:
             assert gap == 0.0
+
+
+# -- accel_kernel against the layered path ---------------------------------------
+# The layered path is the one accel_kernel replaced: FieldSampler.at, the
+# nominal, k_v and k_v_safe as separate steps, and the central differences
+# with their one-sided fallback.  The kernel must give its bits and errors.
+
+def _layered_k_v(q, at, fs, cfg, safe=True):
+    """(h, dh/dx, dh/dy, kx, ky) at q, k = k_v_safe or with safe=False
+    k_v, from one FieldSampler.at sample."""
+    qx, qy = q
+    s = fs.at(qx, qy, True)
+    h, vx, vy, hx, hy = s[:5]
+    kx, ky = at(qx, qy, s)
+    nv2 = vx * vx + vy * vy
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance(
+            f"||v||={math.sqrt(nv2):.3e} below eta_v at {tuple(q)}")
+    a = (vx * kx + vy * ky) + cfg.gamma * h
+    lam = 0.5 * (-a + math.hypot(a, cfg.sigma_s))
+    c = lam / nv2
+    kx, ky = kx + c * vx, ky + c * vy
+    if not safe:
+        return h, hx, hy, kx, ky
+    a = (hx * kx + hy * ky) + cfg.gamma * h
+    c = 0.5 * (-a + math.hypot(a, cfg.sigma_s)) / (hx * hx + hy * hy
+                                                   + _eps2(fs.grid))
+    return h, hx, hy, kx + c * hx, ky + c * hy
+
+
+def _layered_jacobian(p, kv, at, fs, cfg, seen):
+    """Columns of J of k_v_safe at p, kv = k_v_safe(p) or None; seen counts
+    the branch each axis takes."""
+    step = 0.5 * fs.grid.d
+    px, py = p
+
+    def k_v_at(q):
+        return _layered_k_v(q, at, fs, cfg)[3:]
+
+    cols = []
+    for hi_p, lo_p in (((px + step, py), (px - step, py)),
+                       ((px, py + step), (px, py - step))):
+        hi = lo = None
+        try:
+            hi = k_v_at(hi_p)
+        except OutOfDomain:
+            pass
+        try:
+            lo = k_v_at(lo_p)
+        except OutOfDomain:
+            pass
+        if hi is not None and lo is not None:
+            seen["central"] += 1
+            w = 2.0 * step
+        elif hi is not None:
+            seen["lo out"] += 1
+            lo, w = (k_v_at(p) if kv is None else kv), step
+        elif lo is not None:
+            seen["hi out"] += 1
+            hi, w = (k_v_at(p) if kv is None else kv), step
+        else:
+            seen["both out"] += 1
+            raise OutOfDomain(f"no valid probes around {tuple(p)}")
+        cols.append(((hi[0] - lo[0]) / w, (hi[1] - lo[1]) / w))
+    return cols
+
+
+def _layered_terms(p, ydot, at, fs, cfg, seen):
+    h, hx, hy, kx, ky = _layered_k_v(p, at, fs, cfg)
+    vx, vy = ydot
+    e = (vx - kx, vy - ky)
+    (j00, j10), (j01, j11) = _layered_jacobian(p, (kx, ky), at, fs, cfg, seen)
+    return (h, e, h - (e[0] * e[0] + e[1] * e[1]) / (2.0 * cfg.mu),
+            hx * vx + hy * vy, (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
+
+
+def kernel_points(g, h, rng, n=300):
+    """Points as pairs of floats: n over the lattice hull and one cell past
+    it, n in the cells whose block of four centres is finite next to one
+    that reaches a NaN (so a probe there lands deeper than the ghost band),
+    and non-finite ones."""
+    fin = np.isfinite(h)
+    block = fin[:-1, :-1] & fin[1:, :-1] & fin[:-1, 1:] & fin[1:, 1:]
+    near = np.zeros_like(block)
+    near[1:] |= ~block[:-1]
+    near[:-1] |= ~block[1:]
+    near[:, 1:] |= ~block[:, :-1]
+    near[:, :-1] |= ~block[:, 1:]
+    ii, jj = np.nonzero(block & near)
+    pick = rng.integers(0, len(ii), n)
+    gx = np.concatenate([rng.uniform(-1.0, g.nx, n), ii[pick] + rng.random(n)])
+    gy = np.concatenate([rng.uniform(-1.0, g.ny, n), jj[pick] + rng.random(n)])
+    ox, oy = g.origin_xy
+    pts = list(zip((ox + g.d * gx).tolist(), (oy + g.d * gy).tolist()))
+    mid = (ox + 0.5 * g.d * g.nx, oy + 0.5 * g.d * g.ny)
+    for bad in (math.nan, math.inf, -math.inf):
+        pts += [(bad, mid[1]), (mid[0], bad)]
+    return pts
+
+
+def outcome(fn, *args):
+    """fn(*args) with every float as its hex string (nested as returned),
+    or the (type, message) of the OutOfDomain or VanishingGuidance raised."""
+    def bits(x):
+        if isinstance(x, (tuple, list)):
+            return tuple(bits(c) for c in x)
+        return float(x).hex()
+
+    try:
+        return bits(fn(*args))
+    except (OutOfDomain, VanishingGuidance) as e:
+        return type(e), str(e)
+
+
+def outcome_kind(out):
+    if not isinstance(out[0], type):
+        return "value"
+    words = ("hull", "deeper", "not finite", "no valid probes", "eta_v", "a=")
+    return out[0].__name__ + ": " + next(w for w in words if w in out[1])
+
+
+@pytest.mark.parametrize("fixture", ["single_build", "semantic_build"])
+def test_accel_kernel_matches_layered_path(request, fixture):
+    # goal (single_obstacle) and adversarial (semantic_room) nominals, the
+    # latter reading Dh from the sample; the second eta_v puts ||v|| below
+    # it on a twentieth of the free cells
+    sc, b = request.getfixturevalue(fixture)
+    base = b.backstep_cfg or BackstepConfig(k_nom_v=sc.controller(b))
+    rng = np.random.default_rng(7)
+    pts = kernel_points(b.grid, b.sf.h.values, rng)
+    vnorm = np.hypot(b.gf.v.x.values, b.gf.v.y.values)[b.grid.free]
+    fs = FieldSampler(b.sf, b.gf)
+    seen, kinds = collections.Counter(), collections.Counter()
+    for eta_v in (base.eta_v, float(np.quantile(vnorm, 0.05))):
+        cfg = dataclasses.replace(base, eta_v=eta_v)
+        at = cfg.nominal_at(b.sf)
+        terms = accel_kernel(fs, at, cfg)
+        for p in pts:
+            ydot = tuple(rng.normal(0.0, 1.0, 2).tolist())
+            want = outcome(_layered_terms, p, ydot, at, fs, cfg, seen)
+            assert outcome(terms, *p, *ydot) == want, p
+            kinds["terms " + outcome_kind(want)] += 1
+            want = outcome(_layered_jacobian, p, None, at, fs, cfg, seen)
+            assert outcome(terms.jacobian, *p) == want, p
+            kinds["jacobian " + outcome_kind(want)] += 1
+            for safe in (True, False):
+                want = outcome(_layered_k_v, p, at, fs, cfg, safe)
+                assert outcome(terms.k_v, *p, safe) == want, p
+    # every branch of the probes' fallback, and every error, was reached
+    assert min(seen[k] for k in ("central", "lo out", "hi out",
+                                 "both out")) > 0, seen
+    for kind in ("value", "OutOfDomain: hull", "OutOfDomain: deeper",
+                 "OutOfDomain: not finite", "VanishingGuidance: eta_v"):
+        assert kinds["terms " + kind] > 0, kinds
+    assert kinds["jacobian OutOfDomain: no valid probes"] > 0, kinds

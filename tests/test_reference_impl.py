@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riskfields import elliptic, riskmap, sim
+from riskfields import elliptic, riskmap, safety, sim
 from riskfields.backstep import (ExtendedState, filter_accel, h_B, hdot_B,
                                  k_v_jacobian, k_v_smooth)
 from riskfields.elliptic import (SOR, ForcingSpec, SolveStats,
@@ -45,7 +45,7 @@ from riskfields.safety import (GuidanceFieldBundle, activation,
                                filter_control_dynamic)
 from riskfields.sim import Trajectory, time_derivative
 
-from conftest import SCENARIOS, build_scenario
+from conftest import SCENARIOS, build_scenario, flux_sweep_doc
 from test_elliptic import disk_grid
 from test_grid import box_state
 
@@ -1269,6 +1269,73 @@ def test_adversarial_batch_matches_point_loop(semantic_build):
     with pytest.raises(OutOfDomain):
         sim.nominal_adversarial(np.vstack([pts[:3], [[-1.0, 0.5]]]),
                                 sc.nominal_mu, b.sf)
+
+
+# -- one lattice pass per goal run ------------------------------------------------
+
+def ref_inactive_cells(sf, gf, cfg, mu, goal):
+    """The skip mask as it was computed before goal runs shared one lattice
+    pass with the CFL bound: its own evaluation of a at every centre, with
+    k_nom affine on every cell (not zeroed off the free cells)."""
+    g = sf.grid
+    m, (gx, gy), (ox, oy) = -float(mu), map(float, goal), g.origin_xy
+    kx = (m * (g.centers_x() - gx))[:, None]
+    ky = m * (g.centers_y() - gy)
+    h, vx, vy = sf.h.values, gf.v.x.values, gf.v.y.values
+    with np.errstate(invalid="ignore", over="ignore"):
+        gh, ax, ay = cfg.gamma * h, vx * kx, vy * ky
+        bx = vx[:-1] * kx[1:] + vx[1:] * kx[:-1]
+        by = vy[:, :-1] * ky[1:] + vy[:, 1:] * ky[:-1]
+        qx, qy, corner = ay + gh, ax + gh, ax + ay + gh
+        lo = np.minimum(np.minimum(corner[:-1], corner[1:]),
+                        0.5 * (bx + qx[:-1] + qx[1:]))
+        edge_y = 0.5 * (by + qy[:, :-1] + qy[:, 1:])
+        centre = 0.25 * ((bx[:, :-1] + bx[:, 1:]) + (by[:-1] + by[1:])
+                         + (gh[:-1, :-1] + gh[1:, :-1])
+                         + (gh[:-1, 1:] + gh[1:, 1:]))
+        lo = np.minimum(np.minimum(lo[:, :-1], lo[:, 1:]), np.minimum(
+            np.minimum(edge_y[:-1], edge_y[1:]), centre))
+        w = (np.abs(vx) * (abs(m) * (abs(ox) + g.d * g.nx + abs(gx)))
+             + np.abs(vy) * (abs(m) * (abs(oy) + g.d * g.ny + abs(gy)))
+             + cfg.gamma * np.abs(h))
+        w = np.maximum(w[:-1], w[1:])
+        return lo > 1e-9 * np.maximum(w[:, :-1], w[:, 1:])
+
+
+def test_goal_runs_share_one_lattice_pass(monkeypatch, single_build,
+                                          three_build, uncertain_build,
+                                          disk_build):
+    # every shipped goal run evaluates a over the lattice once, in
+    # goal_lattice: its skip mask keeps the bits of its own pass, and the
+    # CFL bound reads lattice_activation's bits on the free cells
+    passes = []
+
+    def spy(*args):
+        passes.append(safety.goal_lattice(*args))
+        return passes[-1]
+
+    def forbidden(*args):
+        raise AssertionError("a second lattice pass")
+
+    monkeypatch.setattr(sim, "goal_lattice", spy)
+    monkeypatch.setattr(sim, "lattice_activation", forbidden)
+    doc, scale = flux_sweep_doc(12)
+    sweep = Scenario(doc)
+    runs = [single_build, three_build, uncertain_build, disk_build,
+            build_scenario("moving_block"), (sweep, sweep.build(
+                flux_scale=scale))]
+    for sc, b in runs:
+        k, c, cfg = sc.controller(b), sc.sim_cfg, b.filter_cfg
+        tr = sim.integrate_single(c["y0"], k, b.sf, b.gf, cfg, c["dt"],
+                                  c["T"], goal=c.get("goal"))
+        assert tr.n > 1 and len(passes) == 1
+        *lattice, mark = passes.pop()
+        assert np.array_equal(mark, ref_inactive_cells(b.sf, b.gf, cfg, k.mu,
+                                                       k.goal))
+        free = b.grid.free
+        want = safety.lattice_activation(b.grid, k, b.sf, b.gf, cfg)
+        for got, ref in zip(lattice, want):
+            assert got[free].tobytes() == ref[free].tobytes()
 
 
 # -- point cases --------------------------------------------------------------

@@ -14,7 +14,7 @@ from riskfields.safety import (ActivationZone, FilterConfig,
                                activation, activation_dynamic,
                                activation_zone, eval_controller,
                                filter_control, filter_control_dynamic,
-                               inactive_cells)
+                               goal_lattice)
 from riskfields.scenario import Scenario
 
 from conftest import build_scenario, flux_sweep_doc
@@ -340,10 +340,11 @@ _SUB = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -40])
 
 def _a_in_marked(sf, gf, cfg, mu, goal, px, py):
     """a at the points of arrays px, py that fall in a cell of
-    inactive_cells, in FieldSampler.at's and min_norm's operation order
-    (numpy gives the same doubles), and the share of points that do."""
+    goal_lattice's inactive mask, in FieldSampler.at's and min_norm's
+    operation order (numpy gives the same doubles), and the share of points
+    that do."""
     g = sf.grid
-    mark = inactive_cells(sf, gf, cfg, mu, goal)
+    mark = goal_lattice(sf, gf, cfg, mu, goal)[4]
     ox, oy = g.origin_xy
     gx = (px - ox) / g.d
     gy = (py - oy) / g.d
@@ -393,7 +394,7 @@ def test_inactive_cells_sound_on_shipped_fields(single_build, three_build,
     for ctrl, b in _shipped_fields(single_build, three_build,
                                    uncertain_build, disk_build):
         cfg = b.filter_cfg
-        mark = inactive_cells(b.sf, b.gf, cfg, ctrl.mu, ctrl.goal)
+        mark = goal_lattice(b.sf, b.gf, cfg, ctrl.mu, ctrl.goal)[4]
         assert mark.shape == (b.grid.nx - 1, b.grid.ny - 1)
         assert mark.mean() > 0.5
         px, py = _sub_grid_points(b.grid, mark)
@@ -434,7 +435,7 @@ def test_inactive_cells_sound_on_random_fields(seed, gamma, mu, goal, nan):
                                          ScalarField(g, vy)))
     cfg = FilterConfig(gamma=gamma)
     goal = np.array(goal)
-    mark = inactive_cells(sf, gf, cfg, mu, goal)
+    mark = goal_lattice(sf, gf, cfg, mu, goal)[4]
     if nan:
         assert not mark[max(ni - 1, 0):ni + 1, max(nj - 1, 0):nj + 1].any()
     px, py = _sub_grid_points(g, mark)

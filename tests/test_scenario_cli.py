@@ -139,6 +139,27 @@ def test_null_or_mistyped_sections_are_malformed(path, value, match):
         Scenario(doc).build()
 
 
+@pytest.mark.parametrize("label", [["chair"], {"chair": 1}, ["a", ["b"]],
+                                   {"a": {"b": 1}}])
+def test_unhashable_obstacle_label_is_malformed(label):
+    doc = _replaced("three_obstacles", ["obstacles", 0, "label"], label)
+    with pytest.raises(MalformedDocument,
+                       match=r"obstacles\[0\]\.label: .* not in the priority"):
+        Scenario(doc)
+
+
+def test_cli_rejects_an_unhashable_label_with_failed_marker(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(_replaced(
+        "three_obstacles", ["obstacles", 0, "label"], ["a"])))
+    out = tmp_path / "bad_out"
+    assert run_cli("solve", "--scenario", str(bad), "--out", str(out)) == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") \
+        and "obstacles[0].label" in text
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_dynamic_rejects_a_bad_profile_with_failed_marker(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(_replaced(

@@ -1,5 +1,6 @@
 """Motion profiles, nominal controllers, closed-loop integrators."""
 
+import collections
 import copy
 import dataclasses
 import math
@@ -9,20 +10,21 @@ import pytest
 
 from riskfields import elliptic, scenario, sim
 from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
-                                 _k_v_safe, k_v_smooth)
+                                 accel_kernel, k_v_smooth)
 from riskfields.errors import (GridMismatch, MalformedGrid, OutOfDomain,
                                StartUnsafe)
 from riskfields.grid import FieldSampler, ScalarField
 from riskfields.safety import (SafetyFunction, activation_zone,
-                               inactive_cells)
+                               goal_lattice)
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
                             goal_controller, integrate_double,
                             integrate_single, nominal_adversarial,
-                            nominal_goal, run_dynamic, time_derivative, _rk4)
+                            nominal_goal, run_dynamic, time_derivative)
 
 from conftest import SCENARIOS
+from test_backstep import kernel_points, outcome, outcome_kind
 import yaml
 
 
@@ -147,7 +149,7 @@ def test_only_a_static_goal_filter_skips(monkeypatch, single_build):
     def called(*args):
         raise Called
 
-    monkeypatch.setattr(sim, "inactive_cells", called)
+    monkeypatch.setattr(sim, "goal_lattice", called)
     for ctrl, dh in ((k, zero), (lambda y: k(y), None),
                      (adversarial_controller(1.0, res.sf), None)):
         sim._filtered(ctrl, res.sf, res.gf, cfg, 1, dh)
@@ -157,8 +159,9 @@ def test_only_a_static_goal_filter_skips(monkeypatch, single_build):
 
 def test_skipping_stage_matches_full_stage(single_build):
     # a goal controller's stage skips the field sample in the cells of
-    # inactive_cells; at any point, on the hull or off it, finite or not, it
-    # gives the bits of the full stage or raises the same OutOfDomain
+    # goal_lattice's inactive mask; at any point, on the hull or off it,
+    # finite or not, it gives the bits of the full stage or raises the same
+    # OutOfDomain
     sc, res = single_build
     k = sc.controller(res)
 
@@ -183,7 +186,7 @@ def test_skipping_stage_matches_full_stage(single_build):
     for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300):
         pts += [(bad, oy + 0.5 * g.d * g.ny), (ox + 0.5 * g.d * g.nx, bad),
                 (bad, bad)]
-    mark = inactive_cells(res.sf, res.gf, cfg, k.mu, k.goal)
+    mark = goal_lattice(res.sf, res.gf, cfg, k.mu, k.goal)[4]
     skipped = 0
     for p in pts:
         outs = []
@@ -199,21 +202,69 @@ def test_skipping_stage_matches_full_stage(single_build):
     assert skipped > len(pts) // 2
 
 
+@pytest.mark.parametrize("fixture", ["single_build", "semantic_build"])
+def test_static_stage_matches_layered_path(request, fixture):
+    # the static stage writes out FieldSampler.at and min_norm, which the
+    # record still calls: its filtered input is the layered stage, bit for
+    # bit and error for error; eta_v = 1e3 makes every a < 0 vanishing
+    sc, b = request.getfixturevalue(fixture)
+    k = sc.controller(b)
+    mark = (goal_lattice(b.sf, b.gf, b.filter_cfg, k.mu, k.goal)[4]
+            if hasattr(k, "mu") else None)
+    g = b.grid
+    (ox, oy), rng = g.origin_xy, np.random.default_rng(11)
+    pts = kernel_points(g, b.sf.h.values, rng)
+    kinds = collections.Counter()
+    for eta_v in (b.filter_cfg.eta_v, 1e3):
+        cfg = dataclasses.replace(b.filter_cfg, eta_v=eta_v)
+        record, stage, _ = sim._filtered(k, b.sf, b.gf, cfg, 1)
+        for p in pts:
+            want = outcome(lambda q: record(q)[1], p)
+            assert outcome(stage, p) == want, p
+            kind = outcome_kind(want)
+            if kind == "value":
+                i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
+                kind = ("skipped" if mark is not None and mark[int(i), int(j)]
+                        else "corrected" if record(p)[0][7] < 0.0
+                        else "idle")
+            kinds[kind] += 1
+    want = ["corrected", "idle", "OutOfDomain: hull", "OutOfDomain: deeper",
+            "OutOfDomain: not finite", "VanishingGuidance: a="]
+    if mark is not None:
+        want.append("skipped")
+    assert all(kinds[w] > 0 for w in want), kinds
+
+
 # -- integrator core -----------------------------------------------------------------
 
+def _rk4(y, k1, f, dt):
+    """The classical RK4 step on a tuple of floats of any length, in the
+    elementwise order the written-out steps sim._rk4_xy and sim._rk4 keep."""
+    h = 0.5 * dt
+    k2 = f(tuple([a + h * b for a, b in zip(y, k1)]))
+    k3 = f(tuple([a + h * b for a, b in zip(y, k2)]))
+    k4 = f(tuple([a + dt * b for a, b in zip(y, k3)]))
+    w = dt / 6.0
+    return tuple([a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+
 def test_rk4_is_fourth_order():
-    def f(q):
-        return (-q[0],)
+    # the generic step, and the written-out steps of sim on y' = -y per
+    # component
+    for rk4, width in ((_rk4, 1), (sim._rk4_xy, 2), (sim._rk4, 4)):
+        def f(q):
+            return tuple([-c for c in q])
 
-    def err(n):
-        y = (1.0,)
-        dt = 1.0 / n
-        for _ in range(n):
-            y = _rk4(y, f(y), f, dt)
-        return abs(y[0] - math.exp(-1.0))
+        def err(n):
+            y = (1.0,) * width
+            dt = 1.0 / n
+            for _ in range(n):
+                y = rk4(y, f(y), f, dt)
+            return abs(y[0] - math.exp(-1.0))
 
-    ratio = err(20) / err(40)
-    assert 12.0 <= ratio <= 20.0  # halving dt cuts the error ~16x
+        ratio = err(20) / err(40)
+        assert 12.0 <= ratio <= 20.0  # halving dt cuts the error ~16x
 
 
 def test_rk4_xy_matches_generic_rk4():
@@ -226,6 +277,21 @@ def test_rk4_xy_matches_generic_rk4():
         y = tuple(y)
         for dt in (1e-3, 0.05, 0.3):
             got = sim._rk4_xy(y, f(y), f, dt)
+            want = _rk4(y, f(y), f, dt)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_rk4_matches_generic_rk4():
+    # the written-out step for the double integrator's four floats, too
+    def f(q):
+        return (q[2], q[3], math.sin(3.0 * q[1]) - q[0] * q[3],
+                q[0] * q[1] + 0.1 - q[2])
+
+    rng = np.random.default_rng(4)
+    for y in rng.uniform(-2.0, 2.0, (200, 4)).tolist():
+        y = tuple(y)
+        for dt in (1e-3, 0.05, 0.3):
+            got = sim._rk4(y, f(y), f, dt)
             want = _rk4(y, f(y), f, dt)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -401,6 +467,11 @@ def test_integrate_double_smoke_survives_round_off_in_h(single_build):
         assert tr.termination == ref.termination, seed
 
 
+def _k_v_safe(p, k, fs, cfg):
+    """k_v_safe at the point p from k = k_nom there (accel_kernel's k_v)."""
+    return accel_kernel(fs, lambda px, py, s: k, cfg).k_v(*p)[3:]
+
+
 def test_integrate_double_smoke_k_v_safe_is_safe_for_h(single_build):
     # Dh.k_v_safe + gamma h > 0 at every sample of the smoke run (measured
     # 9.5e-4 at least), where the guidance layer's k_v alone breaks it on
@@ -415,7 +486,7 @@ def test_integrate_double_smoke_k_v_safe_is_safe_for_h(single_build):
         s = fs.at(px, py, True)
         k = at(px, py, s)
         kv = k_v_smooth((px, py), k, res.sf, res.gf, bcfg)
-        kx, ky = _k_v_safe((px, py), k, s, bcfg, _eps2(res.grid))
+        kx, ky = _k_v_safe((px, py), k, fs, bcfg)
         assert s[3] * kx + s[4] * ky + bcfg.gamma * s[0] > 0.0
         unsafe += s[3] * kv[0] + s[4] * kv[1] + bcfg.gamma * s[0] < 0.0
     assert unsafe > tr.n // 2
@@ -433,8 +504,8 @@ def test_integrate_double_from_the_maximum_of_h(single_build, offset):
     y0 = top + res.grid.d * np.array(offset)
     kv0 = k_v_smooth(y0, bcfg.nominal(y0), res.sf, res.gf, bcfg)
     s = FieldSampler(res.sf, res.gf).at(*y0.tolist(), True)
-    ks0 = _k_v_safe(tuple(y0.tolist()), tuple(bcfg.nominal(y0).tolist()), s,
-                    bcfg, _eps2(res.grid))
+    ks0 = _k_v_safe(tuple(y0.tolist()), tuple(bcfg.nominal(y0).tolist()),
+                    FieldSampler(res.sf, res.gf), bcfg)
     a_s = s[3] * kv0[0] + s[4] * kv0[1] + bcfg.gamma * s[0]
     lam = 0.5 * (-a_s + math.hypot(a_s, bcfg.sigma_s))
     assert math.dist(ks0, kv0) <= lam / (2.0 * math.sqrt(_eps2(res.grid)))
