@@ -285,7 +285,7 @@ def cmd_dynamic(args, scenario):
 
 
 def _min_clearance(traj, build, scenario, obstacle_idx):
-    mask = scenario._masks[obstacle_idx]
+    mask = scenario.obstacle_masks(build.report["t"])[obstacle_idx]
     g = build.grid
     ii, jj = np.nonzero(mask & ~g.free)
     if len(ii) == 0:

@@ -35,6 +35,8 @@ def _req(doc, key, path):
 
 def _num(x, path, positive=False):
     try:
+        if isinstance(x, bool):     # YAML true and false are not numbers
+            raise TypeError
         v = float(x)
     except (TypeError, ValueError):
         raise MalformedDocument(f"{path}: expected a number, got {x!r}")
@@ -125,9 +127,10 @@ def _obstacle_geometry(ob, kind, path, d):
 # (G, "h"): [h], with its stats and cached grad h; (G, beta0 bytes, c):
 # [vx, vy] of the smoothed, unscaled flux beta0, v0 (data -beta0 n_hat)
 # for c None, else v_c (that data on component c's nodes, 0 elsewhere).
-# A successful full build keeps the entries of its own G and beta0 and
-# drops all others; a failed build stores nothing, nor does h alone.
-# Nothing stored is handed out: builds get fresh copies on their grid.
+# A successful full build leaves every solved entry of its own G and beta0
+# here, read or not, and drops all others; a failed build stores nothing,
+# nor does h alone.  Nothing stored is handed out: builds get fresh copies
+# on their grid.
 _SOLVED = {}
 
 
@@ -155,26 +158,6 @@ def _h_on(h, grid, boundary):
 
 
 @dataclass
-class _Pending:
-    """A frame prepared for the stacked solve: its grid, G and the
-    [(key, systems)] of the _SOLVED entries it solves, in stack order;
-    store, the entries it reads (None: solved in this stack), is _SOLVED
-    as a full build (report not None) leaves it, or h's entry alone.  A
-    full build has its boundary with flux, terms [(key, coefficient)]."""
-    grid: object
-    key: tuple
-    adds: list
-    store: dict
-    boundary: object = None
-    report: dict = None
-    terms: list = None
-
-    @property
-    def systems(self):
-        return [s for _, group in self.adds for s in group]
-
-
-@dataclass
 class BuildResult:
     grid: object
     boundary: object
@@ -190,9 +173,13 @@ class Scenario:
 
     def __init__(self, doc, name_hint="scenario"):
         if isinstance(doc, (str, bytes)):
-            with open(doc) as fh:
-                name_hint = str(doc)
-                doc = yaml.safe_load(fh)
+            name_hint = str(doc)
+            try:
+                with open(doc) as fh:
+                    doc = yaml.safe_load(fh)
+            except (OSError, UnicodeError, yaml.YAMLError) as exc:
+                raise MalformedDocument(f"{name_hint}: unreadable: {exc}") \
+                    from None
         if not isinstance(doc, dict):
             raise MalformedDocument(f"{name_hint}: document is not a mapping")
         self.doc = doc
@@ -210,6 +197,8 @@ class Scenario:
             raise MalformedDocument(
                 f"grid: nx*ny = {self.nx * self.ny} exceeds {MAX_CELLS}")
         self.d = _num(_req(g, "d", "grid"), "grid.d", positive=True)
+        if not np.finfo(float).tiny <= self.d * self.d < math.inf:
+            raise MalformedDocument(f"grid.d: {self.d!r} squared is not normal")
         self.origin = _point(g.get("origin", [0.0, 0.0]), "grid.origin")
 
         dom = _mapping(doc.get("domain", {"kind": "box"}), "domain")
@@ -233,13 +222,17 @@ class Scenario:
         if kind not in (riskmap.IDENTITY, riskmap.SATURATING,
                         riskmap.EXPONENTIAL):
             raise MalformedDocument(f"risk.assign.kind: unknown {kind!r}")
-        self.assign = riskmap.RiskAssign(
-            kind, v_ref=_num(assign.get("v_ref", 1.0), "risk.assign.v_ref"),
-            alpha=_num(assign.get("alpha", 1.0), "risk.assign.alpha"))
+        self.assign = riskmap.RiskAssign(kind, **{
+            key: _num(assign.get(key, 1.0), f"risk.assign.{key}",
+                      positive=True) for key in ("v_ref", "alpha")})
         fx = _mapping(risk.get("flux", {}), "risk.flux")
-        self.flux_map = riskmap.FluxMap(
-            _num(fx.get("beta_min", 1.0), "risk.flux.beta_min"),
-            _num(fx.get("beta_max", 6.0), "risk.flux.beta_max"))
+        lo, hi = (_num(fx.get(key, default), f"risk.flux.{key}",
+                       positive=True)
+                  for key, default in (("beta_min", 1.0), ("beta_max", 6.0)))
+        if lo > hi:
+            raise MalformedDocument(
+                f"risk.flux: beta_min {lo!r} exceeds beta_max {hi!r}")
+        self.flux_map = riskmap.FluxMap(lo, hi)
         win = _int(risk.get("smooth_window", 5), "risk.smooth_window")
         if win % 2 == 0 and win != 0:
             raise MalformedDocument(
@@ -452,6 +445,13 @@ class Scenario:
         span = max(cmax - cmin, self.d)
         return lo + (hi - lo) * (coord - cmin) / span
 
+    def obstacle_masks(self, t=0.0):
+        """Each obstacle's cells at time t, moving ones shifted, in document
+        order."""
+        X, Y = self._centers()
+        return [self._obstacle_mask(ob, X, Y, self._shift_of(idx, t))
+                for idx, ob in enumerate(self.obstacles)]
+
     def rasterize(self, t=0.0):
         """OccupancyGrid at time t (moving obstacles shifted and re-covered)."""
         X, Y = self._centers()
@@ -469,11 +469,8 @@ class Scenario:
         prob = np.where(state == OCCUPIED, 1.0, 0.0)
         label = np.where(state == OCCUPIED, wall_id, 0).astype(np.int32)
         vel = np.zeros((self.nx, self.ny, 2))
-        self._masks = []
-        for idx, ob in enumerate(self.obstacles):
-            shift = self._shift_of(idx, t)
-            m = self._obstacle_mask(ob, X, Y, shift)
-            self._masks.append(m)
+        for idx, (ob, m) in enumerate(zip(self.obstacles,
+                                          self.obstacle_masks(t))):
             state[m] = OCCUPIED
             # the clip guards a ramp's round-off; ends lie in [0, 1]
             pv = np.clip(self._prob_values(ob, X, Y, m), 0.0, 1.0)
@@ -539,12 +536,13 @@ class Scenario:
             return riskmap.PriorityRule(riskmap.LABEL, self.label_priorities)
         return riskmap.PriorityRule(self.feature)
 
-    def obstacle_components(self, grid, boundary):
-        """Maps obstacle index -> set of boundary component ids it owns."""
+    def obstacle_components(self, grid, boundary, masks):
+        """Maps obstacle index -> set of boundary component ids it owns;
+        masks is obstacle_masks at the grid's time."""
         ni, nj = nb4_of(boundary.cells)
         occ = grid.state[ni, nj] == OCCUPIED
         return {idx: set(boundary.comp[(occ & m[ni, nj]).any(axis=1)].tolist())
-                for idx, m in enumerate(self._masks)}
+                for idx, m in enumerate(masks)}
 
     def build(self, t=0.0, flux_scale=None):
         """Full chain at time t; flux_scale is a factor a (all nodes) or a
@@ -560,10 +558,11 @@ class Scenario:
         build reads what _SOLVED holds for its geometry G: the boundary and
         node map (G, "shape"), h with grad h (G, "h"), and v0 and the v_c
         of its beta0 (G, beta0, c); only what is missing is solved, and a
-        successful build keeps the entries of its own G and beta0.  So a
-        one-off map-scaled build solves five systems (h, v0 and one basis
-        pair), two more than a direct solve of its scaled flux, while later
-        scales of the same obstacles solve none.
+        successful build keeps every entry of its own G and beta0, read or
+        not.  So a one-off map-scaled build solves five systems (h, v0 and
+        one basis pair), two more than a direct solve of its scaled flux,
+        while later scales of the same obstacles solve none, also after a
+        scalar scale in between.
         The one-frame case of _build_frames; run_dynamic asks it for a
         stack of frames per solve (at least two, more on small lattices),
         so it prepares at most one stack ahead of the frame its dh/dt
@@ -583,66 +582,76 @@ class Scenario:
         h_last the last one is h alone, as safety_field.
 
         A generator.  When the first frame is asked for, every frame is
-        prepared (rasterize, boundary, flux) and the systems of all of them
-        are solved in one elliptic._sweep_stack, where each keeps the values
-        and stats of a solve on its own.  Each frame is finished when it is
-        asked for.  Each frame is prepared on _SOLVED as the builds before
-        it, made one at a time, would leave it: its three key kinds, with
-        only the entries of the last full build's G and beta0 kept, where
-        an entry an earlier frame here solves reads None until that frame
-        is finished.  So every field, stats, report and _SOLVED entry is
-        that of builds made one at a time, whatever the number of frames.
-        A frame that fails raises when it is asked for, and no frame after
-        it is prepared.  build and safety_field ask for one frame,
-        run_dynamic for stacks of two or more (sim._STACK_CELLS).
+        prepared (rasterize, boundary, flux) against one plan: a copy of
+        _SOLVED that gains each frame's boundary and the keys of the fields
+        it solves as the frame adds them.  A frame reads every field the
+        plan holds and adds the rest, so each key is solved once, in one
+        elliptic._sweep_stack, where each system keeps the values and stats
+        of a solve on its own.  Each frame is finished when it is asked
+        for; a full build then leaves in _SOLVED the plan's solved entries
+        of its own G and beta0.  So every field and stats is that of builds
+        made one at a time, whatever the number of frames, but a report
+        reads "reused" for a field that those builds would have re-solved
+        because only the last one's G stays in _SOLVED.  A frame that fails
+        raises when it is asked for, and no frame after it is prepared.
+        build and safety_field ask for one frame, run_dynamic for stacks of
+        two or more (sim._STACK_CELLS).
         """
-        frames, failure = [], None
+        groups, frames, failure = [], [], None
         flux_scale = self._checked_scale(flux_scale)
-        store = dict(_SOLVED)
+        plan = dict(_SOLVED)
         for n, t in enumerate(times):
             try:
-                fr = self._prepare(t, flux_scale, store,
-                                   h_last and n == len(times) - 1)
+                grid, adds, finish = self._prepare(
+                    t, flux_scale, plan, h_last and n == len(times) - 1)
             except Exception as exc:
                 # any error, raised when its frame is asked for: where a
                 # build made one at a time would raise it
                 failure = exc
                 break
-            frames.append(fr)
-            if fr.report is not None:
-                store = fr.store
+            plan.update((key, None) for key, _ in adds)     # None: pending
+            groups.append((grid, [s for _, group in adds for s in group]))
+            frames.append((adds, finish))
         start = time.perf_counter()
-        solved = elliptic._sweep_stack([(fr.grid, fr.systems)
-                                        for fr in frames], self.solver_cfg)
+        solved = elliptic._sweep_stack(groups, self.solver_cfg)
         # each frame's share of the stacked sweep, by its number of systems
         per_system = ((time.perf_counter() - start)
-                      / max(1, sum(len(fr.systems) for fr in frames)))
-        made = {}       # the fields each frame solved, by _SOLVED key
-        for fr, values in zip(frames, solved):
-            yield self._finish(fr, values, per_system, made)
+                      / max(1, sum(len(systems) for _, systems in groups)))
+        for (_, systems), (adds, finish), values in zip(groups, frames,
+                                                        solved):
+            fields = iter(elliptic._fields(systems, values))
+            plan.update((key, [next(fields) for _ in group])
+                        for key, group in adds)
+            yield finish(plan, per_system * len(systems))
         if failure is not None:
             raise failure
 
-    def _prepare(self, t, flux_scale, store, h_only):
-        """Frame t up to its systems; store is _SOLVED as the builds before
-        it leave it."""
+    def _prepare(self, t, flux_scale, plan, h_only):
+        """Frame t up to its systems: (grid, adds, finish), with adds the
+        [(key, systems)] of the plan's keys it solves, in stack order, and
+        finish(plan, seconds) its build, or its h alone, once the plan
+        holds every field it reads; seconds is its share of the sweep."""
         start = time.perf_counter()
         grid = self.rasterize(t)
         G = _geometry_key(grid, self.solver_cfg)
-        if h_only:      # the stored h, or its own solve
+        if h_only:      # the plan's h, or its own solve
             key = (G, "h")
-            return _Pending(grid, G, [] if key in store else [(key, [
-                elliptic._poisson(grid, None, elliptic.ForcingSpec())])],
-                {key: store.get(key)})
+            adds = [] if key in plan else [(key, [
+                elliptic._poisson(grid, None, elliptic.ForcingSpec())])]
+
+            def h_alone(plan, seconds):
+                h, = plan[key]
+                return h if adds else _h_on(h, grid, None)
+            return grid, adds, h_alone
         report = {"stages": [], "scenario": self.name, "t": t}
         timings = report["timings_ms"] = {
             "rasterize": 1e3 * (time.perf_counter() - start)}
 
         start = time.perf_counter()
-        shape = store.get((G, "shape"))
-        report["geometry"] = "solved" if shape is None else "reused"
-        shape = (extract_boundary(grid) if shape is None
-                 else _boundary_on(shape[0], grid))
+        stored = plan.get((G, "shape"))
+        report["geometry"] = "solved" if stored is None else "reused"
+        shape = (extract_boundary(grid) if stored is None
+                 else _boundary_on(stored[0], grid))
         timings["boundary"] = 1e3 * (time.perf_counter() - start)
         report["stages"].append("discretize")
         report["nodes"] = shape.n
@@ -654,7 +663,7 @@ class Scenario:
         base = riskmap.assign_flux(shape, feats, rule, self.assign,
                                    self.flux_map)
         base = riskmap.smooth_flux(base, self.smooth_window)     # beta0
-        a, scales = self._component_scales(flux_scale, grid, base)
+        a, scales = self._component_scales(flux_scale, t, grid, base)
         boundary = base
         if flux_scale is not None:
             factor = np.full(base.n, a)
@@ -669,24 +678,57 @@ class Scenario:
 
         start = time.perf_counter()
         flux_key = base.flux.tobytes()
-        kept = {k: v for k, v in store.items()
-                if k[0] == G and k[1] in ("shape", "h", flux_key)}
         adds = []
-        if (G, "shape") not in kept:
-            kept[G, "shape"] = (_boundary_on(shape, grid),
+        if stored is None:
+            plan[G, "shape"] = (_boundary_on(shape, grid),
                                 elliptic._band_nodes(grid, boundary))
             adds.append(((G, "h"), [elliptic._poisson(
                 grid, boundary, elliptic.ForcingSpec())]))
-        nodes = kept[G, "shape"][1]
+        nodes = plan[G, "shape"][1]
         terms = [((G, flux_key, None), a)] + [((G, flux_key, c), s - a)
                                               for c, s in scales.items()]
-        for key, _ in terms:
-            if key not in kept:
-                adds.append((key, elliptic._guidance(grid, base, nodes,
-                                                     comp=key[2])))
-        kept.update((key, None) for key, _ in adds)
+        adds += [(key, elliptic._guidance(grid, base, nodes, comp=key[2]))
+                 for key, _ in terms if key not in plan]
         timings["solve"] = 1e3 * (time.perf_counter() - start)
-        return _Pending(grid, G, adds, kept, boundary, report, terms)
+
+        def finish(plan, seconds):
+            start = time.perf_counter()
+            h = _h_on(plan[G, "h"][0], grid, boundary)
+            fx, fy = elliptic._superpose(grid, [(s, plan[key])
+                                                for key, s in terms])
+            v = elliptic._vector(fx, fy, boundary)
+            report["stages"] += ["poisson", "laplace"]
+            report["poisson"] = asdict(h.stats)
+            report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
+            origin = {key: "solved" for key, _ in adds}
+            report["guidance"] = {
+                "v0": origin.get(terms[0][0], "reused"),
+                "terms": [{"component": key[2], "coefficient": s,
+                           "basis": origin.get(key, "reused"),
+                           "stats": [asdict(f.stats) for f in plan[key]]}
+                          for key, s in terms]}
+            now = time.perf_counter()
+            timings["solve"] += 1e3 * (seconds + now - start)
+
+            start = now
+            sf = SafetyFunction(h)
+            bcfg = None
+            if self.backstep is not None:
+                bcfg = BackstepConfig(gamma=self.filter_cfg.gamma,
+                                      eta_v=self.filter_cfg.eta_v,
+                                      k_nom_v=self._nominal(sf),
+                                      **self.backstep)
+            report["stages"].append("filter")
+            res = BuildResult(grid, boundary, sf,
+                              GuidanceFieldBundle(v, boundary),
+                              self.filter_cfg, bcfg, report)
+            _SOLVED.clear()
+            _SOLVED.update((k, e) for k, e in plan.items() if k[0] == G
+                           and k[1] in ("shape", "h", flux_key)
+                           and e is not None)
+            timings["filter"] = 1e3 * (time.perf_counter() - start)
+            return res
+        return grid, adds, finish
 
     def _checked_scale(self, flux_scale):
         """flux_scale as build takes it, with float factors and int keys;
@@ -705,13 +747,14 @@ class Scenario:
             out[i] = _num(s, f"flux_scale[{i}]", positive=True)
         return out
 
-    def _component_scales(self, flux_scale, grid, boundary):
+    def _component_scales(self, flux_scale, t, grid, boundary):
         """(a, {c: s_c}): the factor a of every node, and the factor s_c of
         each component c where it is not a, the product of the scales of
-        the obstacles that own c, in the map's order."""
+        the obstacles that own c at time t, in the map's order."""
         if not isinstance(flux_scale, dict):
             return (1.0 if flux_scale is None else flux_scale), {}
-        owners = self.obstacle_components(grid, boundary)
+        owners = self.obstacle_components(grid, boundary,
+                                          self.obstacle_masks(t))
         scales = {}
         for c in boundary.components():
             s = 1.0
@@ -722,58 +765,13 @@ class Scenario:
                 scales[c] = s
         return 1.0, scales
 
-    def _finish(self, fr, solved, per_system, made):
-        """The frame's build, or its h alone, from its systems' (values,
-        stats), which go into made; a build then makes _SOLVED its store."""
-        start = time.perf_counter()
-        fields = iter(elliptic._fields(fr.systems, solved))
-        made.update((key, [next(fields) for _ in group])
-                    for key, group in fr.adds)
-        store = {k: made[k] if v is None else v for k, v in fr.store.items()}
-        h, = store[fr.key, "h"]
-        if fr.report is None:   # h alone: its own solve, or a copy
-            return h if fr.adds else _h_on(h, fr.grid, None)
-        grid, boundary, report = fr.grid, fr.boundary, fr.report
-        h = _h_on(h, grid, boundary)
-        fx, fy = elliptic._superpose(grid, [(s, store[key])
-                                            for key, s in fr.terms])
-        v = elliptic._vector(fx, fy, boundary)
-        report["stages"] += ["poisson", "laplace"]
-        report["poisson"] = asdict(h.stats)
-        report["laplace"] = [asdict(v.x.stats), asdict(v.y.stats)]
-        origin = {key: "solved" for key, _ in fr.adds}
-        report["guidance"] = {
-            "v0": origin.get(fr.terms[0][0], "reused"),
-            "terms": [{"component": key[2], "coefficient": s,
-                       "basis": origin.get(key, "reused"),
-                       "stats": [asdict(f.stats) for f in store[key]]}
-                      for key, s in fr.terms]}
-        now = time.perf_counter()
-        report["timings_ms"]["solve"] += 1e3 * (
-            per_system * len(fr.systems) + now - start)
-
-        start = now
-        sf = SafetyFunction(h)
-        gf = GuidanceFieldBundle(v, boundary)
-        bcfg = None
-        if self.backstep is not None:
-            bcfg = BackstepConfig(gamma=self.filter_cfg.gamma,
-                                  eta_v=self.filter_cfg.eta_v,
-                                  **self.backstep)
-        report["stages"].append("filter")
-        res = BuildResult(grid, boundary, sf, gf, self.filter_cfg, bcfg,
-                          report)
-        if bcfg is not None:
-            bcfg.k_nom_v = self.controller(res)
-        _SOLVED.clear()
-        _SOLVED.update(store)
-        report["timings_ms"]["filter"] = 1e3 * (time.perf_counter() - start)
-        return res
-
     def controller(self, build):
+        return self._nominal(build.sf)
+
+    def _nominal(self, sf):
         if self.nominal_kind == "goal":
             return sim.goal_controller(self.nominal_mu, self.nominal_goal)
-        return sim.adversarial_controller(self.nominal_mu, build.sf)
+        return sim.adversarial_controller(self.nominal_mu, sf)
 
 
 def load_scenario(path):

@@ -21,13 +21,18 @@ def build_scenario(name, **kw):
     return sc, sc.build(**kw)
 
 
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", SCENARIOS.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def flux_sweep_doc(seed):
     """The benchmark's flux_sweep document and first scale for a seed."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", SCENARIOS.parent / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    doc, scales = inputs.flux_sweep_inputs(seed)
+    doc, scales = perfbench_module("inputs").flux_sweep_inputs(seed)
     return doc, {0: next(scales)}
 
 

@@ -167,7 +167,7 @@ def test_criterion_7(three_build):
         tr = integrate_single(np.asarray(s["y0"], dtype=float), controller,
                               b.sf, b.gf, b.filter_cfg, s["dt"], s["T"],
                               goal=goal)
-        ii, jj = np.nonzero(sc._masks[idx] & ~b.grid.free)
+        ii, jj = np.nonzero(sc.obstacle_masks(0.0)[idx] & ~b.grid.free)
         centers = b.grid.origin + b.grid.d \
             * np.column_stack([ii, jj]).astype(float)
         clearance.append(min(float(np.hypot(*(centers - p).T).min())

@@ -210,7 +210,7 @@ def ref_node_features(sc, grid, boundary):
 
 def ref_obstacle_components(sc, grid, boundary):
     out = {}
-    for idx, m in enumerate(sc._masks):
+    for idx, m in enumerate(sc.obstacle_masks()):
         comps = set()
         for k in range(boundary.n):
             i, j = boundary.cells[k]
@@ -783,7 +783,8 @@ def test_node_features_match_loop():
     assert sorted({int(g.label[8, 10]), int(g.label[10, 10])}) == [2, 3]
     assert want[k].value == 2          # the tie goes to the smaller id
     assert len({f.value for f in want}) >= 3
-    assert sc.obstacle_components(g, b) == ref_obstacle_components(sc, g, b)
+    assert sc.obstacle_components(g, b, sc.obstacle_masks()) \
+        == ref_obstacle_components(sc, g, b)
     assert np.array_equal(b.arcw, ref_arc_weights(g, b.cells))
 
 

@@ -14,6 +14,8 @@ import types
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskfields import cli, elliptic, safety, scenario
 from riskfields.cli import main
@@ -89,10 +91,10 @@ def test_sim_section_requires_core_keys():
         Scenario(minimal_doc(sim={"y0": [1.0, 1.0], "dt": 0.01}))  # no T
 
 
-def _replaced(name, path, value):
-    """Shipped document name with the value at path, a list of keys and
-    list indices, replaced (mappings on the way made as needed)."""
-    doc = load_doc(name)
+def _replaced(name, path, value, doc=None):
+    """Shipped document name, or doc, with the value at path, a list of
+    keys and list indices, replaced (mappings on the way made as needed)."""
+    doc = load_doc(name) if doc is None else doc
     node = doc
     for key in path[:-1]:
         if isinstance(key, str):
@@ -132,6 +134,13 @@ _PIECEWISE = {"kind": "piecewise", "times": [0.0, 1.0], "speeds": [0.0, 0.5]}
      r"motion\[0\]\.profile: times and speeds"),
     (["motion", 0, "profile"], {"kind": "constant", "speed": -1.0},
      r"motion\[0\]\.profile: speeds must be nonnegative"),
+    (["obstacles", 0, "radius"], True, r"obstacles\[0\]\.radius: expected"),
+    (["risk", "flux", "beta_min"], 7.0, "beta_min 7.0 exceeds beta_max 6.0"),
+    (["risk", "flux", "beta_max"], math.inf, "risk.flux.beta_max"),
+    (["risk", "assign", "v_ref"], -1.0, "risk.assign.v_ref"),
+    (["risk", "assign", "alpha"], math.nan, "risk.assign.alpha"),
+    (["grid", "d"], 1e-300, "grid.d: 1e-300 squared is not normal"),
+    (["grid", "d"], 1e200, "grid.d: 1e.200 squared is not normal"),
 ])
 def test_null_or_mistyped_sections_are_malformed(path, value, match):
     doc = _replaced("moving_block", path, value)
@@ -146,6 +155,54 @@ def test_unhashable_obstacle_label_is_malformed(label):
     with pytest.raises(MalformedDocument,
                        match=r"obstacles\[0\]\.label: .* not in the priority"):
         Scenario(doc)
+
+
+def _shrunk(name):
+    """Shipped document name on a lattice of 24 cells across, same extent."""
+    doc = load_doc(name)
+    g = doc["grid"]
+    g["d"] *= g["nx"] / 24
+    g["ny"] = round(g["ny"] * 24 / g["nx"])
+    g["nx"] = 24
+    return doc
+
+
+def _key_paths(node, pre=()):
+    """Every key and list index path of a document, outermost first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield pre + (k,)
+        yield from _key_paths(v, pre + (k,))
+
+
+_FUZZ_PATHS = [(name, path) for name in ("three_obstacles", "moving_block")
+               for path in _key_paths(_shrunk(name))]
+_TINY = st.floats(min_value=-1e-300, max_value=1e-300)
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.text(max_size=4), st.booleans(), _TINY,
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(_TINY | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), _TINY | st.none(), max_size=2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES)
+@example(("three_obstacles", ("obstacles", 0, "label")), ["chair"])
+@example(("three_obstacles", ("obstacles", 0, "label")), {"chair": 1})
+def test_mutated_documents_build_or_are_malformed(where, value):
+    """One key of a shipped document, on a small lattice, replaced by a
+    value of the wrong type or range: the document builds, or raises
+    MalformedDocument.  A solver tolerance or omega near 0 is well formed
+    but cannot be met, so there NonConvergence is the answer."""
+    name, path = where
+    doc = _replaced(name, path, value, _shrunk(name))
+    allowed = (MalformedDocument,) if path[0] != "solver" \
+        else (MalformedDocument, NonConvergence)
+    try:
+        Scenario(doc).build()
+    except allowed:
+        pass
 
 
 def test_cli_rejects_an_unhashable_label_with_failed_marker(tmp_path):
@@ -323,7 +380,7 @@ def test_prob_ramp_axis_must_be_x_or_y():
 def test_prob_ramp_builds_along_its_axis():
     sc = Scenario(_with_prob({"axis": "y", "from": 0.0, "to": 1.0}))
     g = sc.rasterize()
-    m = sc._masks[0]
+    m = sc.obstacle_masks()[0]
     ii, jj = np.nonzero(m)
     p = g.prob[ii, jj]
     assert p.min() == 0.0 and p.max() == 1.0
@@ -342,7 +399,7 @@ def test_ramp_prob_obstacle_off_the_lattice_paints_nothing():
     sc = Scenario(_off_lattice_ramp(minimal_doc()))
     b = sc.build()
     ref = Scenario(minimal_doc()).build()
-    assert not sc._masks[1].any()
+    assert not sc.obstacle_masks()[1].any()
     for got, want in ((b.grid.state, ref.grid.state),
                       (b.grid.prob, ref.grid.prob),
                       (b.sf.h.values, ref.sf.h.values)):
@@ -510,7 +567,7 @@ def test_rasterize_box_and_disk():
 def test_rasterize_prob_ramp_and_labels():
     sc = load_scenario(str(SCENARIOS / "uncertain_wall.yaml"))
     g = sc.rasterize()
-    m = sc._masks[0]
+    m = sc.obstacle_masks()[0]
     assert g.prob[m].min() >= 0.2 - 1e-12
     assert g.prob[m].max() <= 1.0
     ii, jj = np.nonzero(m)
@@ -526,7 +583,7 @@ def test_rasterize_prob_ramp_and_labels():
 def test_rasterize_vel_channel():
     sc = load_scenario(str(SCENARIOS / "moving_block.yaml"))
     g = sc.rasterize(t=3.5)  # hold phase of the trapezoid
-    m = sc._masks[0]
+    m = sc.obstacle_masks(t=3.5)[0]
     v = g.vel[m]
     assert np.allclose(v, [0.6, 0.0])
     assert np.allclose(g.vel[~m & ~g.free], 0.0)
@@ -758,7 +815,8 @@ def test_flux_scale_scalar_and_dict(three_build):
     doubled = sc.build(flux_scale=2.0)
     assert np.allclose(doubled.boundary.flux, 2.0 * base.boundary.flux)
     only0 = sc.build(flux_scale={0: 3.0})
-    owners = sc.obstacle_components(base.grid, base.boundary)
+    owners = sc.obstacle_components(base.grid, base.boundary,
+                                    sc.obstacle_masks())
     comps0 = owners[0]
     assert comps0
     pick = np.isin(base.boundary.comp, list(comps0))
@@ -817,7 +875,8 @@ def test_superposed_guidance_equals_a_direct_solve(case):
         assert [t["coefficient"] for t in terms] == [fs]
     if case == "touching":
         # the shared component's factor is the product of both scales
-        owners = sc.obstacle_components(b.grid, b.boundary)
+        owners = sc.obstacle_components(b.grid, b.boundary,
+                                        sc.obstacle_masks())
         shared, = owners[0] & owners[1]
         coef = {t["component"]: t["coefficient"] for t in terms[1:]}
         assert coef[shared] == 2.0 * 3.0 - 1.0
@@ -951,6 +1010,38 @@ def test_stacked_frame_picks_up_a_pending_guidance(monkeypatch, fs):
         for got, want in ((b.gf.v.x, alone.gf.v.x), (b.gf.v.y, alone.gf.v.y)):
             _same_arrays(got.values, want.values)
             assert got.stats == want.stats
+
+
+def test_stacked_frame_reads_a_stored_later_geometry(monkeypatch):
+    """_SOLVED holds frame 1's geometry and frame 0 needs another: the plan
+    keeps both, so frame 1 solves nothing, where builds made one at a time
+    would re-solve it after frame 0 replaced _SOLVED."""
+    sc = Scenario(load_doc("moving_block"))
+    cold = []
+    for t in (0.0, 0.2):
+        scenario._SOLVED.clear()
+        cold.append(sc.build(t))
+    assert not np.array_equal(cold[0].grid.free, cold[1].grid.free)
+    counts = _count_systems(monkeypatch)
+    frames = list(sc._build_frames([0.0, 0.2]))
+    assert counts == [3]        # frame 0's h and v0, not 6
+    assert frames[0].report["geometry"] == "solved"
+    assert frames[1].report["geometry"] == "reused"
+    assert frames[1].report["guidance"]["v0"] == "reused"
+    for got, want in zip(frames, cold):
+        _assert_same_build(sc, got, want)
+
+
+def test_a_scalar_scale_keeps_the_stored_basis_pairs(monkeypatch):
+    counts = _count_systems(monkeypatch)
+    scenario._SOLVED.clear()
+    sc = Scenario(load_doc("three_obstacles"))
+    sc.build(flux_scale={0: 2.0})
+    sc.build(flux_scale=2.5)        # reads v0 alone
+    counts.clear()
+    b = sc.build(flux_scale={0: 3.0})
+    assert sum(counts) == 0
+    assert {t["basis"] for t in b.report["guidance"]["terms"]} == {"reused"}
 
 
 @pytest.mark.parametrize("fs, match", [
@@ -1336,7 +1427,7 @@ def test_min_clearance_matches_per_sample_loop(three_build, monkeypatch):
          + rng.uniform(-0.5, 0.5, (600, 2)) * g.d)
     y[0] = y[300] = np.nan          # the loop's min skips a NaN sample
     traj = types.SimpleNamespace(y=y)
-    for idx, mask in enumerate(sc._masks):
+    for idx, mask in enumerate(sc.obstacle_masks()):
         ii, jj = np.nonzero(mask & ~g.free)
         centers = g.origin + g.d * np.column_stack([ii, jj]).astype(float)
         want = np.inf
@@ -1486,3 +1577,19 @@ def test_cli_rejects_malformed_scenario(tmp_path):
     rc = run_cli("solve", "--scenario", str(bad), "--out", str(out))
     assert rc == 2
     assert "grid" in (out / "FAILED.txt").read_text()
+
+
+@pytest.mark.parametrize("case", ["missing", "syntax", "binary", "directory"])
+def test_cli_rejects_an_unreadable_document(tmp_path, case):
+    path = tmp_path / "doc.yaml"
+    if case == "syntax":
+        path.write_text("grid: {nx: 24\nny: [\n")
+    elif case == "binary":
+        path.write_bytes(b"\xff\xfe\x00garbage")
+    elif case == "directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    assert run_cli("solve", "--scenario", str(path), "--out", str(out)) == 2
+    text = (out / "FAILED.txt").read_text()
+    assert text.startswith("MalformedDocument") and str(path) in text
+    assert not (out / "manifest.json").exists()
