@@ -8,8 +8,8 @@ safety filter, activation zones, and closed-loop simulation.
 __version__ = "0.1.0"
 
 from .errors import (DegenerateCoefficient, DegenerateNormal,
-                     DisconnectedFreeSpace, GridMismatch, InvalidTimeStep,
-                     MalformedDocument, MalformedGrid,
+                     DisconnectedFreeSpace, GridMismatch, InvalidParameter,
+                     InvalidTimeStep, MalformedDocument, MalformedGrid,
                      NegativeForcingViolation, NonConvergence, OpenWorkspace,
                      OutOfDomain, RiskFieldsError, StartUnsafe, UnmappedLabel,
                      UnorderedBoundary, VanishingGuidance)

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCoefficient, OutOfDomain, VanishingGuidance
+from .errors import (DegenerateCoefficient, InvalidParameter, OutOfDomain,
+                     VanishingGuidance)
 from .grid import FieldSampler, _cell, _too_deep, point_xy
 from .safety import _point_form
 
@@ -35,7 +36,7 @@ class ExtendedState:
         self.y = np.asarray(self.y, dtype=float)
         self.ydot = np.asarray(self.ydot, dtype=float)
         if not (np.isfinite(self.y).all() and np.isfinite(self.ydot).all()):
-            raise ValueError("extended state must be finite")
+            raise InvalidParameter("extended state must be finite")
 
 
 @dataclass
@@ -51,12 +52,12 @@ class BackstepConfig:
         if not all(0 < x < math.inf for x in (self.mu, self.gamma,
                                                self.sigma_s, self.eta_c,
                                                self.eta_v)):
-            raise ValueError("backstep parameters must all be positive and "
-                             "finite")
+            raise InvalidParameter("backstep parameters must all be positive "
+                                   "and finite")
 
     def _k_nom(self):
         if self.k_nom_v is None:
-            raise ValueError("BackstepConfig.k_nom_v is unset")
+            raise InvalidParameter("BackstepConfig.k_nom_v is unset")
         return self.k_nom_v
 
     def nominal(self, y):
@@ -94,10 +95,12 @@ def accel_kernel(fs, at, cfg):
     same gap of a_s = Dh.k_v + gamma h.  Where ||Dh||^2 >> eps^2 (_eps2)
     Dh.k_v_safe + gamma h is the smooth margin of a_s, which is positive;
     where Dh vanishes, at the maximum of h, the correction stays below
-    lambda_s / (2 eps).  terms.jacobian(px, py, here=None) is the columns
-    (dk/dx, dk/dy) of J of k_v_safe: central differences with step d/2 per
-    axis, one-sided against here = k_v(px, py) (evaluated when needed)
-    where a probe leaves the sampleable region."""
+    lambda_s / (2 eps).  slope(px, py, ux, uy) is dk/du of k_v_safe along
+    a unit u: central with step d/2, one-sided against k_v(px, py)
+    (evaluated when needed) where a probe leaves the sampleable region.
+    terms reads J only as J ydot, one slope along ydot/|ydot| times |ydot|
+    ((0.0, 0.0) without a probe at ydot = 0): three points, not five.
+    terms.jacobian(px, py) is the slopes along the axes, J's columns."""
     grid = fs.grid
     H, VX, VY, HX, HY = fs.rows[:5]
     (ox, oy), d, nx1, ny1 = grid.origin_xy, grid.d, grid.nx - 1, grid.ny - 1
@@ -138,34 +141,35 @@ def accel_kernel(fs, at, cfg):
         c = 0.5 * (-a + math.hypot(a, sig)) / (hx * hx + hy * hy + eps2)
         return h, hx, hy, kx + c * hx, ky + c * hy
 
-    def jacobian(px, py, here=None):
-        cols = []
-        for qx, qy, rx, ry in ((px + step, py, px - step, py),
-                               (px, py + step, px, py - step)):
-            hi = lo = None
-            try:
-                hi = k_v(qx, qy)
-            except OutOfDomain:
-                pass
-            try:
-                lo = k_v(rx, ry)
-            except OutOfDomain:
-                pass
-            if hi is None and lo is None:
-                raise OutOfDomain(f"no valid probes around {(px, py)}")
-            w = 2.0 * step
-            if hi is None or lo is None:    # one-sided against here
-                here = k_v(px, py) if here is None else here
-                hi, lo, w = hi or here, lo or here, step
-            cols.append(((hi[3] - lo[3]) / w, (hi[4] - lo[4]) / w))
-        return cols
+    def slope(px, py, ux, uy, here=None):
+        hi = lo = None
+        try:
+            hi = k_v(px + step * ux, py + step * uy)
+        except OutOfDomain:
+            pass
+        try:
+            lo = k_v(px - step * ux, py - step * uy)
+        except OutOfDomain:
+            pass
+        if hi is None and lo is None:
+            raise OutOfDomain(f"no valid probes around {(px, py)}")
+        w = 2.0 * step
+        if hi is None or lo is None:        # one-sided against here
+            here = k_v(px, py) if here is None else here
+            hi, lo, w = hi or here, lo or here, step
+        return (hi[3] - lo[3]) / w, (hi[4] - lo[4]) / w
+
+    def jacobian(px, py):
+        return [slope(px, py, 1.0, 0.0), slope(px, py, 0.0, 1.0)]
 
     def terms(px, py, vx, vy):
         here = h, hx, hy, kx, ky = k_v(px, py)
         e = (vx - kx, vy - ky)
-        (j00, j10), (j01, j11) = jacobian(px, py, here)
-        return AccelTerms(h, e, _h_B(h, e, mu), hx * vx + hy * vy,
-                          (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
+        speed, jv = math.hypot(vx, vy), (0.0, 0.0)
+        if speed != 0.0:
+            jx, jy = slope(px, py, vx / speed, vy / speed, here)
+            jv = (jx * speed, jy * speed)
+        return AccelTerms(h, e, _h_B(h, e, mu), hx * vx + hy * vy, jv)
 
     terms.k_v, terms.jacobian = k_v, jacobian
     return terms
@@ -196,7 +200,8 @@ def k_v_jacobian(y, sf, gf, cfg):
     """Finite-difference Jacobian of k_v_safe, central step d/2 per axis.
 
     Falls back to one-sided differences when a probe point leaves the
-    sampleable region.
+    sampleable region.  For callers that need J itself: the filter reads
+    only J ydot (see accel_kernel).
     """
     return np.column_stack(_kernel(sf, gf, cfg).jacobian(*point_xy(y)))
 
@@ -208,7 +213,8 @@ class AccelTerms(NamedTuple):
     e: tuple              # ydot - k_v_safe(y), two floats
     h_B: float
     dh_ydot: float        # Dh(y).ydot
-    J_ydot: tuple         # J(y) ydot, two floats, J the Jacobian of k_v_safe
+    J_ydot: tuple         # J(y) ydot, two floats, J the Jacobian of k_v_safe,
+                          # as one difference along ydot (see accel_kernel)
 
     def hdot_B(self, w, mu):
         """d/dt h_B under acceleration w (floats), by differentiation:
@@ -252,12 +258,13 @@ def _terms(state, sf, gf, cfg):
 
 
 def hdot_B(state, w, sf, gf, cfg):
-    """d/dt h_B under acceleration w (see AccelTerms.hdot_B)."""
+    """d/dt h_B under acceleration w (see AccelTerms.hdot_B), with J ydot
+    one difference of k_v_safe along ydot (see accel_kernel)."""
     return _terms(state, sf, gf, cfg).hdot_B(point_xy(w), cfg.mu)
 
 
 def filter_accel(state, w_nom, sf, gf, cfg):
     """Minimal correction of w_nom enforcing hdot_B >= -gamma h_B (see
-    AccelTerms.filter)."""
+    AccelTerms.filter); J ydot as in hdot_B."""
     return np.array(_terms(state, sf, gf, cfg).filter(point_xy(w_nom),
                                                       cfg)[0])

@@ -62,4 +62,10 @@ class GridMismatch(RiskFieldsError):
 
 
 class InvalidTimeStep(RiskFieldsError, ValueError):
-    """Time step above the CFL bound, or not dividing the frame period."""
+    """Time step above the CFL bound, not positive, or not dividing the frame
+    period."""
+
+
+class InvalidParameter(RiskFieldsError, ValueError):
+    """Argument out of range: a non-finite state, a non-positive or
+    non-finite config value, a malformed motion profile, an unset nominal."""

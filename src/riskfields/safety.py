@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
-from .errors import GridMismatch, VanishingGuidance
+from .errors import GridMismatch, InvalidParameter, VanishingGuidance
 from .grid import (FieldSampler, fill_band, point_xy, sample_gradient,
                    sample_scalar, sample_vector)
 
@@ -32,8 +32,8 @@ class FilterConfig:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.gamma, self.eps,
                                                self.eta_v)):
-            raise ValueError("gamma, eps, eta_v must all be positive and "
-                             "finite")
+            raise InvalidParameter("gamma, eps, eta_v must all be positive "
+                                   "and finite")
 
     def sigma(self, s):
         # smooth transition: sigma(0)=0, monotone, -> eps

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backstep as bs
-from .errors import (DegenerateCoefficient, GridMismatch, InvalidTimeStep,
-                     OutOfDomain, StartUnsafe, VanishingGuidance)
+from .errors import (DegenerateCoefficient, GridMismatch, InvalidParameter,
+                     InvalidTimeStep, OutOfDomain, StartUnsafe,
+                     VanishingGuidance)
 from .grid import FieldSampler, ScalarField, _cell, _too_deep, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
@@ -81,19 +82,21 @@ class MotionProfile:
         self.times = np.asarray(times, dtype=float)
         self.speeds = np.asarray(speeds, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.speeds.shape:
-            raise ValueError("times and speeds must be matching 1-d arrays")
+            raise InvalidParameter(
+                "times and speeds must be matching 1-d arrays")
         if not (np.isfinite(self.times).all()
                 and np.isfinite(self.speeds).all()):
             # NaN passes the order and sign checks below
-            raise ValueError("times and speeds must be finite")
+            raise InvalidParameter("times and speeds must be finite")
         if self.times[:1].tolist() != [0.0] or (np.diff(self.times) < 0).any():
-            raise ValueError("times must start at 0 and be nondecreasing")
+            raise InvalidParameter(
+                "times must start at 0 and be nondecreasing")
         if (self.speeds < 0).any():
-            raise ValueError("speeds must be nonnegative")
+            raise InvalidParameter("speeds must be nonnegative")
         heading = np.asarray(heading, dtype=float)
         nh = np.linalg.norm(heading)
         if nh == 0:
-            raise ValueError("heading must be a nonzero vector")
+            raise InvalidParameter("heading must be a nonzero vector")
         self.heading = heading / nh
         # cumulative integral of the speed at each breakpoint
         seg = np.diff(self.times) * 0.5 * (self.speeds[1:] + self.speeds[:-1])
@@ -459,7 +462,7 @@ def time_derivative(h_prev, h_next, dt):
     .changed mask marking those cells.
     """
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InvalidTimeStep("dt must be positive")
     gp, gn = h_prev.grid, h_next.grid
     if not gp.same_geometry(gn):
         raise GridMismatch("frames live on different lattices")

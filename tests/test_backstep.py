@@ -134,11 +134,15 @@ def test_k_v_requires_guidance():
 
 # -- jacobian --------------------------------------------------------------------
 
-def test_k_v_jacobian_matches_analytic_on_affine():
-    # J of k_v_safe = k_v + lambda_s(a_s) Dh / (||Dh||^2 + eps^2), with
-    # a_s = Dh.k_v + gamma h: J_kv plus the outer product of that direction
-    # with lambda_s'(a_s) grad a_s.  d = 0.1 keeps the central differences'
-    # truncation error (step d/2) well below the bound
+def affine_jacobian():
+    """(g, sf, gf, cfg, J_exact) on affine_setup(d=0.1) with an affine
+    nominal, J_exact(p) the analytic Jacobian of k_v_safe.
+
+    J of k_v_safe = k_v + lambda_s(a_s) Dh / (||Dh||^2 + eps^2), with
+    a_s = Dh.k_v + gamma h, is J_kv plus the outer product of that
+    direction with lambda_s'(a_s) grad a_s.  d = 0.1 keeps the central
+    differences' truncation error (step d/2) well below the tests' bounds.
+    J_exact(p, kv_only=True) is J_kv alone."""
     g, sf, gf = affine_setup(d=0.1)
     h0, hx, hy = 0.8, 0.35, -0.2
     v = np.array([-1.1, 0.4])
@@ -150,23 +154,84 @@ def test_k_v_jacobian_matches_analytic_on_affine():
     nv2 = float(v @ v)
     toward = Dh / (float(Dh @ Dh) + _eps2(g))
     grad_a = A.T @ v + cfg.gamma * Dh
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        p = g.cell_center(4, 4) + rng.random(2) * 8 * g.d
+
+    def J_exact(p, kv_only=False):
         h = h0 + hx * p[0] + hy * p[1]
         a = float(v @ (A @ p + b)) + cfg.gamma * h
         r = math.hypot(a, cfg.sigma_s)
         kv = A @ p + b + 0.5 * (-a + r) / nv2 * v
         J_kv = A + np.outer(v / nv2, 0.5 * (a / r - 1.0) * grad_a)
+        if kv_only:
+            return J_kv
         a_s = float(Dh @ kv) + cfg.gamma * h
         r_s = math.hypot(a_s, cfg.sigma_s)
-        J_exact = J_kv + np.outer(
+        return J_kv + np.outer(
             toward, 0.5 * (a_s / r_s - 1.0) * (J_kv.T @ Dh + cfg.gamma * Dh))
+
+    return g, sf, gf, cfg, J_exact
+
+
+def test_k_v_jacobian_matches_analytic_on_affine():
+    g, sf, gf, cfg, J_exact = affine_jacobian()
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        p = g.cell_center(4, 4) + rng.random(2) * 8 * g.d
         J = k_v_jacobian(p, sf, gf, cfg)
-        assert np.abs(J - J_exact).max() < 2e-4  # measured 2.7e-5
+        assert np.abs(J - J_exact(p)).max() < 2e-4  # measured 2.7e-5
         # the Dh correction's own term is far above the bound (0.019 at
         # least), so J_kv alone would fail
-        assert np.abs(J_exact - J_kv).max() > 50 * 2e-4
+        assert np.abs(J_exact(p) - J_exact(p, kv_only=True)).max() > 50 * 2e-4
+
+
+def test_J_ydot_matches_analytic_on_affine():
+    # the filter's J ydot is one difference along ydot, not J from the
+    # axes: within 2e-4 |ydot| of the analytic J ydot, diagonals included
+    g, sf, gf, cfg, J_exact = affine_jacobian()
+    terms = accel_kernel(FieldSampler(sf, gf, snapshot=False),
+                         cfg.nominal_at(sf), cfg)
+    rng = np.random.default_rng(3)
+    diagonal = [(1.0, 1.0), (-1.0, 1.0), (2.5, -2.5), (-0.3, -0.3)]
+    for i in range(60):
+        p = g.cell_center(4, 4) + rng.random(2) * 8 * g.d
+        ydot = (np.array(diagonal[i]) if i < len(diagonal)
+                else rng.normal(0.0, 2.0, 2))
+        got = np.array(terms(*p.tolist(), *ydot.tolist()).J_ydot)
+        err = np.abs(got - J_exact(p) @ ydot).max() / np.hypot(*ydot)
+        assert err < 2e-4, (p, ydot)     # measured 8.6e-5
+
+
+def raising_nominal(p, k):
+    """A point-form nominal that returns k at p and raises OutOfDomain at
+    every other point, as a probe off the sampleable region would."""
+    def at(qx, qy, s):
+        if (qx, qy) != p:
+            raise OutOfDomain(f"probe at {(qx, qy)}")
+        return k
+    return at
+
+
+def test_J_ydot_zero_speed_takes_no_probe():
+    g, sf, gf = affine_setup()
+    cfg = BackstepConfig(sigma_s=0.3)
+    p = tuple(g.cell_center(8, 8).tolist())
+    terms = accel_kernel(FieldSampler(sf, gf, snapshot=False),
+                         raising_nominal(p, (0.3, -0.2)), cfg)
+    with pytest.raises(OutOfDomain, match="no valid probes"):
+        terms(*p, 0.5, 0.0)             # every probe raises
+    for ydot in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+        jv = terms(*p, *ydot).J_ydot
+        assert [x.hex() for x in jv] == [(0.0).hex()] * 2
+
+
+@pytest.mark.parametrize("ydot", [(5e-324, 0.0), (-5e-324, 5e-324),
+                                  (1e-310, -3e-320)])
+def test_J_ydot_finite_at_a_subnormal_speed(ydot):
+    # ydot is normalised before the step, so d/2 / |ydot| never appears
+    g, sf, gf, cfg, _ = affine_jacobian()
+    terms = accel_kernel(FieldSampler(sf, gf, snapshot=False),
+                         cfg.nominal_at(sf), cfg)
+    jv = terms(*g.cell_center(8, 8).tolist(), *ydot).J_ydot
+    assert all(math.isfinite(x) for x in jv)
 
 
 def test_k_v_jacobian_column_order():
@@ -398,7 +463,8 @@ def test_k_v_safe_bounded_at_the_maximum_of_h():
 # -- accel_kernel against the layered path ---------------------------------------
 # The layered path is the one accel_kernel replaced: FieldSampler.at, the
 # nominal, k_v and k_v_safe as separate steps, and the central differences
-# with their one-sided fallback.  The kernel must give its bits and errors.
+# with their one-sided fallback, along each axis for the jacobian and along
+# ydot for terms' J ydot.  The kernel must give its bits and errors.
 
 def _layered_k_v(q, at, fs, cfg, safe=True):
     """(h, dh/dx, dh/dy, kx, ky) at q, k = k_v_safe or with safe=False
@@ -460,13 +526,46 @@ def _layered_jacobian(p, kv, at, fs, cfg, seen):
     return cols
 
 
+def _layered_J_ydot(p, ydot, kv, at, fs, cfg, seen):
+    """J ydot at p as one difference of k_v_safe along ydot / |ydot|, times
+    |ydot|, kv = k_v_safe(p); seen counts the branch taken."""
+    speed = math.hypot(*ydot)
+    if speed == 0.0:
+        return 0.0, 0.0
+    ux, uy = ydot[0] / speed, ydot[1] / speed
+    step = 0.5 * fs.grid.d
+    px, py = p
+
+    def k_v_at(q):
+        try:
+            return _layered_k_v(q, at, fs, cfg)[3:]
+        except OutOfDomain:
+            return None
+
+    hi = k_v_at((px + step * ux, py + step * uy))
+    lo = k_v_at((px - step * ux, py - step * uy))
+    if hi is not None and lo is not None:
+        seen["central"] += 1
+        w = 2.0 * step
+    elif hi is not None:
+        seen["lo out"] += 1
+        lo, w = kv, step
+    elif lo is not None:
+        seen["hi out"] += 1
+        hi, w = kv, step
+    else:
+        seen["both out"] += 1
+        raise OutOfDomain(f"no valid probes around {tuple(p)}")
+    return ((hi[0] - lo[0]) / w * speed, (hi[1] - lo[1]) / w * speed)
+
+
 def _layered_terms(p, ydot, at, fs, cfg, seen):
     h, hx, hy, kx, ky = _layered_k_v(p, at, fs, cfg)
     vx, vy = ydot
     e = (vx - kx, vy - ky)
-    (j00, j10), (j01, j11) = _layered_jacobian(p, (kx, ky), at, fs, cfg, seen)
     return (h, e, h - (e[0] * e[0] + e[1] * e[1]) / (2.0 * cfg.mu),
-            hx * vx + hy * vy, (j00 * vx + j01 * vy, j10 * vx + j11 * vy))
+            hx * vx + hy * vy,
+            _layered_J_ydot(p, ydot, (kx, ky), at, fs, cfg, seen))
 
 
 def kernel_points(g, h, rng, n=300):
@@ -525,25 +624,31 @@ def test_accel_kernel_matches_layered_path(request, fixture):
     pts = kernel_points(b.grid, b.sf.h.values, rng)
     vnorm = np.hypot(b.gf.v.x.values, b.gf.v.y.values)[b.grid.free]
     fs = FieldSampler(b.sf, b.gf)
-    seen, kinds = collections.Counter(), collections.Counter()
+    kinds = collections.Counter()
+    seen = {"terms": collections.Counter(),
+            "jacobian": collections.Counter()}
     for eta_v in (base.eta_v, float(np.quantile(vnorm, 0.05))):
         cfg = dataclasses.replace(base, eta_v=eta_v)
         at = cfg.nominal_at(b.sf)
         terms = accel_kernel(fs, at, cfg)
         for p in pts:
             ydot = tuple(rng.normal(0.0, 1.0, 2).tolist())
-            want = outcome(_layered_terms, p, ydot, at, fs, cfg, seen)
+            want = outcome(_layered_terms, p, ydot, at, fs, cfg,
+                           seen["terms"])
             assert outcome(terms, *p, *ydot) == want, p
             kinds["terms " + outcome_kind(want)] += 1
-            want = outcome(_layered_jacobian, p, None, at, fs, cfg, seen)
+            want = outcome(_layered_jacobian, p, None, at, fs, cfg,
+                           seen["jacobian"])
             assert outcome(terms.jacobian, *p) == want, p
             kinds["jacobian " + outcome_kind(want)] += 1
             for safe in (True, False):
                 want = outcome(_layered_k_v, p, at, fs, cfg, safe)
                 assert outcome(terms.k_v, *p, safe) == want, p
-    # every branch of the probes' fallback, and every error, was reached
-    assert min(seen[k] for k in ("central", "lo out", "hi out",
-                                 "both out")) > 0, seen
+    # every branch of the probes' fallback, along ydot and along the axes,
+    # and every error, was reached
+    for path in ("terms", "jacobian"):
+        assert min(seen[path][k] for k in ("central", "lo out", "hi out",
+                                           "both out")) > 0, seen
     for kind in ("value", "OutOfDomain: hull", "OutOfDomain: deeper",
                  "OutOfDomain: not finite", "VanishingGuidance: eta_v"):
         assert kinds["terms " + kind] > 0, kinds

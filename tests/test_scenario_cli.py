@@ -1255,7 +1255,8 @@ def test_cli_simulate_double(tmp_path):
     # h_B is a valid barrier: k_v_safe keeps grad h . k_v_safe + gamma h
     # positive at every sample, while the velocity itself may break it
     assert summary["k_v_safe_negative"] == 0
-    assert summary["grad_h_negative"] == 283
+    # pinned: the count moves with any change to the filter's J ydot
+    assert summary["grad_h_negative"] == 292
     assert summary["inside_occupied"] == 0 and summary["max_depth"] == 0.0
 
 

@@ -11,11 +11,12 @@ import pytest
 from riskfields import elliptic, scenario, sim
 from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
                                  accel_kernel, k_v_smooth)
-from riskfields.errors import (GridMismatch, MalformedGrid, OutOfDomain,
-                               StartUnsafe)
+from riskfields.errors import (GridMismatch, InvalidParameter,
+                               InvalidTimeStep, MalformedGrid, OutOfDomain,
+                               RiskFieldsError, StartUnsafe)
 from riskfields.grid import FieldSampler, ScalarField
-from riskfields.safety import (SafetyFunction, activation_zone,
-                               goal_lattice)
+from riskfields.safety import (FilterConfig, SafetyFunction,
+                               activation_zone, goal_lattice)
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
@@ -25,6 +26,7 @@ from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
 
 from conftest import SCENARIOS
 from test_backstep import kernel_points, outcome, outcome_kind
+from test_grid import box_grid
 import yaml
 
 
@@ -546,6 +548,36 @@ def test_time_derivative_validation(single_build, disk_build):
         time_derivative(res.sf.h, res.sf.h, 0.0)
     with pytest.raises(GridMismatch):
         time_derivative(res.sf.h, other.sf.h, 0.1)
+
+
+def _zero_field():
+    g = box_grid(6, 6)
+    return ScalarField(g, np.zeros((g.nx, g.ny)))
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: ExtendedState([np.nan, 0.0], [0.0, 0.0]), InvalidParameter),
+    (lambda: BackstepConfig(mu=0.0), InvalidParameter),
+    (lambda: BackstepConfig().nominal([0.0, 0.0]), InvalidParameter),
+    (lambda: FilterConfig(gamma=np.inf), InvalidParameter),
+    (lambda: MotionProfile([0.0, 1.0], [0.0], (1, 0)), InvalidParameter),
+    (lambda: MotionProfile([0.0, np.nan], [0.0, 1.0], (1, 0)),
+     InvalidParameter),
+    (lambda: MotionProfile([0.5, 1.0], [0.0, 1.0], (1, 0)), InvalidParameter),
+    (lambda: MotionProfile([0.0, 1.0], [0.0, -0.2], (1, 0)),
+     InvalidParameter),
+    (lambda: MotionProfile([0.0], [1.0], (0, 0)), InvalidParameter),
+    (lambda: time_derivative(_zero_field(), _zero_field(), -0.1),
+     InvalidTimeStep),
+], ids=["state", "backstep_cfg", "k_nom_unset", "filter_cfg",
+        "profile_shape", "profile_finite", "profile_order", "profile_sign",
+        "profile_heading", "time_derivative_dt"])
+def test_argument_errors_are_typed(make, kind):
+    # typed, and still a ValueError for callers that catch that
+    with pytest.raises(kind) as info:
+        make()
+    assert isinstance(info.value, RiskFieldsError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_time_derivative_moving_frames():
