@@ -100,7 +100,10 @@ def accel_kernel(fs, at, cfg):
     (evaluated when needed) where a probe leaves the sampleable region.
     terms reads J only as J ydot, one slope along ydot/|ydot| times |ydot|
     ((0.0, 0.0) without a probe at ydot = 0): three points, not five.
-    terms.jacobian(px, py) is the slopes along the axes, J's columns."""
+    terms.jacobian(px, py) is the slopes along the axes, J's columns.
+    terms.filter(px, py, vx, vy, w_nom, row=False) is AccelTerms.filter's
+    w on the same terms as a plain tuple (no AccelTerms built); with row,
+    (w, h, h_B, resid_nom, resid), resid = hdot_B(w) + gamma h_B."""
     grid = fs.grid
     H, VX, VY, HX, HY = fs.rows[:5]
     (ox, oy), d, nx1, ny1 = grid.origin_xy, grid.d, grid.nx - 1, grid.ny - 1
@@ -162,16 +165,27 @@ def accel_kernel(fs, at, cfg):
     def jacobian(px, py):
         return [slope(px, py, 1.0, 0.0), slope(px, py, 0.0, 1.0)]
 
-    def terms(px, py, vx, vy):
+    def fields(px, py, vx, vy):     # AccelTerms' fields, in order
         here = h, hx, hy, kx, ky = k_v(px, py)
         e = (vx - kx, vy - ky)
         speed, jv = math.hypot(vx, vy), (0.0, 0.0)
         if speed != 0.0:
             jx, jy = slope(px, py, vx / speed, vy / speed, here)
             jv = (jx * speed, jy * speed)
-        return AccelTerms(h, e, _h_B(h, e, mu), hx * vx + hy * vy, jv)
+        return h, e, _h_B(h, e, mu), hx * vx + hy * vy, jv
 
-    terms.k_v, terms.jacobian = k_v, jacobian
+    def terms(px, py, vx, vy):
+        return AccelTerms._make(fields(px, py, vx, vy))
+
+    def filtered(px, py, vx, vy, w_nom, row=False):
+        t = fields(px, py, vx, vy)
+        w, resid_nom = _filter(t, w_nom, cfg)
+        if not row:
+            return w
+        h_B = t[2]
+        return w, t[0], h_B, resid_nom, _hdot_B(t, w, mu) + gamma * h_B
+
+    terms.k_v, terms.jacobian, terms.filter = k_v, jacobian, filtered
     return terms
 
 
@@ -221,8 +235,7 @@ class AccelTerms(NamedTuple):
 
             Dh.ydot - (1/mu)(ydot - k_v_safe).(w - J ydot)
         """
-        (wx, wy), (ex, ey), (jx, jy) = w, self.e, self.J_ydot
-        return self.dh_ydot - (ex * (wx - jx) + ey * (wy - jy)) / mu
+        return _hdot_B(self, w, mu)
 
     def filter(self, w_nom, cfg):
         """(w, resid): the minimal correction of w_nom enforcing
@@ -237,20 +250,32 @@ class AccelTerms(NamedTuple):
         state left the shrunken set or the gradients are off, and is an
         error.
         """
-        resid = self.hdot_B(w_nom, cfg.mu) + cfg.gamma * self.h_B
-        if resid >= 0.0:
-            return w_nom, resid
-        ex, ey = self.e
-        cx, cy = -ex / cfg.mu, -ey / cfg.mu
-        nc2 = cx * cx + cy * cy
-        if nc2 < cfg.eta_c * cfg.eta_c:
-            if resid < -1e-9:
-                raise DegenerateCoefficient(
-                    f"constraint residual {resid:.3e} with "
-                    f"||c||={math.sqrt(nc2):.3e}")
-            return w_nom, resid
-        g = -resid / nc2
-        return (w_nom[0] + g * cx, w_nom[1] + g * cy), resid
+        return _filter(self, w_nom, cfg)
+
+
+def _hdot_B(t, w, mu):
+    """AccelTerms.hdot_B of the terms t, an AccelTerms or a tuple of its
+    fields in order."""
+    (wx, wy), (ex, ey), (jx, jy) = w, t[1], t[4]
+    return t[3] - (ex * (wx - jx) + ey * (wy - jy)) / mu
+
+
+def _filter(t, w_nom, cfg):
+    """AccelTerms.filter of the terms t, as in _hdot_B."""
+    resid = _hdot_B(t, w_nom, cfg.mu) + cfg.gamma * t[2]
+    if resid >= 0.0:
+        return w_nom, resid
+    ex, ey = t[1]
+    cx, cy = -ex / cfg.mu, -ey / cfg.mu
+    nc2 = cx * cx + cy * cy
+    if nc2 < cfg.eta_c * cfg.eta_c:
+        if resid < -1e-9:
+            raise DegenerateCoefficient(
+                f"constraint residual {resid:.3e} with "
+                f"||c||={math.sqrt(nc2):.3e}")
+        return w_nom, resid
+    g = -resid / nc2
+    return (w_nom[0] + g * cx, w_nom[1] + g * cy), resid
 
 
 def _terms(state, sf, gf, cfg):

@@ -528,7 +528,8 @@ class FieldSampler:
     _interp's blend written out per channel, so the same bits and the same
     OutOfDomain messages.  rows is the channels as at reads them, (h, vx,
     vy, dh/dx, dh/dy, dh/dt), None where left out: the rollout kernels
-    backstep.accel_kernel and sim._filtered's static stage read them.
+    backstep.accel_kernel and sim._filtered's point read them, for every
+    sample of a run (record and stages, static and time-varying).
     """
 
     def __init__(self, sf, gf, dh_dt=None, snapshot=True, grad=True):

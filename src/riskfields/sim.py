@@ -20,10 +20,9 @@ from .errors import (DegenerateCoefficient, GridMismatch, InvalidParameter,
 from .grid import FieldSampler, ScalarField, _cell, _too_deep, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
-from .safety import (_point_form, activation,  # noqa: F401
+from .safety import (_dh_term, _point_form, activation,  # noqa: F401
                      activation_dynamic, activation_zone, filter_control,
-                     filter_control_dynamic, goal_lattice, lattice_activation,
-                     min_norm)
+                     filter_control_dynamic, goal_lattice, lattice_activation)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -277,41 +276,41 @@ def _trajectory(rows, double, dt, termination):
 
 
 def _samples(segments):
-    """(record, stage) for every step of every segment, then the last
-    segment's (record, None) for the closing sample."""
-    record = None
-    for record, stage, steps in segments:
+    """(point, True) for every step of every segment, then the last
+    segment's (point, False) for the closing sample."""
+    point = None
+    for point, steps in segments:
         for _ in range(steps):
-            yield record, stage
-    yield record, None
+            yield point, True
+    yield point, False
 
 
 def _rollout(z, segments, dt, goal, d):
     """The record, goal check and RK4 step loop of every closed-loop run.
 
     z is the state as a tuple of floats: (x, y), or (x, y, vx, vy) for the
-    double integrator.  segments yields (record, stage, steps): stage(z) is
-    the RK4 right-hand side as a tuple of floats; record(z) returns the
-    run's next row as a tuple of floats, together with stage(z), which it
-    computes on the way and which serves as the step's first RK4 stage;
-    the segment runs for steps steps.  After the last segment its record
-    takes the closing sample.  Any sample with z[:2] within d of goal ends
-    the run; a degenerate filter ends it as DEGENERATE and a point off the
-    lattice as LEFT_DOMAIN.
+    double integrator.  segments yields (point, steps), point the
+    segment's kernel: point(z) is the RK4 right-hand side as a tuple of
+    floats, and point(z, True) returns the run's next row as a tuple of
+    floats together with point(z), which serves as the step's first RK4
+    stage; the segment runs for steps steps.  After the last segment its
+    point records the closing sample.  Any sample with z[:2] within d of
+    goal ends the run; a degenerate filter ends it as DEGENERATE and a
+    point off the lattice as LEFT_DOMAIN.
     """
     rows = []
     reached = _goal_check(goal, d)
     rk4 = _rk4_xy if len(z) == 2 else _rk4
     term = TIME_LIMIT
     try:
-        for record, stage in _samples(segments):
-            row, zdot = record(z)
+        for point, step in _samples(segments):
+            row, zdot = point(z, True)
             rows.extend(row)
             if reached is not None and reached(z[0], z[1]):
                 term = GOAL_REACHED
                 break
-            if stage is not None:
-                z = rk4(z, zdot, stage, dt)
+            if step:
+                z = rk4(z, zdot, point, dt)
     except (VanishingGuidance, DegenerateCoefficient):
         term = DEGENERATE
     except OutOfDomain:
@@ -328,49 +327,37 @@ def _goal_lattice(controller, sf, gf, cfg):
 
 
 def _filtered(controller, sf, gf, cfg, steps, dh_dt=None, lattice=None):
-    """(record, stage, steps) of ydot = the closed-form filter of
-    controller(y), with one field sample, one controller call and one
-    min_norm per point, all on floats; with dh_dt the time-varying
-    filter.  An adversarial controller over sf reads Dh from the sample.
-    The static stage writes out FieldSampler.at and min_norm on fs.rows
-    (the same bits and errors), and under a goal controller returns k_nom
-    unsampled in the cells of lattice's (_goal_lattice's) inactive mask,
-    where a > 0 and min_norm returns k_nom unchanged."""
+    """(point, steps) of ydot = the closed-form filter of controller(y),
+    with dh_dt the time-varying filter.  One kernel, point(y, row=False),
+    evaluates every sample on floats: one field lookup on fs.rows with
+    FieldSampler.at's blends, one controller call and min_norm's
+    arithmetic, with _dh_term's dh/dt term in the time-varying filter
+    (the same bits and errors as FieldSampler.at and min_norm).
+    point(y, True) returns the run's row (y, u_nom, u, h, a, audit) with
+    u.  An adversarial controller over sf reads Dh from the sample.  A
+    static stage under a goal controller returns k_nom unsampled in the
+    cells of lattice's (_goal_lattice's) inactive mask, where a > 0 and
+    the filter returns k_nom unchanged; a record always samples."""
     kgrad, k = _point_form(controller, sf)
     grad = kgrad or dh_dt is not None
     fs = FieldSampler(sf, gf, dh_dt, grad=grad)
-    at = fs.at
-
-    def record(y):
-        px, py = y
-        s = at(px, py, grad)
-        u_nom = k(px, py, s)
-        u, a, audit = min_norm(y, u_nom, s, cfg)
-        return (px, py, *u_nom, *u, s[0], a, audit), u
-
-    if dh_dt is not None:
-        def stage(y):
-            px, py = y
-            s = at(px, py, True)
-            return min_norm(y, k(px, py, s), s, cfg)[0]
-
-        return record, stage, steps
-
-    if lattice is None:
-        lattice = _goal_lattice(controller, sf, gf, cfg)
-    skip = None if lattice is None else lattice[4].tolist()
-    H, VX, VY, HX, HY = fs.rows[:5]
+    skip = None
+    if dh_dt is None:
+        if lattice is None:
+            lattice = _goal_lattice(controller, sf, gf, cfg)
+        skip = None if lattice is None else lattice[4].tolist()
+    H, VX, VY, HX, HY, DT = fs.rows
     g = fs.grid
     (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
     gamma, eta2 = cfg.gamma, cfg.eta_v * cfg.eta_v
 
-    def stage(y):
+    def point(y, row=False):
         px, py = y
         gx, gy = (px - ox) / d, (py - oy) / d
         if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
             _cell(g, px, py)                # raises with _cell's message
         i, j = int(gx), int(gy)
-        if skip is not None and skip[i][j]:
+        if skip is not None and not row and skip[i][j]:
             return k(px, py, None)
         m, fx, fy = j + 1, gx - i, gy - j
         ex, ey = 1.0 - fx, 1.0 - fy
@@ -393,18 +380,46 @@ def _filtered(controller, sf, gf, cfg, steps, dh_dt=None, lattice=None):
             if hx != hx or hy != hy:
                 raise _too_deep(px, py)
             s = (h, vx, vy, hx, hy, None)
+            if DT is not None:
+                p, q = DT[i], DT[i + 1]
+                ht = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
+                    + q[m] * fx * fy
+                if ht != ht:
+                    raise _too_deep(px, py)
+                s = (h, vx, vy, hx, hy, ht)
         u = kx, ky = k(px, py, s)
-        a = (vx * kx + vy * ky) + gamma * h
+        vk = vx * kx + vy * ky
+        if DT is not None:              # a = (v.k + tv) + gamma h
+            tv = _dh_term(s, cfg)
+            vk += tv
+        a = vk + gamma * h
         if a >= 0.0:
-            return u
+            return ((px, py, kx, ky, kx, ky, h, a, a), u) if row else u
         nv2 = vx * vx + vy * vy
         if nv2 < eta2:
             raise VanishingGuidance(f"a={a:.3e} < 0 with ||v||="
                                     f"{math.sqrt(nv2):.3e} at {tuple(y)}")
         c = -a / nv2
-        return kx + c * vx, ky + c * vy
+        u = ux, uy = kx + c * vx, ky + c * vy
+        if not row:
+            return u
+        vk = vx * ux + vy * uy
+        if DT is not None:
+            vk += tv
+        audit = vk + gamma * h
+        return (px, py, kx, ky, ux, uy, h, a, audit), u
 
-    return record, stage, steps
+    return point, steps
+
+
+def _check_times(T, **steps):
+    """Raises InvalidTimeStep unless every step is finite and positive and
+    T finite and not negative."""
+    for name, dt in steps.items():
+        if not 0.0 < dt < math.inf:         # NaN fails too
+            raise InvalidTimeStep(f"{name}={dt} must be finite and positive")
+    if not 0.0 <= T < math.inf:
+        raise InvalidTimeStep(f"T={T} must be finite and not negative")
 
 
 def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
@@ -413,6 +428,7 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     Records every step; stops early on goal capture (within one cell),
     domain exit, or a degenerate filter evaluation.
     """
+    _check_times(T, dt=dt)
     y = np.array(y0, dtype=float)
     lattice = _check_start(y, controller, sf, gf, cfg, dt)
     if goal is None:
@@ -426,32 +442,30 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     """RK4 on the extended state with the acceleration-level filter.
 
     accel_nom(y, ydot) is the nominal acceleration, called with arrays; the
-    velocity-level nominal used inside k_v comes from bcfg.k_nom_v.
+    velocity-level nominal used inside k_v comes from bcfg.k_nom_v.  Each
+    sample, record or stage, is one call of point: accel_nom, then one call
+    of accel_kernel's terms.filter on floats, which builds no AccelTerms.
     """
+    _check_times(T, dt=dt)
     st = bs.ExtendedState(np.array(state0.y), np.array(state0.ydot))
     if bs.h_B(st, sf, gf, bcfg) < 0.0:
         raise StartUnsafe("h_B(state0) < 0")
-    kernel = bs.accel_kernel(FieldSampler(sf, gf), bcfg.nominal_at(sf), bcfg)
+    kernel = bs.accel_kernel(FieldSampler(sf, gf), bcfg.nominal_at(sf),
+                             bcfg).filter
 
-    def terms_at(z):        # (AccelTerms, w_nom as two floats)
+    def point(z, row=False):
         w_nom = np.asarray(accel_nom(np.array(z[:2]), np.array(z[2:])),
-                           dtype=float)
-        return kernel(*z), tuple(w_nom.tolist())
-
-    def record(z):
-        terms, w_nom = terms_at(z)
-        w, resid_nom = terms.filter(w_nom, bcfg)
-        resid = terms.hdot_B(w, bcfg.mu) + bcfg.gamma * terms.h_B
-        return ((z[0], z[1], *w_nom, *w, terms.h, resid_nom, resid, z[2],
-                 z[3], terms.h_B), z[2:] + w)
-
-    def stage(z):
-        terms, w_nom = terms_at(z)
-        return z[2:] + terms.filter(w_nom, bcfg)[0]
+                           dtype=float).tolist()
+        out = kernel(*z, tuple(w_nom), row)
+        if not row:
+            return z[2:] + out
+        w, h, h_B, resid_nom, resid = out
+        return ((z[0], z[1], *w_nom, *w, h, resid_nom, resid, z[2], z[3],
+                 h_B), z[2:] + w)
 
     n = int(math.floor(T / dt + 1e-9))
     z0 = tuple(st.y.tolist() + st.ydot.tolist())
-    return _rollout(z0, [(record, stage, n)], dt, goal, sf.grid.d)
+    return _rollout(z0, [(point, n)], dt, goal, sf.grid.d)
 
 
 def time_derivative(h_prev, h_next, dt):
@@ -518,6 +532,7 @@ def run_dynamic(scenario, dt_frame, dt_sim, T):
     all obstacle speeds zero every step reduces bit for bit to the static
     pipeline.
     """
+    _check_times(T, dt_frame=dt_frame, dt_sim=dt_sim)
     m = dt_frame / dt_sim
     if abs(m - round(m)) > 1e-9:
         raise InvalidTimeStep("dt_sim must divide dt_frame")

@@ -11,12 +11,13 @@ import pytest
 from riskfields import elliptic, scenario, sim
 from riskfields.backstep import (BackstepConfig, ExtendedState, _eps2,
                                  accel_kernel, k_v_smooth)
-from riskfields.errors import (GridMismatch, InvalidParameter,
-                               InvalidTimeStep, MalformedGrid, OutOfDomain,
-                               RiskFieldsError, StartUnsafe)
+from riskfields.errors import (DegenerateCoefficient, GridMismatch,
+                               InvalidParameter, InvalidTimeStep,
+                               MalformedGrid, OutOfDomain, RiskFieldsError,
+                               StartUnsafe, VanishingGuidance)
 from riskfields.grid import FieldSampler, ScalarField
 from riskfields.safety import (FilterConfig, SafetyFunction,
-                               activation_zone, goal_lattice)
+                               activation_zone, goal_lattice, min_norm)
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
@@ -172,8 +173,8 @@ def test_skipping_stage_matches_full_stage(single_build):
 
     k_full.at, k_full.goal = k.at, k.goal
     cfg = res.filter_cfg
-    skip = sim._filtered(k, res.sf, res.gf, cfg, 1)[1]
-    stage = sim._filtered(k_full, res.sf, res.gf, cfg, 1)[1]
+    skip = sim._filtered(k, res.sf, res.gf, cfg, 1)[0]
+    stage = sim._filtered(k_full, res.sf, res.gf, cfg, 1)[0]
     g = res.grid
     ox, oy = g.origin_xy
     rng = np.random.default_rng(3)
@@ -204,36 +205,174 @@ def test_skipping_stage_matches_full_stage(single_build):
     assert skipped > len(pts) // 2
 
 
+# -- the rollout kernels against the layered path ------------------------------
+# The layered path samples the fields once with FieldSampler.at, calls the
+# controller's point form k.at and filters with min_norm (or, for the double
+# integrator, builds AccelTerms and calls its filter and hdot_B).  A
+# rollout's one kernel per sample must give its bits and errors, as a stage
+# and as a record.
+
+def _layered_row(p, k, fs, grad, cfg):
+    """(row, u) at the point p: the run's row (y, u_nom, u, h, a, audit) and
+    the filtered input, from one FieldSampler.at sample, k.at and min_norm."""
+    px, py = p
+    s = fs.at(px, py, grad)
+    u_nom = k.at(px, py, s)
+    u, a, audit = min_norm(p, u_nom, s, cfg)
+    return (px, py, *u_nom, *u, s[0], a, audit), u
+
+
+def _point_kinds(point, k, fs, grad, cfg, pts, mark=None):
+    """Asserts point(p, True) is _layered_row at every p of pts, and point(p)
+    its u, bit for bit and error for error; counts the outcome kinds."""
+    g = fs.grid
+    (ox, oy), kinds = g.origin_xy, collections.Counter()
+    for p in pts:
+        want = outcome(_layered_row, p, k, fs, grad, cfg)
+        assert outcome(point, p, True) == want, p
+        kind = outcome_kind(want)
+        assert outcome(point, p) == (want[1] if kind == "value" else want), p
+        if kind == "value":
+            i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
+            kind = ("skipped" if mark is not None and mark[int(i), int(j)]
+                    else "corrected" if float.fromhex(want[0][7]) < 0.0
+                    else "idle")
+        kinds[kind] += 1
+    return kinds
+
+
+_KINDS = ["corrected", "idle", "OutOfDomain: hull", "OutOfDomain: deeper",
+          "OutOfDomain: not finite", "VanishingGuidance: a="]
+
+
 @pytest.mark.parametrize("fixture", ["single_build", "semantic_build"])
 def test_static_stage_matches_layered_path(request, fixture):
-    # the static stage writes out FieldSampler.at and min_norm, which the
-    # record still calls: its filtered input is the layered stage, bit for
-    # bit and error for error; eta_v = 1e3 makes every a < 0 vanishing
+    # goal (single_obstacle) and adversarial (semantic_room) controllers,
+    # the stage skipping the sample in goal_lattice's marked cells; eta_v =
+    # 1e3 makes every a < 0 vanishing
     sc, b = request.getfixturevalue(fixture)
     k = sc.controller(b)
     mark = (goal_lattice(b.sf, b.gf, b.filter_cfg, k.mu, k.goal)[4]
             if hasattr(k, "mu") else None)
-    g = b.grid
-    (ox, oy), rng = g.origin_xy, np.random.default_rng(11)
-    pts = kernel_points(g, b.sf.h.values, rng)
+    fs = FieldSampler(b.sf, b.gf)
+    pts = kernel_points(b.grid, b.sf.h.values, np.random.default_rng(11))
     kinds = collections.Counter()
     for eta_v in (b.filter_cfg.eta_v, 1e3):
         cfg = dataclasses.replace(b.filter_cfg, eta_v=eta_v)
-        record, stage, _ = sim._filtered(k, b.sf, b.gf, cfg, 1)
+        point = sim._filtered(k, b.sf, b.gf, cfg, 1)[0]
+        kinds += _point_kinds(point, k, fs, hasattr(k, "grad_of"), cfg, pts,
+                              mark)
+    want = _KINDS + (["skipped"] if mark is not None else [])
+    assert all(kinds[w] > 0 for w in want), kinds
+
+
+def test_time_varying_point_matches_layered_path():
+    # moving_block's filter with dh/dt from two frames, on an h set to 0
+    # over a 5x5 block of free cells (inside it Dh = 0 and the dh/dt term's
+    # denominator ||Dh|| + sigma(h) is 0, so the term is 0) and a dh/dt set
+    # to NaN over a 2x2 block (a sample there is too deep)
+    sc = Scenario(load_doc("moving_block"))
+    b0, b1 = sc.build(t=3.2), sc.build(t=3.4)
+    g, k = b0.grid, sc.controller(b0)
+    dh = time_derivative(b0.sf.h, b1.sf.h, 0.2)
+    blocks = [(i, j) for i in range(g.nx - 5) for j in range(g.ny - 5)
+              if g.free[i:i + 5, j:j + 5].all()]
+    (i0, j0), (i1, j1) = blocks[0], blocks[-1]
+    h = b0.sf.h.values.copy()
+    h[i0:i0 + 5, j0:j0 + 5] = 0.0
+    sf = SafetyFunction(ScalarField(g, h))
+    dh_nan = ScalarField(g, dh.values.copy())
+    dh_nan.values[i1:i1 + 2, j1:j1 + 2] = np.nan
+    fs = FieldSampler(sf, b0.gf, dh_nan)
+    rng = np.random.default_rng(5)
+    pts = kernel_points(g, h, rng)
+    ox, oy = g.origin_xy
+    for (i, j), n in (((i0 + 1, j0 + 1), 2), ((i1 - 1, j1 - 1), 3)):
+        gx, gy = i + n * rng.random(40), j + n * rng.random(40)
+        pts += list(zip((ox + g.d * gx).tolist(), (oy + g.d * gy).tolist()))
+    kinds = collections.Counter()
+    for eta_v in (b0.filter_cfg.eta_v, 1e3):
+        cfg = dataclasses.replace(b0.filter_cfg, eta_v=eta_v)
+        point = sim._filtered(k, sf, b0.gf, cfg, 1, dh_nan)[0]
+        kinds += _point_kinds(point, k, fs, True, cfg, pts)
+    without_dh = FieldSampler(sf, b0.gf)
+    for p in pts:
+        try:
+            s = without_dh.at(*p, True)
+        except OutOfDomain:
+            continue
+        try:
+            fs.at(*p, True)
+        except OutOfDomain:
+            kinds["dh/dt NaN"] += 1
+        kinds["denominator 0"] += s[3] == s[4] == 0.0 and s[0] <= 0.0
+    want = _KINDS + ["dh/dt NaN", "denominator 0"]
+    assert all(kinds[w] > 0 for w in want), kinds
+
+
+def _layered_filter(terms, z, w_nom, cfg):
+    """(w, h, h_B, resid_nom, resid) at the state z from the kernel's
+    AccelTerms there: its filter, and hdot_B + gamma h_B at w."""
+    t = terms(*z)
+    w, resid_nom = t.filter(w_nom, cfg)
+    return w, t.h, t.h_B, resid_nom, t.hdot_B(w, cfg.mu) + cfg.gamma * t.h_B
+
+
+def _filter_outcome(fn, *args):
+    try:
+        return outcome(fn, *args)
+    except DegenerateCoefficient as e:
+        return type(e), str(e)
+
+
+def test_accel_filter_matches_accel_terms(single_build):
+    # the double integrator's kernel, terms.filter, against AccelTerms: a
+    # random w_nom, and on a second pass, where eta_c = 1e6 makes every
+    # coefficient vanish, a w_nom along e with the residual at -5e-10
+    # (returned as it is) and at -1e-3 (raises)
+    sc, b = single_build
+    rng = np.random.default_rng(9)
+    pts = kernel_points(b.grid, b.sf.h.values, rng)
+    fs = FieldSampler(b.sf, b.gf)
+    kinds = collections.Counter()
+    for eta_c in (b.backstep_cfg.eta_c, 1e6):
+        cfg = dataclasses.replace(b.backstep_cfg, eta_c=eta_c)
+        terms = accel_kernel(fs, cfg.nominal_at(b.sf), cfg)
         for p in pts:
-            want = outcome(lambda q: record(q)[1], p)
-            assert outcome(stage, p) == want, p
-            kind = outcome_kind(want)
-            if kind == "value":
-                i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
-                kind = ("skipped" if mark is not None and mark[int(i), int(j)]
-                        else "corrected" if record(p)[0][7] < 0.0
-                        else "idle")
-            kinds[kind] += 1
-    want = ["corrected", "idle", "OutOfDomain: hull", "OutOfDomain: deeper",
-            "OutOfDomain: not finite", "VanishingGuidance: a="]
-    if mark is not None:
-        want.append("skipped")
+            z = (*p, *rng.normal(0.0, 1.0, 2).tolist())
+            w_noms = [tuple(rng.normal(0.0, 5.0, 2).tolist())]
+            try:
+                t = terms(*z)
+            except (OutOfDomain, VanishingGuidance):
+                t = None
+            if t is not None and eta_c > 1.0:
+                (ex, ey), (jx, jy) = t.e, t.J_ydot
+                at_0 = (t.dh_ydot + (ex * jx + ey * jy) / cfg.mu
+                        + cfg.gamma * t.h_B)     # the residual at w = 0
+                for r in (-5e-10, -1e-3):
+                    lam = (at_0 - r) * cfg.mu / (ex * ex + ey * ey)
+                    w_noms.append((lam * ex, lam * ey))
+            for w_nom in w_noms:
+                want = _filter_outcome(_layered_filter, terms, z, w_nom, cfg)
+                assert _filter_outcome(terms.filter, *z, w_nom, True) \
+                    == want, z
+                value = not isinstance(want[0], type)
+                assert _filter_outcome(terms.filter, *z, w_nom) \
+                    == (want[0] if value else want), z
+                if want[0] is DegenerateCoefficient:
+                    kind = "DegenerateCoefficient"
+                elif not value:
+                    kind = outcome_kind(want)
+                elif float.fromhex(want[3]) >= 0.0:
+                    kind = "kept"
+                elif want[0] != tuple(c.hex() for c in w_nom):
+                    kind = "corrected"
+                else:
+                    kind = "degenerate kept"
+                kinds[kind] += 1
+    want = ["kept", "corrected", "degenerate kept", "DegenerateCoefficient",
+            "OutOfDomain: hull", "OutOfDomain: deeper",
+            "OutOfDomain: not finite", "OutOfDomain: no valid probes"]
     assert all(kinds[w] > 0 for w in want), kinds
 
 
@@ -305,7 +444,7 @@ def test_goal_check_decides_as_numpy_norm_at_distance_d():
     # must follow numpy
     goal, d = (1.0, 2.6), 0.05
 
-    def record(z):
+    def point(z, row=False):
         return (*z, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), (0.0, 0.0)
 
     naive_differs = 0
@@ -317,7 +456,7 @@ def test_goal_check_decides_as_numpy_norm_at_distance_d():
             for _ in range(abs(k)):
                 x = math.nextafter(x, math.copysign(math.inf, k))
             want = np.linalg.norm(np.array([x, py]) - goal) < d
-            got = sim._rollout((x, py), [(record, None, 0)], 0.01, goal, d)
+            got = sim._rollout((x, py), [(point, 0)], 0.01, goal, d)
             assert (got.termination == GOAL_REACHED) == want, (x, py)
             dx, dy = x - goal[0], py - goal[1]
             naive_differs += (math.sqrt(dx * dx + dy * dy) < d) != want
@@ -580,6 +719,29 @@ def test_argument_errors_are_typed(make, kind):
     assert isinstance(info.value, ValueError)
 
 
+_BAD_TIMES = [("dt", 0.0), ("dt", -0.002), ("dt", math.nan),
+              ("dt", math.inf), ("T", -1.0), ("T", math.nan), ("T", math.inf)]
+
+
+@pytest.mark.parametrize("name,bad", _BAD_TIMES,
+                         ids=[f"{n}={v}" for n, v in _BAD_TIMES])
+@pytest.mark.parametrize("run", ["single", "double", "dynamic_sim",
+                                 "dynamic_frame"])
+def test_time_arguments_are_typed(run, name, bad):
+    # raised before any work: the fields and the scenario are None here
+    t = {"dt": 0.002, "T": 1.0, name: bad}
+    with pytest.raises(InvalidTimeStep):
+        if run == "single":
+            integrate_single((0.0, 0.0), None, None, None, None, t["dt"],
+                             t["T"])
+        elif run == "double":
+            integrate_double(None, None, None, None, None, t["dt"], t["T"])
+        elif run == "dynamic_sim":
+            run_dynamic(None, dt_frame=0.2, dt_sim=t["dt"], T=t["T"])
+        else:
+            run_dynamic(None, dt_frame=t["dt"], dt_sim=0.002, T=t["T"])
+
+
 def test_time_derivative_moving_frames():
     sc = Scenario(load_doc("moving_block"))
     b0 = sc.build(t=3.2)
@@ -673,15 +835,22 @@ def test_run_dynamic_closing_sample_leaves_domain(monkeypatch):
     T = 0.4
     full = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T).trajectory
     assert full.termination == TIME_LIMIT and full.t[-1] == pytest.approx(T)
-    y_T = full.y[-1]
-    real = sim.min_norm
+    y_T = tuple(full.y[-1].tolist())
+    real = sc.controller
 
-    def out_at_T(y, *args):
-        if np.array_equal(y, y_T):
-            raise OutOfDomain("forced at t = T")
-        return real(y, *args)
+    def controller(build):      # its point form raises at y(T)
+        k = real(build)
+        at = k.at
 
-    monkeypatch.setattr(sim, "min_norm", out_at_T)
+        def at_T(px, py, s):
+            if (px, py) == y_T:
+                raise OutOfDomain("forced at t = T")
+            return at(px, py, s)
+
+        k.at = at_T
+        return k
+
+    monkeypatch.setattr(sc, "controller", controller)
     tr = run_dynamic(sc, dt_frame=0.2, dt_sim=0.004, T=T).trajectory
     assert tr.termination == LEFT_DOMAIN
     assert tr.t[-1] < T
