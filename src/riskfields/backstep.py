@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateCoefficient, InvalidParameter, OutOfDomain,
                      VanishingGuidance)
-from .grid import FieldSampler, _cell, _too_deep, point_xy
+from .grid import FieldSampler, point_xy
 from .safety import _point_form
 
 
@@ -82,54 +81,37 @@ def _h_B(h, e, mu):
 
 
 def accel_kernel(fs, at, cfg):
-    """terms(px, py, vx, vy): AccelTerms at the extended state
-    ((px, py), (vx, vy)) on Python floats, fs a FieldSampler over (sf, gf)
-    with grad h and at k_nom_v in point form (BackstepConfig.nominal_at).
-    Each point reads fs.rows with FieldSampler.at's lookup and blend
-    written out: the same bits and the same OutOfDomain messages.
+    """terms(px, py, vx, vy): the acceleration constraint's terms at the
+    extended state ((px, py), (vx, vy)) on Python floats, fs a
+    FieldSampler over (sf, gf) with grad h and at k_nom_v in point form
+    (BackstepConfig.nominal_at).  Each point takes its sample from fs.at.
 
-    terms.k_v(px, py, safe=True) is (h, dh/dx, dh/dy, kx, ky) with k the
-    guidance layer's k_v = k_nom + lambda/||v||^2 v, lambda the smooth gap
-    (-a + sqrt(a^2 + sigma_s^2))/2 of a = v.k_nom + gamma h, and with safe
-    the barrier's k_v_safe = k_v + lambda_s Dh / (||Dh||^2 + eps^2), the
-    same gap of a_s = Dh.k_v + gamma h.  Where ||Dh||^2 >> eps^2 (_eps2)
-    Dh.k_v_safe + gamma h is the smooth margin of a_s, which is positive;
-    where Dh vanishes, at the maximum of h, the correction stays below
-    lambda_s / (2 eps).  slope(px, py, ux, uy) is dk/du of k_v_safe along
-    a unit u: central with step d/2, one-sided against k_v(px, py)
-    (evaluated when needed) where a probe leaves the sampleable region.
-    terms reads J only as J ydot, one slope along ydot/|ydot| times |ydot|
-    ((0.0, 0.0) without a probe at ydot = 0): three points, not five.
-    terms.jacobian(px, py) is the slopes along the axes, J's columns.
-    terms.filter(px, py, vx, vy, w_nom, row=False) is AccelTerms.filter's
-    w on the same terms as a plain tuple (no AccelTerms built); with row,
-    (w, h, h_B, resid_nom, resid), resid = hdot_B(w) + gamma h_B."""
-    grid = fs.grid
-    H, VX, VY, HX, HY = fs.rows[:5]
-    (ox, oy), d, nx1, ny1 = grid.origin_xy, grid.d, grid.nx - 1, grid.ny - 1
+    The terms are the tuple (h, e, h_B, Dh.ydot, J ydot) of floats, e =
+    ydot - k_v_safe and J ydot pairs of floats, J the Jacobian of
+    k_v_safe.  terms.k_v(px, py, safe=True) is (h, dh/dx, dh/dy, kx, ky)
+    with k the guidance layer's k_v = k_nom + lambda/||v||^2 v, lambda the
+    smooth gap (-a + sqrt(a^2 + sigma_s^2))/2 of a = v.k_nom + gamma h,
+    and with safe the barrier's k_v_safe = k_v + lambda_s Dh / (||Dh||^2 +
+    eps^2), the same gap of a_s = Dh.k_v + gamma h.  Where ||Dh||^2 >>
+    eps^2 (_eps2) Dh.k_v_safe + gamma h is the smooth margin of a_s, which
+    is positive; where Dh vanishes, at the maximum of h, the correction
+    stays below lambda_s / (2 eps).  slope(px, py, ux, uy) is dk/du of
+    k_v_safe along a unit u: central with step d/2, one-sided against
+    k_v(px, py) (evaluated when needed) where a probe leaves the
+    sampleable region.  terms reads J only as J ydot, one slope along
+    ydot/|ydot| times |ydot| ((0.0, 0.0) without a probe at ydot = 0):
+    three points, not five.  terms.jacobian(px, py) is the slopes along
+    the axes, J's columns.  terms.filter(px, py, vx, vy, w_nom, row=False)
+    is _filter's w on the terms; with row, (w, h, h_B, resid_nom, resid),
+    resid = _hdot_B(w) + gamma h_B."""
+    sample = fs.at
     gamma, sig, mu = cfg.gamma, cfg.sigma_s, cfg.mu
-    eta2, eps2, step = cfg.eta_v * cfg.eta_v, _eps2(grid), 0.5 * d
+    eta2, eps2, step = cfg.eta_v * cfg.eta_v, _eps2(fs.grid), 0.5 * fs.grid.d
 
     def k_v(px, py, safe=True):
-        gx, gy = (px - ox) / d, (py - oy) / d
-        if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
-            _cell(grid, px, py)             # raises with _cell's message
-        i, j = int(gx), int(gy)
-        k, fx, fy = j + 1, gx - i, gy - j
-        ex, ey = 1.0 - fx, 1.0 - fy
-        p, q = H[i], H[i + 1]
-        h = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
-        p, q = VX[i], VX[i + 1]
-        vx = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
-        p, q = VY[i], VY[i + 1]
-        vy = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
-        p, q = HX[i], HX[i + 1]
-        hx = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
-        p, q = HY[i], HY[i + 1]
-        hy = p[j] * ex * ey + q[j] * fx * ey + p[k] * ex * fy + q[k] * fx * fy
-        if h != h or vx != vx or vy != vy or hx != hx or hy != hy:
-            raise _too_deep(px, py)
-        kx, ky = at(px, py, (h, vx, vy, hx, hy, None))
+        s = sample(px, py)
+        h, vx, vy, hx, hy, _ = s
+        kx, ky = at(px, py, s)
         nv2 = vx * vx + vy * vy
         if nv2 < eta2:
             raise VanishingGuidance(
@@ -165,7 +147,10 @@ def accel_kernel(fs, at, cfg):
     def jacobian(px, py):
         return [slope(px, py, 1.0, 0.0), slope(px, py, 0.0, 1.0)]
 
-    def fields(px, py, vx, vy):     # AccelTerms' fields, in order
+    # filtered reads the terms through fields, not terms: a closure over
+    # terms, which holds filtered, would be a reference cycle that keeps
+    # the kernel's field copies alive until a full collection
+    def fields(px, py, vx, vy):
         here = h, hx, hy, kx, ky = k_v(px, py)
         e = (vx - kx, vy - ky)
         speed, jv = math.hypot(vx, vy), (0.0, 0.0)
@@ -175,7 +160,7 @@ def accel_kernel(fs, at, cfg):
         return h, e, _h_B(h, e, mu), hx * vx + hy * vy, jv
 
     def terms(px, py, vx, vy):
-        return AccelTerms._make(fields(px, py, vx, vy))
+        return fields(px, py, vx, vy)
 
     def filtered(px, py, vx, vy, w_nom, row=False):
         t = fields(px, py, vx, vy)
@@ -220,48 +205,29 @@ def k_v_jacobian(y, sf, gf, cfg):
     return np.column_stack(_kernel(sf, gf, cfg).jacobian(*point_xy(y)))
 
 
-class AccelTerms(NamedTuple):
-    """Everything the acceleration constraint needs at one extended state,
-    on Python floats."""
-    h: float              # h(y)
-    e: tuple              # ydot - k_v_safe(y), two floats
-    h_B: float
-    dh_ydot: float        # Dh(y).ydot
-    J_ydot: tuple         # J(y) ydot, two floats, J the Jacobian of k_v_safe,
-                          # as one difference along ydot (see accel_kernel)
-
-    def hdot_B(self, w, mu):
-        """d/dt h_B under acceleration w (floats), by differentiation:
-
-            Dh.ydot - (1/mu)(ydot - k_v_safe).(w - J ydot)
-        """
-        return _hdot_B(self, w, mu)
-
-    def filter(self, w_nom, cfg):
-        """(w, resid): the minimal correction of w_nom enforcing
-        hdot_B >= -gamma h_B, and hdot_B(w_nom) + gamma h_B; w_nom and w
-        are pairs of floats.
-
-        The constraint is affine in w with coefficient
-        c = -(ydot - k_v_safe)/mu, so the correction is the usual ReLU step
-        along c.  A vanishing coefficient with the constraint already
-        satisfied is fine (on the boundary of the shrunken set
-        ydot = k_v_safe); vanishing with a violated constraint means the
-        state left the shrunken set or the gradients are off, and is an
-        error.
-        """
-        return _filter(self, w_nom, cfg)
-
-
 def _hdot_B(t, w, mu):
-    """AccelTerms.hdot_B of the terms t, an AccelTerms or a tuple of its
-    fields in order."""
+    """d/dt h_B under acceleration w (floats) from accel_kernel's terms t,
+    by differentiation:
+
+        Dh.ydot - (1/mu)(ydot - k_v_safe).(w - J ydot)
+    """
     (wx, wy), (ex, ey), (jx, jy) = w, t[1], t[4]
     return t[3] - (ex * (wx - jx) + ey * (wy - jy)) / mu
 
 
 def _filter(t, w_nom, cfg):
-    """AccelTerms.filter of the terms t, as in _hdot_B."""
+    """(w, resid): the minimal correction of w_nom enforcing
+    hdot_B >= -gamma h_B at accel_kernel's terms t, and hdot_B(w_nom) +
+    gamma h_B; w_nom and w are pairs of floats.
+
+    The constraint is affine in w with coefficient
+    c = -(ydot - k_v_safe)/mu, so the correction is the usual ReLU step
+    along c.  A vanishing coefficient with the constraint already
+    satisfied is fine (on the boundary of the shrunken set
+    ydot = k_v_safe); vanishing with a violated constraint means the
+    state left the shrunken set or the gradients are off, and is an
+    error.
+    """
     resid = _hdot_B(t, w_nom, cfg.mu) + cfg.gamma * t[2]
     if resid >= 0.0:
         return w_nom, resid
@@ -283,13 +249,13 @@ def _terms(state, sf, gf, cfg):
 
 
 def hdot_B(state, w, sf, gf, cfg):
-    """d/dt h_B under acceleration w (see AccelTerms.hdot_B), with J ydot
-    one difference of k_v_safe along ydot (see accel_kernel)."""
-    return _terms(state, sf, gf, cfg).hdot_B(point_xy(w), cfg.mu)
+    """d/dt h_B under acceleration w (see _hdot_B), with J ydot one
+    difference of k_v_safe along ydot (see accel_kernel)."""
+    return _hdot_B(_terms(state, sf, gf, cfg), point_xy(w), cfg.mu)
 
 
 def filter_accel(state, w_nom, sf, gf, cfg):
     """Minimal correction of w_nom enforcing hdot_B >= -gamma h_B (see
-    AccelTerms.filter); J ydot as in hdot_B."""
-    return np.array(_terms(state, sf, gf, cfg).filter(point_xy(w_nom),
-                                                      cfg)[0])
+    _filter); J ydot as in hdot_B."""
+    return np.array(_filter(_terms(state, sf, gf, cfg), point_xy(w_nom),
+                            cfg)[0])

@@ -511,7 +511,8 @@ def sample_gradient(field, y):
 
 
 class FieldSampler:
-    """h, v and, on request, grad h and dh/dt at a point from one cell lookup.
+    """h, v and, unless left out, grad h and dh/dt at a point from one cell
+    lookup.
 
     sf is a SafetyFunction (h and its cached gradient), gf a guidance bundle
     and dh_dt an optional ScalarField, all on one lattice geometry.  The
@@ -520,16 +521,15 @@ class FieldSampler:
     per 64x64 channel): Python-float arithmetic on list entries costs about
     a fifth of the same arithmetic on numpy scalars and gives the same bits.
     snapshot=False reads the arrays in place, for callers that sample only
-    a few points.  grad=False leaves out the grad h channels, for callers
-    that never ask at(..., grad=True), which then raises TypeError.
+    a few points.
 
-    at(px, py, grad=False) is (h, vx, vy), or with grad (h, vx, vy, dh/dx,
-    dh/dy, dh/dt), dh/dt None without its channel: one _cell lookup, then
-    _interp's blend written out per channel, so the same bits and the same
-    OutOfDomain messages.  rows is the channels as at reads them, (h, vx,
-    vy, dh/dx, dh/dy, dh/dt), None where left out: the rollout kernels
-    backstep.accel_kernel and sim._filtered's point read them, for every
-    sample of a run (record and stages, static and time-varying).
+    at(px, py) is (h, vx, vy, dh/dx, dh/dy, dh/dt), dh/dt None without its
+    channel, or with grad=False (h, vx, vy): the channel set is fixed here.
+    It is the one point blend of the fields: the cell lookup of _cell and
+    _interp's blend per channel, so the same bits and the same OutOfDomain
+    messages.  The rollout kernels, safety.filter_kernel and
+    backstep.accel_kernel, read every sample of a run through it.
+    has_dh_dt is whether at carries dh/dt.
     """
 
     def __init__(self, sf, gf, dh_dt=None, snapshot=True, grad=True):
@@ -544,33 +544,47 @@ class FieldSampler:
         self.grid = grid
         H, VX, VY = (rows(f) for f in (sf.h, gf.v.x, gf.v.y))
         HX, HY = (rows(sf.grad.x), rows(sf.grad.y)) if grad else (None, None)
-        DT = None if dh_dt is None else rows(dh_dt)
-        self.rows = H, VX, VY, HX, HY, DT
+        DT = None if dh_dt is None or not grad else rows(dh_dt)
+        self.has_dh_dt = DT is not None
+        self.at = _blend_at(grid, H, VX, VY, HX, HY, DT)
 
-        def at(px, py, grad=False):
-            i0, i1, j0, j1, fx, fy, ex, ey = _cell(grid, px, py)
-            h = (H[i0][j0] * ex * ey + H[i1][j0] * fx * ey
-                 + H[i0][j1] * ex * fy + H[i1][j1] * fx * fy)
-            vx = (VX[i0][j0] * ex * ey + VX[i1][j0] * fx * ey
-                  + VX[i0][j1] * ex * fy + VX[i1][j1] * fx * fy)
-            vy = (VY[i0][j0] * ex * ey + VY[i1][j0] * fx * ey
-                  + VY[i0][j1] * ex * fy + VY[i1][j1] * fx * fy)
-            if h != h or vx != vx or vy != vy:
-                raise _too_deep(px, py)
-            if not grad:
-                return h, vx, vy
-            hx = (HX[i0][j0] * ex * ey + HX[i1][j0] * fx * ey
-                  + HX[i0][j1] * ex * fy + HX[i1][j1] * fx * fy)
-            hy = (HY[i0][j0] * ex * ey + HY[i1][j0] * fx * ey
-                  + HY[i0][j1] * ex * fy + HY[i1][j1] * fx * fy)
-            ht = None if DT is None else (
-                DT[i0][j0] * ex * ey + DT[i1][j0] * fx * ey
-                + DT[i0][j1] * ex * fy + DT[i1][j1] * fx * fy)
-            if hx != hx or hy != hy or ht != ht:
-                raise _too_deep(px, py)
-            return h, vx, vy, hx, hy, ht
 
-        self.at = at
+def _blend_at(grid, H, VX, VY, HX, HY, DT):
+    """FieldSampler.at over its rows on grid: with HX None it reads h and v
+    alone, with DT None its dh/dt is None."""
+    (ox, oy), d, nx1, ny1 = grid.origin_xy, grid.d, grid.nx - 1, grid.ny - 1
+
+    def at(px, py):
+        gx, gy = (px - ox) / d, (py - oy) / d
+        if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
+            _cell(grid, px, py)             # raises with _cell's message
+        i, j = int(gx), int(gy)
+        m, fx, fy = j + 1, gx - i, gy - j
+        ex, ey = 1.0 - fx, 1.0 - fy
+        p, q = H[i], H[i + 1]
+        h = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        p, q = VX[i], VX[i + 1]
+        vx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        p, q = VY[i], VY[i + 1]
+        vy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        if h != h or vx != vx or vy != vy:
+            raise _too_deep(px, py)
+        if HX is None:
+            return h, vx, vy
+        p, q = HX[i], HX[i + 1]
+        hx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        p, q = HY[i], HY[i + 1]
+        hy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
+        ht = None
+        if DT is not None:
+            p, q = DT[i], DT[i + 1]
+            ht = (p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy
+                  + q[m] * fx * fy)
+        if hx != hx or hy != hy or ht != ht:
+            raise _too_deep(px, py)
+        return h, vx, vy, hx, hy, ht
+
+    return at
 
 
 @functools.lru_cache(maxsize=None)

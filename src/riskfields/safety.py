@@ -70,10 +70,8 @@ class GuidanceFieldBundle:
 
 
 def _dh_term(s, cfg):
-    """(||v||/(||Dh||+sigma(h))) dh/dt from a sample s = fs.at(y, grad=True),
-    or None for a sample without dh/dt (the static constraint)."""
-    if len(s) == 3 or s[5] is None:
-        return None
+    """(||v||/(||Dh||+sigma(h))) dh/dt from a sample s = fs.at(y) that
+    carries dh/dt."""
     h, vx, vy, gx, gy, dh = s
     gn = math.hypot(gx, gy)
     # cfg.sigma(h) in one numpy call; math.expm1 differs in the last bit
@@ -83,65 +81,88 @@ def _dh_term(s, cfg):
     return coeff * dh
 
 
-def _activation(s, tv, kx, ky, gamma):
-    vk = s[1] * kx + s[2] * ky
-    if tv is None:
-        return vk + gamma * s[0]
-    return (vk + tv) + gamma * s[0]
+def filter_kernel(k, fs, cfg, skip=None):
+    """point(y, row=False): the closed-form filter of the nominal k at the
+    point y, a pair of floats, as the pair u; the one float form of the
+    static and the time-varying filter.
 
-
-def min_norm(y, k, s, cfg):
-    """Closed-form filter at the point y from one sample s of the fields
-    there, on Python floats.
-
-    y and k are (x, y) pairs of floats: the point and k_nom there.  Returns
-    (u, a, audit): the filtered input as a pair (k itself when a >= 0), the
-    activation at k_nom and the activation at u.  s comes from
-    FieldSampler.at; with a dh/dt channel (grad=True) this is the
-    time-varying filter, without it the static one, which is the same
-    arithmetic less the dh/dt term.
+    fs is a FieldSampler; one that carries dh/dt gives the time-varying
+    filter, a = (v.k + tv) + gamma h with tv _dh_term's dh/dt term, and
+    one without it the static filter, a = v.k + gamma h.  k(px, py, s) is
+    the nominal in point form (s = fs.at(px, py), see _point_form).  u is
+    k itself where a >= 0, else k + (-a/||v||^2) v; a < 0 with ||v|| below
+    eta_v raises VanishingGuidance, whose attribute a is that activation.
+    point(y, True) returns the row (y, k, u, h, a, audit) with u, audit
+    the activation at u.  skip, a list of rows of booleans over the cells
+    (goal_lattice's inactive mask), makes a stage (row False) return k
+    unsampled in the cells it marks; a row always samples.  The filter
+    arithmetic stays in this order: goal_lattice's round-off bound is
+    argued for it.
     """
-    kx, ky = k
-    tv = _dh_term(s, cfg)
-    a = _activation(s, tv, kx, ky, cfg.gamma)
-    if a >= 0.0:
-        return k, a, a
-    vx, vy = s[1], s[2]
-    nv2 = vx * vx + vy * vy
-    if nv2 < cfg.eta_v * cfg.eta_v:
-        raise VanishingGuidance(
-            f"a={a:.3e} < 0 with ||v||={math.sqrt(nv2):.3e} at {tuple(y)}")
-    c = -a / nv2
-    ux = kx + c * vx
-    uy = ky + c * vy
-    return (ux, uy), a, _activation(s, tv, ux, uy, cfg.gamma)
+    at, g, has_dh_dt = fs.at, fs.grid, fs.has_dh_dt
+    (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
+    gamma, eta2 = cfg.gamma, cfg.eta_v * cfg.eta_v
+
+    def point(y, row=False):
+        px, py = y
+        if skip is not None and not row:
+            gx, gy = (px - ox) / d, (py - oy) / d
+            if (0.0 <= gx < nx1 and 0.0 <= gy < ny1
+                    and skip[int(gx)][int(gy)]):
+                return k(px, py, None)
+        s = at(px, py)
+        h, vx, vy = s[0], s[1], s[2]
+        u = kx, ky = k(px, py, s)
+        vk = vx * kx + vy * ky
+        if has_dh_dt:                   # a = (v.k + tv) + gamma h
+            tv = _dh_term(s, cfg)
+            vk += tv
+        a = vk + gamma * h
+        if a >= 0.0:
+            return ((px, py, kx, ky, kx, ky, h, a, a), u) if row else u
+        nv2 = vx * vx + vy * vy
+        if nv2 < eta2:
+            e = VanishingGuidance(f"a={a:.3e} < 0 with ||v||="
+                                  f"{math.sqrt(nv2):.3e} at {tuple(y)}")
+            e.a = a
+            raise e
+        c = -a / nv2
+        u = ux, uy = kx + c * vx, ky + c * vy
+        if not row:
+            return u
+        vk = vx * ux + vy * uy
+        if has_dh_dt:
+            vk += tv
+        audit = vk + gamma * h
+        return (px, py, kx, ky, ux, uy, h, a, audit), u
+
+    return point
 
 
-def _sample(y, sf, gf, dh_dt=None):
-    """The array-like point y as floats and one sample of the fields there."""
-    p = point_xy(y)
-    fs = FieldSampler(sf, gf, dh_dt, snapshot=False)
-    return p, fs.at(*p, grad=dh_dt is not None)
+def _record(y, k_nom_value, sf, gf, cfg, dh_dt=None):
+    """filter_kernel's (row, u) at the array-like y for the nominal value
+    k_nom_value, the fields read in place."""
+    k = point_xy(k_nom_value)
+    fs = FieldSampler(sf, gf, dh_dt, snapshot=False, grad=dh_dt is not None)
+    return filter_kernel(lambda px, py, s: k, fs, cfg)(point_xy(y), True)
 
 
-def _activation_at(k_nom_value, s, cfg):
-    kx, ky = point_xy(k_nom_value)
-    return _activation(s, _dh_term(s, cfg), kx, ky, cfg.gamma)
-
-
-def _filter_at(y, k_nom_value, sf, gf, cfg, dh_dt=None):
-    p, s = _sample(y, sf, gf, dh_dt)
-    return np.array(min_norm(p, point_xy(k_nom_value), s, cfg)[0])
+def _a_at(*args):
+    """The row's a, or where ||v|| < eta_v stops the filter, the error's."""
+    try:
+        return _record(*args)[0][7]
+    except VanishingGuidance as e:
+        return e.a
 
 
 def activation(y, k_nom_value, sf, gf, cfg):
     """a(y) = v(y).k_nom + gamma h(y)."""
-    return _activation_at(k_nom_value, _sample(y, sf, gf)[1], cfg)
+    return _a_at(y, k_nom_value, sf, gf, cfg)
 
 
 def filter_control(y, k_nom_value, sf, gf, cfg):
     """Closed-form filtered input; k_nom untouched when a >= 0."""
-    return _filter_at(y, k_nom_value, sf, gf, cfg)
+    return np.array(_record(y, k_nom_value, sf, gf, cfg)[1])
 
 
 def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
@@ -149,17 +170,17 @@ def activation_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
 
     With dh/dt identically zero this reproduces activation() bit for bit.
     """
-    return _activation_at(k_nom_value, _sample(y, sf_t, gf, dh_dt)[1], cfg)
+    return _a_at(y, k_nom_value, sf_t, gf, cfg, dh_dt)
 
 
 def filter_control_dynamic(y, t, k_nom_value, sf_t, dh_dt, gf, cfg):
-    return _filter_at(y, k_nom_value, sf_t, gf, cfg, dh_dt)
+    return np.array(_record(y, k_nom_value, sf_t, gf, cfg, dh_dt)[1])
 
 
 def _point_form(k_nom, sf):
     """(grad, at): k_nom as a map at(px, py, s) -> (kx, ky) on Python
-    floats, where s = FieldSampler.at(px, py, grad) samples the fields over
-    sf at the point.
+    floats, where s = FieldSampler.at(px, py) samples the fields over sf at
+    the point, with grad h if grad.
 
     A controller with its own point form k_nom.at is used as it is; one
     that is -mu Dh of sf itself (k_nom.grad_of is sf) reads Dh from s, so
@@ -398,10 +419,11 @@ def goal_lattice(sf, gf, cfg, mu, goal):
     exceeds 1e-9 W, W the largest |vx| Kx + |vy| Ky + gamma |h| at its
     corners; Kx = |mu| (|ox| + d nx + |goal_x|) bounds |mu| (|x| + |goal_x|)
     and |mu| |x - ox| on the hull, Ky likewise.  The coefficients'
-    round-off, that of min_norm's a (blend, k_nom) and that of (px - ox) / d
-    placing the point are each a few dozen ulps of 3 W at most, under
-    1e-13 W in all, so min_norm finds a > 0 in a marked cell.  A non-finite
-    corner fails the comparison: its cell is never marked."""
+    round-off, that of filter_kernel's a (blend, k_nom) and that of
+    (px - ox) / d placing the point are each a few dozen ulps of 3 W at
+    most, under 1e-13 W in all, so filter_kernel finds a > 0 in a marked
+    cell.  A non-finite corner fails the comparison: its cell is never
+    marked."""
     g = sf.grid
     m, (gx, gy), (ox, oy) = -float(mu), map(float, goal), g.origin_xy
     kx = (m * (g.centers_x() - gx))[:, None]

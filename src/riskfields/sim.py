@@ -17,12 +17,13 @@ from . import backstep as bs
 from .errors import (DegenerateCoefficient, GridMismatch, InvalidParameter,
                      InvalidTimeStep, OutOfDomain, StartUnsafe,
                      VanishingGuidance)
-from .grid import FieldSampler, ScalarField, _cell, _too_deep, fill_band
+from .grid import FieldSampler, ScalarField, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
-from .safety import (_dh_term, _point_form, activation,  # noqa: F401
+from .safety import (_point_form, activation,  # noqa: F401
                      activation_dynamic, activation_zone, filter_control,
-                     filter_control_dynamic, goal_lattice, lattice_activation)
+                     filter_control_dynamic, filter_kernel, goal_lattice,
+                     lattice_activation)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -150,7 +151,7 @@ def goal_controller(mu, goal):
     s) is the same arithmetic on Python floats (s, the point's sample, is
     not read).  k.mu and k.goal declare the affine form: a static rollout
     skips a stage's sample where goal_lattice's inactive mask proves a > 0
-    (exact: there min_norm returns k_nom itself)."""
+    (exact: there the filter returns k_nom itself)."""
     goal = np.asarray(goal, dtype=float)
     gx, gy = goal.tolist()
     m = -mu
@@ -170,7 +171,7 @@ def goal_controller(mu, goal):
 def adversarial_controller(mu, sf):
     """nominal_adversarial as a controller over points or (n,2) blocks;
     k.at(px, py, s) is the same arithmetic on Python floats, with Dh read
-    from s, a FieldSampler.at(px, py, grad=True) sample over sf
+    from s, a FieldSampler.at(px, py) sample over sf with grad h
     (k.grad_of)."""
     m = -mu
 
@@ -328,88 +329,21 @@ def _goal_lattice(controller, sf, gf, cfg):
 
 def _filtered(controller, sf, gf, cfg, steps, dh_dt=None, lattice=None):
     """(point, steps) of ydot = the closed-form filter of controller(y),
-    with dh_dt the time-varying filter.  One kernel, point(y, row=False),
-    evaluates every sample on floats: one field lookup on fs.rows with
-    FieldSampler.at's blends, one controller call and min_norm's
-    arithmetic, with _dh_term's dh/dt term in the time-varying filter
-    (the same bits and errors as FieldSampler.at and min_norm).
-    point(y, True) returns the run's row (y, u_nom, u, h, a, audit) with
-    u.  An adversarial controller over sf reads Dh from the sample.  A
-    static stage under a goal controller returns k_nom unsampled in the
-    cells of lattice's (_goal_lattice's) inactive mask, where a > 0 and
-    the filter returns k_nom unchanged; a record always samples."""
+    with dh_dt the time-varying filter: point is safety.filter_kernel over
+    a FieldSampler of the fields, so point(y, True) returns the run's row
+    (y, u_nom, u, h, a, audit) with u.  An adversarial controller over sf
+    reads Dh from the sample.  A static stage under a goal controller
+    returns k_nom unsampled in the cells of lattice's (_goal_lattice's)
+    inactive mask, where a > 0 and the filter returns k_nom unchanged; a
+    record always samples."""
     kgrad, k = _point_form(controller, sf)
-    grad = kgrad or dh_dt is not None
-    fs = FieldSampler(sf, gf, dh_dt, grad=grad)
+    fs = FieldSampler(sf, gf, dh_dt, grad=kgrad or dh_dt is not None)
     skip = None
     if dh_dt is None:
         if lattice is None:
             lattice = _goal_lattice(controller, sf, gf, cfg)
         skip = None if lattice is None else lattice[4].tolist()
-    H, VX, VY, HX, HY, DT = fs.rows
-    g = fs.grid
-    (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
-    gamma, eta2 = cfg.gamma, cfg.eta_v * cfg.eta_v
-
-    def point(y, row=False):
-        px, py = y
-        gx, gy = (px - ox) / d, (py - oy) / d
-        if not (0.0 <= gx < nx1 and 0.0 <= gy < ny1):   # NaN fails too
-            _cell(g, px, py)                # raises with _cell's message
-        i, j = int(gx), int(gy)
-        if skip is not None and not row and skip[i][j]:
-            return k(px, py, None)
-        m, fx, fy = j + 1, gx - i, gy - j
-        ex, ey = 1.0 - fx, 1.0 - fy
-        p, q = H[i], H[i + 1]
-        h = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
-        p, q = VX[i], VX[i + 1]
-        vx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
-        p, q = VY[i], VY[i + 1]
-        vy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy + q[m] * fx * fy
-        if h != h or vx != vx or vy != vy:
-            raise _too_deep(px, py)
-        s = (h, vx, vy)
-        if grad:
-            p, q = HX[i], HX[i + 1]
-            hx = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
-                + q[m] * fx * fy
-            p, q = HY[i], HY[i + 1]
-            hy = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
-                + q[m] * fx * fy
-            if hx != hx or hy != hy:
-                raise _too_deep(px, py)
-            s = (h, vx, vy, hx, hy, None)
-            if DT is not None:
-                p, q = DT[i], DT[i + 1]
-                ht = p[j] * ex * ey + q[j] * fx * ey + p[m] * ex * fy \
-                    + q[m] * fx * fy
-                if ht != ht:
-                    raise _too_deep(px, py)
-                s = (h, vx, vy, hx, hy, ht)
-        u = kx, ky = k(px, py, s)
-        vk = vx * kx + vy * ky
-        if DT is not None:              # a = (v.k + tv) + gamma h
-            tv = _dh_term(s, cfg)
-            vk += tv
-        a = vk + gamma * h
-        if a >= 0.0:
-            return ((px, py, kx, ky, kx, ky, h, a, a), u) if row else u
-        nv2 = vx * vx + vy * vy
-        if nv2 < eta2:
-            raise VanishingGuidance(f"a={a:.3e} < 0 with ||v||="
-                                    f"{math.sqrt(nv2):.3e} at {tuple(y)}")
-        c = -a / nv2
-        u = ux, uy = kx + c * vx, ky + c * vy
-        if not row:
-            return u
-        vk = vx * ux + vy * uy
-        if DT is not None:
-            vk += tv
-        audit = vk + gamma * h
-        return (px, py, kx, ky, ux, uy, h, a, audit), u
-
-    return point, steps
+    return filter_kernel(k, fs, cfg, skip), steps
 
 
 def _check_times(T, **steps):
@@ -444,7 +378,7 @@ def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):
     accel_nom(y, ydot) is the nominal acceleration, called with arrays; the
     velocity-level nominal used inside k_v comes from bcfg.k_nom_v.  Each
     sample, record or stage, is one call of point: accel_nom, then one call
-    of accel_kernel's terms.filter on floats, which builds no AccelTerms.
+    of accel_kernel's terms.filter on floats.
     """
     _check_times(T, dt=dt)
     st = bs.ExtendedState(np.array(state0.y), np.array(state0.ydot))

@@ -195,7 +195,7 @@ def test_J_ydot_matches_analytic_on_affine():
         p = g.cell_center(4, 4) + rng.random(2) * 8 * g.d
         ydot = (np.array(diagonal[i]) if i < len(diagonal)
                 else rng.normal(0.0, 2.0, 2))
-        got = np.array(terms(*p.tolist(), *ydot.tolist()).J_ydot)
+        got = np.array(terms(*p.tolist(), *ydot.tolist())[4])
         err = np.abs(got - J_exact(p) @ ydot).max() / np.hypot(*ydot)
         assert err < 2e-4, (p, ydot)     # measured 8.6e-5
 
@@ -219,7 +219,7 @@ def test_J_ydot_zero_speed_takes_no_probe():
     with pytest.raises(OutOfDomain, match="no valid probes"):
         terms(*p, 0.5, 0.0)             # every probe raises
     for ydot in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
-        jv = terms(*p, *ydot).J_ydot
+        jv = terms(*p, *ydot)[4]
         assert [x.hex() for x in jv] == [(0.0).hex()] * 2
 
 
@@ -230,7 +230,7 @@ def test_J_ydot_finite_at_a_subnormal_speed(ydot):
     g, sf, gf, cfg, _ = affine_jacobian()
     terms = accel_kernel(FieldSampler(sf, gf, snapshot=False),
                          cfg.nominal_at(sf), cfg)
-    jv = terms(*g.cell_center(8, 8).tolist(), *ydot).J_ydot
+    jv = terms(*g.cell_center(8, 8).tolist(), *ydot)[4]
     assert all(math.isfinite(x) for x in jv)
 
 
@@ -449,7 +449,7 @@ def test_k_v_safe_bounded_at_the_maximum_of_h():
     eps = math.sqrt(_eps2(g))
     for off in (0.0, 1e-9, 1e-4, 1e-2, 0.1):
         p = tuple(top + off * g.d)
-        s = fs.at(*p, True)
+        s = fs.at(*p)
         kv = k_v_smooth(p, cfg.nominal(p), sf, gf, cfg)
         ks = k_v_safe(p, sf, gf, cfg)
         a_s = s[3] * kv[0] + s[4] * kv[1] + cfg.gamma * s[0]
@@ -470,7 +470,7 @@ def _layered_k_v(q, at, fs, cfg, safe=True):
     """(h, dh/dx, dh/dy, kx, ky) at q, k = k_v_safe or with safe=False
     k_v, from one FieldSampler.at sample."""
     qx, qy = q
-    s = fs.at(qx, qy, True)
+    s = fs.at(qx, qy)
     h, vx, vy, hx, hy = s[:5]
     kx, ky = at(qx, qy, s)
     nv2 = vx * vx + vy * vy

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from riskfields.errors import (DisconnectedFreeSpace, MalformedGrid,
                                OpenWorkspace, OutOfDomain)
 from riskfields.grid import (FREE, NB4, OCCUPIED, FieldSampler, OccupancyGrid,
-                             ScalarField, _box_blur, _dilate8, _label,
-                             _label_free, dump_csv, extract_boundary,
-                             fill_band, gradient_field, nearest_node_map,
-                             sample_gradient, sample_scalar, sample_vector)
+                             ScalarField, VectorField, _box_blur, _cell,
+                             _dilate8, _interp, _label, _label_free, dump_csv,
+                             extract_boundary, fill_band, gradient_field,
+                             nearest_node_map, sample_gradient, sample_scalar,
+                             sample_vector)
+from riskfields.safety import GuidanceFieldBundle, SafetyFunction
 
 
 def box_state(nx, ny):
@@ -433,30 +435,75 @@ def test_field_sampler_matches_one_channel_samplers(semantic_build):
         [g.cell_center(di[len(di) // 2], dj[len(dj) // 2]),
          [-0.2 * d, 1.0], g.cell_center(g.nx - 1, 10) + [0.1 * d, 0.0],
          [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.5]]])
-    # the in-place array reads (snapshot=False) at every 8th point
-    samplers = [(FieldSampler(sf, gf, field, snapshot=snap), field,
-                 1 if snap else 8)
-                for snap in (True, False) for field in (None, dh)]
+    # the in-place array reads (snapshot=False) at every 8th point; grad=False
+    # leaves out grad h and dh/dt
+    samplers = [(FieldSampler(sf, gf, field, snapshot=snap, grad=flag), field,
+                 flag, 1 if snap else 8)
+                for snap in (True, False) for field in (None, dh)
+                for flag in (False, True)]
     got, want = [], []
     for i, p in enumerate(pts.tolist()):
         h = _read(lambda q: [sample_scalar(sf.h, q)], p)
         v = _read(sample_vector, gf.v, p)
         grad = _read(sample_gradient, sf.h, p)
         dt = _read(lambda q: [sample_scalar(dh, q)], p)
-        for fs, field, every in samplers:
+        for fs, field, flag, every in samplers:
             if i % every:
                 continue
-            for flag, reads in (
-                    (False, [h, v]),
-                    (True, [h, v, grad, (None,) if field is None else dt])):
-                msg = [r for r in reads if isinstance(r, str)]
-                want.append(msg[0] if msg else sum(reads, ()))
-                got.append(_read(fs.at, *p, flag))
+            reads = [h, v] if not flag else [
+                h, v, grad, (None,) if field is None else dt]
+            msg = [r for r in reads if isinstance(r, str)]
+            want.append(msg[0] if msg else sum(reads, ()))
+            got.append(_read(fs.at, *p))
     assert _shape(got) == _shape(want)
     assert np.array_equal(_bits(got), _bits(want))
     assert {w.split(") ")[-1] for w in want if isinstance(w, str)} == {
         "outside the lattice hull", "is not finite",
         "deeper than one cell into occupied space"}
+
+
+def test_field_sampler_hull_check_gives_cells_outcome():
+    # at's inline hull test 0 <= gx < nx - 1 against _cell's floor, on each
+    # axis: on the last line of centres, at -0.0 and just below 0, and at
+    # NaN and +-inf, at raises _cell's error (type and message), or neither
+    # raises and at gives _interp's bits
+    g = box_grid(12, 10, d=0.25)
+    x, y = g.centers_x()[:, None], g.centers_y()[None, :]
+    h = ScalarField(g, 1.0 + 0.5 * x - 0.3 * y * y)
+    sf = SafetyFunction(h)
+    v = VectorField(ScalarField(g, np.sin(x + y)), ScalarField(g, x * y))
+    dh = ScalarField(g, np.cos(x - y))
+    gf = GuidanceFieldBundle(v)
+    channels = [h.values, v.x.values, v.y.values, sf.grad.x.values,
+                sf.grad.y.values, dh.values]
+    mid = 0.5 * g.d * np.array([g.nx, g.ny])
+    got, want = [], []
+    for axis in (0, 1):
+        for c in (g.nx - 1 if axis == 0 else g.ny - 1, -0.0, -1e-17,
+                  math.nan, math.inf, -math.inf):
+            p = mid.tolist()
+            p[axis] = g.d * c               # the origin is (0, 0)
+            gc = (p[axis] - g.origin_xy[axis]) / g.d
+            assert gc.hex() == float(c).hex() or c != c
+            try:
+                _cell(g, *p)
+                ref = tuple(x.hex() for x in _interp(channels, g, *p))
+            except OutOfDomain as e:
+                ref = (type(e), str(e))
+            want.append(ref)
+            for snap in (True, False):
+                fs = FieldSampler(sf, gf, dh, snapshot=snap)
+                try:
+                    out = tuple(float(x).hex() for x in fs.at(*p))
+                except OutOfDomain as e:
+                    out = (type(e), str(e))
+                got.append((out, ref))
+    assert all(out == ref for out, ref in got), got
+    kinds = [r[1].split(") ")[-1] if isinstance(r[0], type) else "value"
+             for r in want]
+    assert kinds == 2 * ["outside the lattice hull", "value",
+                         "outside the lattice hull", "is not finite",
+                         "is not finite", "is not finite"]
 
 
 def test_gradient_field_exact_on_affine():

@@ -340,7 +340,7 @@ _SUB = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -40])
 
 def _a_in_marked(sf, gf, cfg, mu, goal, px, py):
     """a at the points of arrays px, py that fall in a cell of
-    goal_lattice's inactive mask, in FieldSampler.at's and min_norm's
+    goal_lattice's inactive mask, in FieldSampler.at's and filter_kernel's
     operation order (numpy gives the same doubles), and the share of points
     that do."""
     g = sf.grid

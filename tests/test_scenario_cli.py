@@ -1231,7 +1231,7 @@ def test_cli_simulate_reports_filter_activity(tmp_path, single_build):
                 for c, o in zip((x, y), g.origin))
         if not g.free[i, j]:
             depths.append(_free_square_distance((x, y), g))
-        h, _, _, hx, hy, _ = fs.at(x, y, True)
+        h, _, _, hx, hy, _ = fs.at(x, y)
         negative += hx * ux + hy * uy + b.filter_cfg.gamma * h < 0.0
     assert len(depths) == 266 and max(depths) == summary["max_depth"]
     assert negative == 458

@@ -17,7 +17,7 @@ from riskfields.errors import (DegenerateCoefficient, GridMismatch,
                                StartUnsafe, VanishingGuidance)
 from riskfields.grid import FieldSampler, ScalarField
 from riskfields.safety import (FilterConfig, SafetyFunction,
-                               activation_zone, goal_lattice, min_norm)
+                               activation_zone, goal_lattice)
 from riskfields.scenario import Scenario
 from riskfields.sim import (GOAL_REACHED, LEFT_DOMAIN, TIME_LIMIT,
                             MotionProfile, adversarial_controller,
@@ -207,28 +207,46 @@ def test_skipping_stage_matches_full_stage(single_build):
 
 # -- the rollout kernels against the layered path ------------------------------
 # The layered path samples the fields once with FieldSampler.at, calls the
-# controller's point form k.at and filters with min_norm (or, for the double
-# integrator, builds AccelTerms and calls its filter and hdot_B).  A
-# rollout's one kernel per sample must give its bits and errors, as a stage
-# and as a record.
+# controller's point form k.at and filters with the closed form restated
+# here (for the double integrator, the acceleration filter restated on the
+# kernel's terms).  A rollout's one kernel per sample must give its bits
+# and errors, as a stage and as a record.
 
-def _layered_row(p, k, fs, grad, cfg):
+def _layered_row(p, k, fs, cfg):
     """(row, u) at the point p: the run's row (y, u_nom, u, h, a, audit) and
-    the filtered input, from one FieldSampler.at sample, k.at and min_norm."""
+    the filtered input, from one FieldSampler.at sample, k.at and the
+    closed form u = k + ReLU(-a)/||v||^2 v, a = v.k (+ tv) + gamma h."""
     px, py = p
-    s = fs.at(px, py, grad)
+    s = fs.at(px, py)
+    h, vx, vy = s[:3]
+    tv = None
+    if s[5] is not None:                     # the dh/dt term
+        denom = math.hypot(s[3], s[4]) + float(cfg.sigma(h))
+        tv = (math.hypot(vx, vy) / denom if denom > 0.0 else 0.0) * s[5]
+
+    def activation(ux, uy):
+        vu = vx * ux + vy * uy
+        return (vu if tv is None else vu + tv) + cfg.gamma * h
+
     u_nom = k.at(px, py, s)
-    u, a, audit = min_norm(p, u_nom, s, cfg)
-    return (px, py, *u_nom, *u, s[0], a, audit), u
+    a = activation(*u_nom)
+    if a >= 0.0:
+        return (px, py, *u_nom, *u_nom, h, a, a), u_nom
+    nv2 = vx * vx + vy * vy
+    if nv2 < cfg.eta_v * cfg.eta_v:
+        raise VanishingGuidance(
+            f"a={a:.3e} < 0 with ||v||={math.sqrt(nv2):.3e} at {tuple(p)}")
+    u = (u_nom[0] + (-a / nv2) * vx, u_nom[1] + (-a / nv2) * vy)
+    return (px, py, *u_nom, *u, h, a, activation(*u)), u
 
 
-def _point_kinds(point, k, fs, grad, cfg, pts, mark=None):
+def _point_kinds(point, k, fs, cfg, pts, mark=None):
     """Asserts point(p, True) is _layered_row at every p of pts, and point(p)
     its u, bit for bit and error for error; counts the outcome kinds."""
     g = fs.grid
     (ox, oy), kinds = g.origin_xy, collections.Counter()
     for p in pts:
-        want = outcome(_layered_row, p, k, fs, grad, cfg)
+        want = outcome(_layered_row, p, k, fs, cfg)
         assert outcome(point, p, True) == want, p
         kind = outcome_kind(want)
         assert outcome(point, p) == (want[1] if kind == "value" else want), p
@@ -260,8 +278,7 @@ def test_static_stage_matches_layered_path(request, fixture):
     for eta_v in (b.filter_cfg.eta_v, 1e3):
         cfg = dataclasses.replace(b.filter_cfg, eta_v=eta_v)
         point = sim._filtered(k, b.sf, b.gf, cfg, 1)[0]
-        kinds += _point_kinds(point, k, fs, hasattr(k, "grad_of"), cfg, pts,
-                              mark)
+        kinds += _point_kinds(point, k, fs, cfg, pts, mark)
     want = _KINDS + (["skipped"] if mark is not None else [])
     assert all(kinds[w] > 0 for w in want), kinds
 
@@ -294,15 +311,15 @@ def test_time_varying_point_matches_layered_path():
     for eta_v in (b0.filter_cfg.eta_v, 1e3):
         cfg = dataclasses.replace(b0.filter_cfg, eta_v=eta_v)
         point = sim._filtered(k, sf, b0.gf, cfg, 1, dh_nan)[0]
-        kinds += _point_kinds(point, k, fs, True, cfg, pts)
+        kinds += _point_kinds(point, k, fs, cfg, pts)
     without_dh = FieldSampler(sf, b0.gf)
     for p in pts:
         try:
-            s = without_dh.at(*p, True)
+            s = without_dh.at(*p)
         except OutOfDomain:
             continue
         try:
-            fs.at(*p, True)
+            fs.at(*p)
         except OutOfDomain:
             kinds["dh/dt NaN"] += 1
         kinds["denominator 0"] += s[3] == s[4] == 0.0 and s[0] <= 0.0
@@ -311,11 +328,27 @@ def test_time_varying_point_matches_layered_path():
 
 
 def _layered_filter(terms, z, w_nom, cfg):
-    """(w, h, h_B, resid_nom, resid) at the state z from the kernel's
-    AccelTerms there: its filter, and hdot_B + gamma h_B at w."""
-    t = terms(*z)
-    w, resid_nom = t.filter(w_nom, cfg)
-    return w, t.h, t.h_B, resid_nom, t.hdot_B(w, cfg.mu) + cfg.gamma * t.h_B
+    """(w, h, h_B, resid_nom, resid) at the state z from the kernel's terms
+    there: the least correction of w_nom along c = -e/mu that makes the
+    residual hdot_B(w) + gamma h_B = Dh.ydot - e.(w - J ydot)/mu + gamma h_B
+    nonnegative; with ||c|| below eta_c a residual under -1e-9 raises."""
+    h, (ex, ey), h_B, dh_ydot, (jx, jy) = terms(*z)
+
+    def resid(w):
+        return (dh_ydot - (ex * (w[0] - jx) + ey * (w[1] - jy)) / cfg.mu
+                + cfg.gamma * h_B)
+
+    w = w_nom
+    r = resid(w_nom)
+    if r < 0.0:
+        cx, cy = -ex / cfg.mu, -ey / cfg.mu
+        nc2 = cx * cx + cy * cy
+        if nc2 >= cfg.eta_c * cfg.eta_c:
+            w = (w_nom[0] + -r / nc2 * cx, w_nom[1] + -r / nc2 * cy)
+        elif r < -1e-9:
+            raise DegenerateCoefficient(f"constraint residual {r:.3e} with "
+                                        f"||c||={math.sqrt(nc2):.3e}")
+    return w, h, h_B, r, resid(w)
 
 
 def _filter_outcome(fn, *args):
@@ -325,11 +358,12 @@ def _filter_outcome(fn, *args):
         return type(e), str(e)
 
 
-def test_accel_filter_matches_accel_terms(single_build):
-    # the double integrator's kernel, terms.filter, against AccelTerms: a
-    # random w_nom, and on a second pass, where eta_c = 1e6 makes every
-    # coefficient vanish, a w_nom along e with the residual at -5e-10
-    # (returned as it is) and at -1e-3 (raises)
+def test_accel_filter_matches_reference(single_build):
+    # the double integrator's kernel, terms.filter, against the filter
+    # restated on its terms (_layered_filter): a random w_nom, and on a
+    # second pass, where eta_c = 1e6 makes every coefficient vanish, a
+    # w_nom along e with the residual at -5e-10 (returned as it is) and at
+    # -1e-3 (raises)
     sc, b = single_build
     rng = np.random.default_rng(9)
     pts = kernel_points(b.grid, b.sf.h.values, rng)
@@ -346,9 +380,9 @@ def test_accel_filter_matches_accel_terms(single_build):
             except (OutOfDomain, VanishingGuidance):
                 t = None
             if t is not None and eta_c > 1.0:
-                (ex, ey), (jx, jy) = t.e, t.J_ydot
-                at_0 = (t.dh_ydot + (ex * jx + ey * jy) / cfg.mu
-                        + cfg.gamma * t.h_B)     # the residual at w = 0
+                _, (ex, ey), h_B, dh_ydot, (jx, jy) = t
+                at_0 = (dh_ydot + (ex * jx + ey * jy) / cfg.mu
+                        + cfg.gamma * h_B)       # the residual at w = 0
                 for r in (-5e-10, -1e-3):
                     lam = (at_0 - r) * cfg.mu / (ex * ex + ey * ey)
                     w_noms.append((lam * ex, lam * ey))
@@ -624,7 +658,7 @@ def test_integrate_double_smoke_k_v_safe_is_safe_for_h(single_build):
     at = bcfg.nominal_at(res.sf)
     unsafe = 0
     for px, py in tr.y.tolist():
-        s = fs.at(px, py, True)
+        s = fs.at(px, py)
         k = at(px, py, s)
         kv = k_v_smooth((px, py), k, res.sf, res.gf, bcfg)
         kx, ky = _k_v_safe((px, py), k, fs, bcfg)
@@ -644,7 +678,7 @@ def test_integrate_double_from_the_maximum_of_h(single_build, offset):
     top = res.grid.cell_center(*np.unravel_index(np.argmax(h), h.shape))
     y0 = top + res.grid.d * np.array(offset)
     kv0 = k_v_smooth(y0, bcfg.nominal(y0), res.sf, res.gf, bcfg)
-    s = FieldSampler(res.sf, res.gf).at(*y0.tolist(), True)
+    s = FieldSampler(res.sf, res.gf).at(*y0.tolist())
     ks0 = _k_v_safe(tuple(y0.tolist()), tuple(bcfg.nominal(y0).tolist()),
                     FieldSampler(res.sf, res.gf), bcfg)
     a_s = s[3] * kv0[0] + s[4] * kv0[1] + bcfg.gamma * s[0]
