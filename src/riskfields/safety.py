@@ -94,10 +94,12 @@ def filter_kernel(k, fs, cfg, skip=None):
     eta_v raises VanishingGuidance, whose attribute a is that activation.
     point(y, True) returns the row (y, k, u, h, a, audit) with u, audit
     the activation at u.  skip, a list of rows of booleans over the cells
-    (goal_lattice's inactive mask), makes a stage (row False) return k
-    unsampled in the cells it marks; a row always samples.  The filter
-    arithmetic stays in this order: goal_lattice's round-off bound is
-    argued for it.
+    (goal_lattice's inactive mask), makes point return k unsampled in the
+    cells it marks, where a > 0 and u is k: a stage returns k, a record
+    the row (y, k, k, nan, nan, nan), whose h, a and audit fill_unsampled
+    supplies after the run (a sampled row never holds a NaN h: at raises
+    OutOfDomain on a NaN blend).  The filter arithmetic stays in this
+    order: goal_lattice's round-off bound is argued for it.
     """
     at, g, has_dh_dt = fs.at, fs.grid, fs.has_dh_dt
     (ox, oy), d, nx1, ny1 = g.origin_xy, g.d, g.nx - 1, g.ny - 1
@@ -105,11 +107,15 @@ def filter_kernel(k, fs, cfg, skip=None):
 
     def point(y, row=False):
         px, py = y
-        if skip is not None and not row:
+        if skip is not None:
             gx, gy = (px - ox) / d, (py - oy) / d
             if (0.0 <= gx < nx1 and 0.0 <= gy < ny1
                     and skip[int(gx)][int(gy)]):
-                return k(px, py, None)
+                u = kx, ky = k(px, py, None)
+                if not row:
+                    return u
+                return (px, py, kx, ky, kx, ky, math.nan, math.nan,
+                        math.nan), u
         s = at(px, py)
         h, vx, vy = s[0], s[1], s[2]
         u = kx, ky = k(px, py, s)
@@ -137,6 +143,29 @@ def filter_kernel(k, fs, cfg, skip=None):
         return (px, py, kx, ky, ux, uy, h, a, audit), u
 
     return point
+
+
+def _activation(h, vx, vy, kx, ky, gamma, tv=None):
+    """(v.k, a) with a = v.k + gamma h, or (v.k + tv) + gamma h with the
+    dh/dt term tv: filter_kernel's arithmetic, elementwise on arrays."""
+    vk = vx * kx + vy * ky
+    return vk, (vk if tv is None else vk + tv) + gamma * h
+
+
+def fill_unsampled(tr, sf, gf, cfg):
+    """Fills in place the h, a and audit of the rows of the trajectory tr
+    that filter_kernel recorded unsampled (h NaN): h and v from
+    _bilinear_many, which gives FieldSampler.at's bits, a the static
+    activation at the row's u_nom and audit a, since there u is u_nom."""
+    rows = np.isnan(tr.h)
+    if rows.any():
+        px, py = tr.y[rows].T
+        h, vx, vy = (gridmod._bilinear_many(f.values, sf.grid, px, py)
+                     for f in (sf.h, gf.v.x, gf.v.y))
+        kx, ky = tr.u_nom[rows].T
+        tr.h[rows] = h
+        tr.a[rows] = tr.audit[rows] = _activation(h, vx, vy, kx, ky,
+                                                  cfg.gamma)[1]
 
 
 def _record(y, k_nom_value, sf, gf, cfg, dh_dt=None):
@@ -348,16 +377,16 @@ def lattice_activation(grid, k_nom, sf, gf, cfg, dh_dt=None):
     h = sf.h.values
     vx = gf.v.x.values
     vy = gf.v.y.values
-    vk = vx * kx + vy * ky
-    if dh_dt is None:
-        return kx, ky, vk, vk + cfg.gamma * h
-    if not grid.same_geometry(dh_dt.grid):
-        raise GridMismatch("dh/dt field lives on a different lattice")
-    gn = np.hypot(sf.grad.x.values, sf.grad.y.values)
-    denom = gn + cfg.sigma(h)
-    nv = np.hypot(vx, vy)
-    coeff = np.where(denom > 0.0, nv / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return kx, ky, vk, (vk + coeff * dh_dt.values) + cfg.gamma * h
+    tv = None
+    if dh_dt is not None:
+        if not grid.same_geometry(dh_dt.grid):
+            raise GridMismatch("dh/dt field lives on a different lattice")
+        gn = np.hypot(sf.grad.x.values, sf.grad.y.values)
+        denom = gn + cfg.sigma(h)
+        nv = np.hypot(vx, vy)
+        tv = np.where(denom > 0.0, nv / np.where(denom > 0.0, denom, 1.0),
+                      0.0) * dh_dt.values
+    return (kx, ky) + _activation(h, vx, vy, kx, ky, cfg.gamma, tv)
 
 
 def activation_zone(grid, k_nom, sf, gf, cfg, dh_dt=None):

@@ -21,9 +21,9 @@ from .grid import FieldSampler, ScalarField, fill_band
 # activation, filter_control and their dynamic forms are not called here;
 # they stay importable from this module, where perfbench's tracer wraps them.
 from .safety import (_point_form, activation,  # noqa: F401
-                     activation_dynamic, activation_zone, filter_control,
-                     filter_control_dynamic, filter_kernel, goal_lattice,
-                     lattice_activation)
+                     activation_dynamic, activation_zone, fill_unsampled,
+                     filter_control, filter_control_dynamic, filter_kernel,
+                     goal_lattice, lattice_activation)
 
 TIME_LIMIT = "time_limit"
 GOAL_REACHED = "goal_reached"
@@ -271,8 +271,6 @@ def _trajectory(rows, double, dt, termination):
     table = np.fromiter(rows, float).reshape(-1, 12 if double else 9)
     cols = {k: table[:, c].copy() for k, c in _COLUMNS[:8 if double else 6]}
     cols["t"] = np.arange(len(table)) * dt
-    if not len(table):      # every column of an empty run has shape (0,)
-        cols = {k: np.array(()) for k in cols}
     return Trajectory(dt=dt, termination=termination, **cols)
 
 
@@ -297,7 +295,9 @@ def _rollout(z, segments, dt, goal, d):
     stage; the segment runs for steps steps.  After the last segment its
     point records the closing sample.  Any sample with z[:2] within d of
     goal ends the run; a degenerate filter ends it as DEGENERATE and a
-    point off the lattice as LEFT_DOMAIN.
+    point off the lattice as LEFT_DOMAIN.  A filter that degenerates at
+    the first record, so that the run would hold no sample, raises
+    StartUnsafe.
     """
     rows = []
     reached = _goal_check(goal, d)
@@ -312,7 +312,10 @@ def _rollout(z, segments, dt, goal, d):
                 break
             if step:
                 z = rk4(z, zdot, point, dt)
-    except (VanishingGuidance, DegenerateCoefficient):
+    except (VanishingGuidance, DegenerateCoefficient) as e:
+        if not rows:
+            raise StartUnsafe(f"the filter degenerates at the start: {e}"
+                              ) from e
         term = DEGENERATE
     except OutOfDomain:
         term = LEFT_DOMAIN
@@ -332,10 +335,11 @@ def _filtered(controller, sf, gf, cfg, steps, dh_dt=None, lattice=None):
     with dh_dt the time-varying filter: point is safety.filter_kernel over
     a FieldSampler of the fields, so point(y, True) returns the run's row
     (y, u_nom, u, h, a, audit) with u.  An adversarial controller over sf
-    reads Dh from the sample.  A static stage under a goal controller
+    reads Dh from the sample.  A static point under a goal controller
     returns k_nom unsampled in the cells of lattice's (_goal_lattice's)
-    inactive mask, where a > 0 and the filter returns k_nom unchanged; a
-    record always samples."""
+    inactive mask, where a > 0 and the filter returns k_nom unchanged: a
+    stage returns k_nom, a record a row with h, a and audit NaN, which
+    safety.fill_unsampled fills after the run."""
     kgrad, k = _point_form(controller, sf)
     fs = FieldSampler(sf, gf, dh_dt, grad=kgrad or dh_dt is not None)
     skip = None
@@ -360,7 +364,11 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
     """RK4 on ydot = filter_control(y, controller(y)).
 
     Records every step; stops early on goal capture (within one cell),
-    domain exit, or a degenerate filter evaluation.
+    domain exit, or a degenerate filter evaluation.  Under a goal
+    controller neither a stage nor a record samples the fields in the
+    cells where goal_lattice proves a > 0; one vectorized pass
+    (safety.fill_unsampled) gives those records their h, a and audit
+    before the trajectory is returned.
     """
     _check_times(T, dt=dt)
     y = np.array(y0, dtype=float)
@@ -369,7 +377,9 @@ def integrate_single(y0, controller, sf, gf, cfg, dt, T, goal=None):
         goal = getattr(controller, "goal", None)
     n = int(math.floor(T / dt + 1e-9))
     segment = _filtered(controller, sf, gf, cfg, n, lattice=lattice)
-    return _rollout(tuple(y.tolist()), [segment], dt, goal, sf.grid.d)
+    tr = _rollout(tuple(y.tolist()), [segment], dt, goal, sf.grid.d)
+    fill_unsampled(tr, sf, gf, cfg)
+    return tr
 
 
 def integrate_double(state0, accel_nom, sf, gf, bcfg, dt, T, goal=None):

@@ -1460,6 +1460,22 @@ def test_cli_time_step_errors_write_failed_marker(tmp_path, command,
     assert not (out / "manifest.json").exists()
 
 
+def test_cli_degenerate_start_writes_failed_marker(tmp_path):
+    # eta_v = 1e3 makes every a < 0 vanishing, and a < 0 at this start: the
+    # first record degenerates, so the run would hold no sample
+    doc = load_doc("single_obstacle")
+    doc["filter"] = {"gamma": 1.0, "eta_v": 1000.0}
+    doc["sim"]["y0"] = [1.25, 1.65]
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    rc = run_cli("simulate", "--scenario", str(path), "--out", str(out))
+    assert rc == 2
+    assert (out / "FAILED.txt").read_text().startswith(
+        "StartUnsafe: the filter degenerates at the start: a=")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("gammas", ["nan", "inf", "1,-2", "a"])
 def test_cli_sweep_rejects_bad_gammas(tmp_path, gammas):
     out = tmp_path / "sweep_bad"

@@ -205,6 +205,29 @@ def test_skipping_stage_matches_full_stage(single_build):
     assert skipped > len(pts) // 2
 
 
+@pytest.mark.parametrize("fixture", ["single_build", "three_build",
+                                     "uncertain_build", "disk_build"])
+def test_skipping_goal_run_matches_full_run(request, fixture):
+    # a goal run skips the sample of the stages and of the records in
+    # goal_lattice's marked cells and fills those records after the run;
+    # with mu hidden nothing is skipped, and every column must keep its bits
+    sc, b = request.getfixturevalue(fixture)
+    k = sc.controller(b)
+
+    def k_full(y):
+        return k(y)
+
+    k_full.at, k_full.goal = k.at, k.goal
+    c = sc.sim_cfg
+    runs = [integrate_single(c["y0"], ctrl, b.sf, b.gf, b.filter_cfg,
+                             c["dt"], c["T"]) for ctrl in (k, k_full)]
+    _same_trajectory(*runs)
+    g = b.grid
+    mark = goal_lattice(b.sf, b.gf, b.filter_cfg, k.mu, k.goal)[4]
+    ij = ((runs[0].y - g.origin_xy) / g.d).astype(int)
+    assert mark[ij[:, 0], ij[:, 1]].mean() > 0.5
+
+
 # -- the rollout kernels against the layered path ------------------------------
 # The layered path samples the fields once with FieldSampler.at, calls the
 # controller's point form k.at and filters with the closed form restated
@@ -240,22 +263,43 @@ def _layered_row(p, k, fs, cfg):
     return (px, py, *u_nom, *u, h, a, activation(*u)), u
 
 
-def _point_kinds(point, k, fs, cfg, pts, mark=None):
+def _point_kinds(point, k, fs, cfg, pts, fields=None):
     """Asserts point(p, True) is _layered_row at every p of pts, and point(p)
-    its u, bit for bit and error for error; counts the outcome kinds."""
+    its u, bit for bit and error for error; counts the outcome kinds.  With
+    fields, the (sf, gf) of a goal controller k, a record in a cell of
+    goal_lattice's inactive mask must be the unsampled row (y, k, k, nan,
+    nan, nan) with u = k, and safety.fill_unsampled, run once on all of
+    those rows, must fill each to _layered_row's row."""
     g = fs.grid
     (ox, oy), kinds = g.origin_xy, collections.Counter()
+    mark = (None if fields is None
+            else goal_lattice(*fields, cfg, k.mu, k.goal)[4])
+    unsampled = []
     for p in pts:
         want = outcome(_layered_row, p, k, fs, cfg)
+        i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
+        if (mark is not None and 0 <= i < g.nx - 1 and 0 <= j < g.ny - 1
+                and mark[int(i), int(j)]):
+            row, u = want
+            assert outcome(point, p, True) == (row[:6] + ("nan",) * 3, u), p
+            assert outcome(point, p) == u, p
+            unsampled.append(row)
+            kinds["skipped"] += 1
+            continue
         assert outcome(point, p, True) == want, p
         kind = outcome_kind(want)
         assert outcome(point, p) == (want[1] if kind == "value" else want), p
         if kind == "value":
-            i, j = (p[0] - ox) / g.d, (p[1] - oy) / g.d
-            kind = ("skipped" if mark is not None and mark[int(i), int(j)]
-                    else "corrected" if float.fromhex(want[0][7]) < 0.0
-                    else "idle")
+            kind = "corrected" if float.fromhex(want[0][7]) < 0.0 else "idle"
         kinds[kind] += 1
+    if unsampled:
+        rows = [float.fromhex(c) for row in unsampled for c in row[:6]
+                + ("nan",) * 3]
+        tr = sim._trajectory(rows, False, 1.0, TIME_LIMIT)
+        sim.fill_unsampled(tr, *fields, cfg)
+        table = np.column_stack([tr.y, tr.u_nom, tr.u_filt, tr.h, tr.a,
+                                 tr.audit])
+        assert [tuple(c.hex() for c in r) for r in table.tolist()] == unsampled
     return kinds
 
 
@@ -266,20 +310,20 @@ _KINDS = ["corrected", "idle", "OutOfDomain: hull", "OutOfDomain: deeper",
 @pytest.mark.parametrize("fixture", ["single_build", "semantic_build"])
 def test_static_stage_matches_layered_path(request, fixture):
     # goal (single_obstacle) and adversarial (semantic_room) controllers,
-    # the stage skipping the sample in goal_lattice's marked cells; eta_v =
-    # 1e3 makes every a < 0 vanishing
+    # the goal controller's point skipping the sample in goal_lattice's
+    # marked cells, its record filled after the run; eta_v = 1e3 makes
+    # every a < 0 vanishing
     sc, b = request.getfixturevalue(fixture)
     k = sc.controller(b)
-    mark = (goal_lattice(b.sf, b.gf, b.filter_cfg, k.mu, k.goal)[4]
-            if hasattr(k, "mu") else None)
+    fields = (b.sf, b.gf) if hasattr(k, "mu") else None
     fs = FieldSampler(b.sf, b.gf)
     pts = kernel_points(b.grid, b.sf.h.values, np.random.default_rng(11))
     kinds = collections.Counter()
     for eta_v in (b.filter_cfg.eta_v, 1e3):
         cfg = dataclasses.replace(b.filter_cfg, eta_v=eta_v)
         point = sim._filtered(k, b.sf, b.gf, cfg, 1)[0]
-        kinds += _point_kinds(point, k, fs, cfg, pts, mark)
-    want = _KINDS + (["skipped"] if mark is not None else [])
+        kinds += _point_kinds(point, k, fs, cfg, pts, fields)
+    want = _KINDS + (["skipped"] if fields is not None else [])
     assert all(kinds[w] > 0 for w in want), kinds
 
 
@@ -538,6 +582,36 @@ def test_goal_run_is_safe_and_deterministic(disk_build):
     tr2 = integrate_single(sc.sim_cfg["y0"], **kw)
     for fld in ("t", "y", "u_nom", "u_filt", "h", "a", "audit"):
         assert np.array_equal(getattr(tr, fld), getattr(tr2, fld))
+
+
+def test_risk_pair_keeps_more_clearance_from_the_riskier_disk():
+    # risk_pair: equal disks mirrored about the run's axis y = 1.55 (the
+    # lattice's middle row), differing only in label; the clearance is the
+    # true distance |y - c| - r to each disk (0.1361 and 0.1039 measured)
+    doc = load_doc("risk_pair")
+
+    def run(labels):
+        d = copy.deepcopy(doc)
+        for ob, label in zip(d["obstacles"], labels):
+            ob["label"] = label
+        sc = Scenario(d)
+        b = sc.build()
+        c = sc.sim_cfg
+        tr = integrate_single(c["y0"], sc.controller(b), b.sf, b.gf,
+                              b.filter_cfg, c["dt"], c["T"])
+        assert tr.termination == GOAL_REACHED
+        return tr.y
+
+    y = run(("person", "chair"))
+    person, chair = (float((np.linalg.norm(y - ob["center"], axis=1)
+                            - ob["radius"]).min()) for ob in doc["obstacles"])
+    assert person == pytest.approx(0.1361, abs=1e-4)
+    assert chair == pytest.approx(0.1039, abs=1e-4)
+    swapped = run(("chair", "person"))
+    assert swapped.shape == y.shape
+    assert np.abs(swapped[:, 0] - y[:, 0]).max() <= 1e-14
+    assert np.abs((swapped[:, 1] - 1.55) + (y[:, 1] - 1.55)).max() <= 1e-15
+    assert (run(("chair", "chair"))[:, 1] == 1.55).all()
 
 
 def test_filter_audit_identity(disk_build):
